@@ -54,7 +54,7 @@ main()
     for (std::uint32_t i = 0; i < gpu.numSms(); ++i) {
         units.push_back(std::make_unique<Linebacker>(
             cfg, lb, SchemeConfig::linebacker(), &gpu.sm(i),
-            &gpu.smStats(i)));
+            &gpu.stats()));
         controllers.push_back(units.back().get());
     }
     gpu.setControllers(controllers);

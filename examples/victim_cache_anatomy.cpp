@@ -27,7 +27,7 @@ main()
     Gpu gpu(cfg);
     LbConfig lb;
     Linebacker unit(cfg, lb, SchemeConfig::linebacker(), &gpu.sm(0),
-                    &gpu.smStats(0));
+                    &gpu.stats());
     gpu.setControllers({&unit});
 
     std::printf("Anatomy of Linebacker on %s (%s)\n", app.id.c_str(),
@@ -41,8 +41,6 @@ main()
     for (int window = 0; window < 12; ++window) {
         for (Cycle c = 0; c < lb.monitorPeriod; ++c)
             gpu.tick();
-        // Re-fetch each window: stats() folds the per-SM shards of the
-        // parallel tick engine (DESIGN.md §13) into the aggregate.
         const SimStats &stats = gpu.stats();
         const double window_ipc =
             static_cast<double>(stats.instructionsIssued - last_instr) /

@@ -1,27 +1,10 @@
 #include "common/parallel.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 namespace lbsim
 {
-
-namespace
-{
-
-/** Spin iterations before falling back to the scheduler. */
-constexpr unsigned kSpinLimit = 4096;
-
-void
-backoff(unsigned &spins, unsigned limit)
-{
-    if (++spins < limit)
-        cpuRelax();
-    else
-        std::this_thread::yield();
-}
-
-} // namespace
 
 unsigned
 clampThreadArg(unsigned requested, const char *flag_name)
@@ -34,93 +17,6 @@ clampThreadArg(unsigned requested, const char *flag_name)
                  "clamping to %u\n",
                  flag_name, requested, hw, hw);
     return hw;
-}
-
-SmWorkerPool::SmWorkerPool(unsigned threads, std::size_t shards)
-    : threads_(std::max(1u,
-                        static_cast<unsigned>(std::min<std::size_t>(
-                            threads, std::max<std::size_t>(1, shards))))),
-      shards_(shards), errors_(threads_)
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    spinLimit_ = (hw != 0 && threads_ > hw) ? 1 : kSpinLimit;
-    helpers_.reserve(threads_ > 0 ? threads_ - 1 : 0);
-    for (unsigned w = 1; w < threads_; ++w)
-        helpers_.emplace_back([this, w] { workerLoop(w); });
-}
-
-SmWorkerPool::~SmWorkerPool()
-{
-    stop_.store(true, std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_release);
-    for (std::thread &helper : helpers_)
-        helper.join();
-}
-
-void
-SmWorkerPool::runShare(unsigned worker_index,
-                       const std::function<void(std::size_t)> &job)
-{
-    try {
-        for (std::size_t s = worker_index; s < shards_; s += threads_)
-            job(s);
-    } catch (...) {
-        // Captured, not propagated: the round must reach its join
-        // barrier before anyone unwinds, or workers would race a dying
-        // run() frame.
-        if (!errors_[worker_index])
-            errors_[worker_index] = std::current_exception();
-    }
-}
-
-void
-SmWorkerPool::run(const std::function<void(std::size_t)> &job)
-{
-    if (helpers_.empty()) {
-        for (std::size_t s = 0; s < shards_; ++s)
-            job(s);
-        return;
-    }
-
-    job_ = &job;
-    remaining_.store(static_cast<unsigned>(helpers_.size()),
-                     std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_release);
-
-    runShare(0, job);
-
-    unsigned spins = 0;
-    while (remaining_.load(std::memory_order_acquire) != 0)
-        backoff(spins, spinLimit_);
-    job_ = nullptr;
-
-    for (std::exception_ptr &error : errors_) {
-        if (!error)
-            continue;
-        const std::exception_ptr first = error;
-        for (std::exception_ptr &e : errors_)
-            e = nullptr;
-        std::rethrow_exception(first);
-    }
-}
-
-void
-SmWorkerPool::workerLoop(unsigned worker_index)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::uint64_t generation;
-        unsigned spins = 0;
-        while ((generation = generation_.load(
-                    std::memory_order_acquire)) == seen) {
-            backoff(spins, spinLimit_);
-        }
-        seen = generation;
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        runShare(worker_index, *job_);
-        remaining_.fetch_sub(1, std::memory_order_release);
-    }
 }
 
 } // namespace lbsim

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <cstdio>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -26,43 +25,6 @@ fieldText(const T &value)
 }
 
 } // namespace
-
-void
-foldShardStats(SimStats &into, const SimStats &shard)
-{
-    // Snapshot the shard, then walk the aggregate in lockstep; the
-    // shared enumeration guarantees positional alignment, so a counter
-    // added to forEachStatField is folded without touching this code.
-    std::vector<std::uint64_t> ints;
-    std::vector<double> doubles;
-    forEachStatField(shard, [&](const char *, const auto &value) {
-        using T = std::decay_t<decltype(value)>;
-        if constexpr (std::is_floating_point_v<T>) {
-            doubles.push_back(value);
-            ints.push_back(0);
-        } else {
-            ints.push_back(static_cast<std::uint64_t>(value));
-            doubles.push_back(0.0);
-        }
-    });
-    std::size_t i = 0;
-    forEachStatField(into, [&](const char *name, auto &value) {
-        using T = std::decay_t<decltype(value)>;
-        if constexpr (std::is_floating_point_v<T>) {
-            value += doubles[i];
-        } else {
-            const T other = static_cast<T>(ints[i]);
-            const bool assignment_semantics =
-                std::string_view(name) == "monitoringPeriods" ||
-                std::string_view(name) == "selectedLoads";
-            if (assignment_semantics)
-                value = value > other ? value : other;
-            else
-                value += other;
-        }
-        ++i;
-    });
-}
 
 std::string
 serializeStats(const SimStats &stats)

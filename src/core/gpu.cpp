@@ -1,7 +1,5 @@
 #include "core/gpu.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "common/log.hpp"
 
@@ -20,24 +18,14 @@ Gpu::Gpu(const GpuConfig &cfg, const GpuBuildOptions &options)
                                               &stats_, &injector_));
         icnt_->attachPartition(p, partitions_.back().get());
     }
-    // Shards are sized before SM construction and never resized again:
-    // each SM (and its Linebacker stack) keeps a pointer into the
-    // vector for the lifetime of the chip.
-    smStats_.resize(cfg_.numSms);
     for (std::uint32_t s = 0; s < cfg_.numSms; ++s) {
-        sms_.push_back(std::make_unique<Sm>(cfg_, s, icnt_.get(),
-                                            &smStats_[s],
+        sms_.push_back(std::make_unique<Sm>(cfg_, s, icnt_.get(), &stats_,
                                             options.l1ExtraWays,
                                             options.cerfUnified,
                                             &injector_));
     }
     controllers_.resize(sms_.size(), nullptr);
     smProgress_.resize(sms_.size(), 0);
-
-    const unsigned threads =
-        std::max<std::uint32_t>(1, std::min(cfg_.smThreads, cfg_.numSms));
-    pool_ = std::make_unique<SmWorkerPool>(threads, sms_.size());
-    smJob_ = [this](std::size_t s) { sms_[s]->tick(now_); };
 
     tickSkipEnabled_ = cfg_.tickSkip && !injector_.armed();
 }
@@ -143,66 +131,33 @@ Gpu::tick()
         }
     }
 
-    // Serial memory-side phase: partitions, then crossbar delivery
-    // (which calls back into SMs for fills/restores — still serial).
+    // Memory side first: partitions, then crossbar delivery (which calls
+    // back into SMs for fills and restores). Then every SM in index
+    // order — the order that fixes the crossbar's request FIFO — then
+    // CTA dispatch (controller callbacks here may send restores) and
+    // the cross-cutting checks.
     for (auto &partition : partitions_)
         partition->tick(now_);
     icnt_->tick(now_);
-
-    // Parallel SM phase: every SM shard ticks concurrently. A shard
-    // writes only its own SM state, its private stats shard, and its
-    // single-producer interconnect staging lane; the staged requests
-    // are drained in SM-index order at the barrier below, which is
-    // byte-for-byte the order the old serial loop produced. The staged
-    // path runs at every thread count (including 1), so results cannot
-    // depend on cfg.smThreads by construction.
-    icnt_->beginSmPhase();
-    pool_->run(smJob_);
-
-    // Serial boundary phase: barrier drain, CTA dispatch (controller
-    // callbacks here may send restores — they take the direct
-    // interconnect path), then the cross-cutting checks.
-    icnt_->drainStaged(now_);
+    for (auto &sm : sms_)
+        sm->tick(now_);
     if (dispatcher_)
         dispatcher_->tick(now_);
     if constexpr (checksEnabled(CheckLevel::Full)) {
         if (cfg_.auditStride != 0 && now_ % cfg_.auditStride == 0)
             audit();
     }
-    // Global progress = folded aggregate + unfolded shard deltas;
-    // numerically identical to the serial engine's feed. Doubles as
-    // the skip probe's quiet gate: only probe after a do-nothing tick.
-    std::uint64_t issued = stats_.instructionsIssued;
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
+    // Global progress doubles as the skip probe's quiet gate: only
+    // probe after a do-nothing tick.
+    for (std::size_t s = 0; s < sms_.size(); ++s)
         smProgress_[s] = sms_[s]->instructionsIssued();
-        issued += smStats_[s].instructionsIssued;
-    }
     const std::uint64_t progress =
-        issued + icnt_->ledger().totalRetired();
+        stats_.instructionsIssued + icnt_->ledger().totalRetired();
     if (watchdog_)
         watchdog_->observe(now_, progress, smProgress_);
     quiet_ = progress == prevProgress_;
     prevProgress_ = progress;
     ++now_;
-}
-
-SimStats &
-Gpu::stats()
-{
-    foldSmStats();
-    return stats_;
-}
-
-void
-Gpu::foldSmStats()
-{
-    for (SimStats &shard : smStats_) {
-        foldShardStats(stats_, shard);
-        // Clearing makes the fold idempotent: future SM-phase writes
-        // accumulate fresh deltas (the two assignment-semantics fields
-        // are monotone per SM, so their max-fold stays exact).
-        shard = SimStats{};
-    }
 }
 
 void
@@ -257,8 +212,6 @@ Gpu::runKernel(const KernelInfo &kernel)
         while (now_ < warm_end && !done() && !watchdogTripped())
             tick();
         stats_ = SimStats{};
-        for (SimStats &shard : smStats_)
-            shard = SimStats{};
         measureStart_ = now_;
         for (auto &sm : sms_)
             sm->resetOccupancyAccumulators();
@@ -345,7 +298,6 @@ Gpu::buildHangReport() const
 void
 Gpu::finalizeStats()
 {
-    foldSmStats();
     stats_.cycles = now_ - measureStart_;
     double active = 0;
     double dur = 0;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "core/cta_dispatcher.hpp"
 #include "core/kernel.hpp"
@@ -78,20 +77,17 @@ class Gpu
         return static_cast<std::uint32_t>(partitions_.size());
     }
     /**
-     * Chip-level statistics. Folds the per-SM shards into the aggregate
-     * bag on every call (cheap and idempotent: shards are cleared as
-     * they fold), so the returned reference is always complete and may
-     * also be written by memory-side components and external tests.
+     * Chip-level statistics: the one bag every SM, controller and
+     * memory-side component writes, and external tests may write too.
      */
-    SimStats &stats();
+    SimStats &stats() { return stats_; }
 
     /**
-     * SM @p index's private statistics shard. Components that run
-     * inside an SM's tick domain (Sm internals, the per-SM Linebacker
-     * stack) must write here, never into stats(): the SM phase of the
-     * tick engine runs shards concurrently (DESIGN.md §13).
+     * Statistics sink for SM @p index's components — the chip bag
+     * (stats()) for every index. Kept for callers that wire per-SM
+     * controllers by index, such as lbbench's traced cell.
      */
-    SimStats &smStats(std::uint32_t index) { return smStats_[index]; }
+    SimStats &smStats(std::uint32_t /*index*/) { return stats_; }
 
     const GpuConfig &config() const { return cfg_; }
     Interconnect &interconnect() { return *icnt_; }
@@ -138,18 +134,8 @@ class Gpu
      */
     Cycle skipTarget() const;
 
-    /** Fold-and-clear every SM shard into stats_ (idempotent). */
-    void foldSmStats();
-
     GpuConfig cfg_;
-    /** Chip-level aggregate: memory-side counters + folded SM shards. */
     SimStats stats_;
-    /**
-     * One statistics shard per SM, written only by that SM's tick
-     * domain during the parallel SM phase. Sized once in the
-     * constructor and never resized — SMs hold pointers into it.
-     */
-    std::vector<SimStats> smStats_;
     FaultInjector injector_;
     std::unique_ptr<Interconnect> icnt_;
     std::vector<std::unique_ptr<MemoryPartition>> partitions_;
@@ -160,10 +146,6 @@ class Gpu
     HangReport hangReport_;
     /** Per-SM progress scratch fed to the watchdog each cycle. */
     std::vector<std::uint64_t> smProgress_;
-    /** Worker pool for the parallel SM phase (cfg.smThreads workers). */
-    std::unique_ptr<SmWorkerPool> pool_;
-    /** The per-shard job, built once to avoid per-cycle allocation. */
-    std::function<void(std::size_t)> smJob_;
     Cycle now_ = 0;
     Cycle measureStart_ = 0;
     /**

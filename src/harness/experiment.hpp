@@ -13,15 +13,13 @@
  *    its own GpuConfig/LbConfig/RunnerOptions copy, so sweeps cannot
  *    alias each other's state.
  *
- *  - ExperimentEngine executes cells on up to --threads workers. Within
- *    a cell the simulator runs serially by default; RunnerOptions::
- *    smThreads additionally parallelizes the SM phase of each cycle
- *    inside one run (DESIGN.md §13) — the two levels compose, so keep
- *    their product within the machine when combining them. Each worker
- *    builds a private SimRunner from the cell's
- *    configs — SimRunner is a value type with no mutable shared state,
- *    and all cross-thread coordination lives in the thread-safe
- *    MemoCache (single-flight, so a shared oracle sweep is paid once).
+ *  - ExperimentEngine executes cells on up to --threads workers; this
+ *    is the simulator's only parallelism, since one cell ticks its SMs
+ *    serially (DESIGN.md §13). Each worker builds a private SimRunner
+ *    from the cell's configs — SimRunner is a value type with no
+ *    mutable shared state, and all cross-thread coordination lives in
+ *    the thread-safe MemoCache (single-flight, so a shared oracle
+ *    sweep is paid once).
  *
  * Results land in plan order regardless of completion order, so N-thread
  * and 1-thread runs render identical tables and JSON. A throwing cell is

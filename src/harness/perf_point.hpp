@@ -48,7 +48,7 @@ struct PerfPoint
     std::int64_t timestamp = 0; ///< Unix seconds at measurement.
     bool smoke = true;          ///< Smoke-sized sweep (CI) or full.
     std::uint32_t sms = 0;      ///< Simulated SM count.
-    std::uint32_t smThreads = 0;
+    std::uint32_t smThreads = 0; ///< v1 key; always 0 (serial SM tick).
     double totalCyclesPerSec = 0.0;
     double wallSec = 0.0;
     std::uint64_t simCycles = 0;

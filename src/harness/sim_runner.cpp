@@ -71,11 +71,10 @@ describeApp(const AppProfile &app)
  * appear here: a sweep that mutates a non-keyed field would silently
  * return stale cache hits. The only deliberate exclusions are
  * GpuConfig::auditStride (debugging knob with no architectural effect),
- * GpuConfig::smThreads / RunnerOptions::smThreads and
- * GpuConfig::tickSkip (execution-engine knobs — results are
- * bit-identical at any thread count and with skipping on or off, which
- * the ParallelTick and TickSkip determinism tests enforce) and
- * RunnerOptions::useMemoCache (meta).
+ * GpuConfig::tickSkip (execution-engine knob — results are
+ * bit-identical with skipping on or off, which the TickSkip tests
+ * enforce), RunnerOptions::useMemoCache (meta) and the ignored
+ * GpuConfig::smThreads / RunnerOptions::smThreads.
  */
 std::string
 describeConfig(const GpuConfig &cfg, const LbConfig &lb,
@@ -286,8 +285,6 @@ SimRunner::runUncached(const AppProfile &app, const SchemeConfig &scheme)
         : baseCfg_;
     if (options_.maxCycles)
         cfg.maxCycles = options_.maxCycles;
-    if (options_.smThreads)
-        cfg.smThreads = options_.smThreads;
 
     const KernelInfo kernel = app.buildKernel(cfg);
 
@@ -340,11 +337,8 @@ SimRunner::runUncached(const AppProfile &app, const SchemeConfig &scheme)
         }
 
         if (scheme.victim != VictimMode::Off) {
-            // Each Linebacker writes into its SM's private stats shard:
-            // onCycle runs inside the parallel SM phase, where the
-            // aggregate bag must stay untouched.
             owned.push_back(std::make_unique<Linebacker>(
-                gpu.config(), lbCfg_, scheme, &gpu.sm(i), &gpu.smStats(i),
+                gpu.config(), lbCfg_, scheme, &gpu.sm(i), &gpu.stats(),
                 inner));
             lbs.push_back(static_cast<Linebacker *>(owned.back().get()));
             controllers[i] = owned.back().get();

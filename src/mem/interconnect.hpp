@@ -16,7 +16,6 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "common/thread_safety.hpp"
 #include "mem/request.hpp"
 #include "mem/request_ledger.hpp"
 
@@ -58,33 +57,8 @@ class Interconnect
     /** Backpressure check before sendRequest(). */
     bool canAcceptRequest(std::uint32_t sm_id) const;
 
-    /**
-     * Send @p req toward its partition; arrives after the hop latency.
-     *
-     * During the parallel SM phase (between beginSmPhase() and
-     * drainStaged()) the request is staged into its SM's single-producer
-     * lane instead of touching the shared queues; the barrier drain
-     * re-enqueues the lanes in SM-index order, which reproduces the
-     * serial engine's global FIFO order (cycle, SM id, program order)
-     * exactly. Outside the SM phase the request takes the direct path.
-     */
+    /** Send @p req toward its partition; arrives after the hop latency. */
     void sendRequest(const MemRequest &req, Cycle now);
-
-    /**
-     * Enter the parallel SM phase: each SM shard may call
-     * canAcceptRequest()/sendRequest() for its own SM id concurrently;
-     * every other entry point stays serial-phase-only.
-     */
-    void beginSmPhase();
-
-    /**
-     * Barrier at the end of the SM phase: drain every staging lane into
-     * the shared request queue in SM-index order (issuing ledger events
-     * deferred from sendRequest) and return to direct mode. @p now must
-     * be the cycle the SMs just ticked, so arrival times match the
-     * direct path.
-     */
-    void drainStaged(Cycle now);
 
     /** Send @p resp back to its SM; arrives after the hop latency. */
     void sendResponse(const MemResponse &resp, Cycle now);
@@ -108,7 +82,6 @@ class Interconnect
     bool
     quiescent() const
     {
-        SeqGuard guard(domain_);
         return requests_.empty() && responses_.empty();
     }
 
@@ -190,53 +163,21 @@ class Interconnect
         MemResponse resp;
     };
 
-    /**
-     * Single-producer staging lane for one SM's requests during the
-     * parallel SM phase. The lane's domain is owned by that SM's tick
-     * shard while the phase is open and by the crossbar's serial drain
-     * at the barrier — never by both at once, which is what the phase
-     * alternation guarantees and TSan verifies.
-     */
-    struct Lane
-    {
-        mutable SeqDomain domain;
-        std::deque<MemRequest> staged LB_GUARDED_BY(domain);
-    };
-
-    /** Shared-queue enqueue (the classic direct path). */
-    void enqueueRequest(const MemRequest &req, Cycle now)
-        LB_REQUIRES(domain_);
-
     const GpuConfig &cfg_;
     SimStats *stats_;
     FaultInjector *fi_;
     std::vector<MemoryPartition *> partitions_;
     std::vector<ResponseSinkIf *> sinks_;
     /**
-     * Tick domain of the shared crossbar queues. The parallel tick
-     * engine synchronizes SM shards exactly here: during the SM phase
-     * this domain is read-only (backpressure checks), and all mutation
-     * happens in the serial phases between barriers.
-     */
-    mutable SeqDomain domain_;
-    /**
      * FIFO of undelivered requests. A vector compacted in place per
      * tick (not a deque rotated entry by entry): tick() walks every
      * entry each cycle, and under memory-bound phases the queue holds
      * hundreds of stalled retries, so the walk is the hot loop.
      */
-    std::vector<InFlightRequest> requests_ LB_GUARDED_BY(domain_);
-    std::deque<InFlightResponse> responses_ LB_GUARDED_BY(domain_);
+    std::vector<InFlightRequest> requests_;
+    std::deque<InFlightResponse> responses_;
     std::uint32_t maxInFlightPerSm_;
-    std::vector<std::uint32_t> inFlightPerSm_ LB_GUARDED_BY(domain_);
-    /** One staging lane per SM (deque: Lane is non-movable). */
-    std::deque<Lane> lanes_;
-    /**
-     * True between beginSmPhase() and drainStaged(). Written only in
-     * the serial phases; the pool's fork/join barrier orders the writes
-     * against every shard's reads.
-     */
-    bool smPhase_ = false;
+    std::vector<std::uint32_t> inFlightPerSm_;
     /** False when an armed fault injector is attached (see
      *  InFlightRequest): fault hooks must see every real attempt. */
     bool retrySkip_;
@@ -251,8 +192,8 @@ class Interconnect
      * by every sweep; enqueues lower the arrival bound (and raise
      * attention on a same-cycle hop).
      */
-    bool reqAttention_ LB_GUARDED_BY(domain_) = false;
-    Cycle reqNextArrival_ LB_GUARDED_BY(domain_) = kNoCycle;
+    bool reqAttention_ = false;
+    Cycle reqNextArrival_ = kNoCycle;
     /**
      * Per-partition summary of the parked (retry-skip cached) entries.
      * Sweep invariant: immediately after a sweep, every parked entry's
@@ -275,9 +216,9 @@ class Interconnect
         std::uint64_t dramEpoch = 0;
         std::uint64_t l2Epoch = 0;
     };
-    std::vector<PartitionPark> parks_ LB_GUARDED_BY(domain_);
+    std::vector<PartitionPark> parks_;
     /** Total parked entries across parks_ (0 short-circuits the scan). */
-    std::uint32_t parkedTotal_ LB_GUARDED_BY(domain_) = 0;
+    std::uint32_t parkedTotal_ = 0;
     RequestLedger ledger_;
 };
 

@@ -35,7 +35,6 @@ MemoryPartition::respond(const PendingRead &read, Cycle ready)
 DeliverResult
 MemoryPartition::deliver(const MemRequest &req, Cycle now)
 {
-    SeqGuard guard(domain_);
     LB_ASSERT(icnt_->partitionOf(req.lineAddr) == id_,
               "request for line %llx delivered to partition %u "
               "(owner is %u)",
@@ -99,7 +98,6 @@ MemoryPartition::deliver(const MemRequest &req, Cycle now)
 void
 MemoryPartition::chargeSkippedReadRetry()
 {
-    SeqGuard guard(domain_);
     // Mirrors the DataRead stall path above: one read id consumed, one
     // L2 access charged (L2Slice::accessReadImpl's counter), nothing
     // else — the transient pending-read entry nets out to zero.
@@ -110,7 +108,6 @@ MemoryPartition::chargeSkippedReadRetry()
 void
 MemoryPartition::chargeSkippedReadRetries(std::uint64_t count)
 {
-    SeqGuard guard(domain_);
     nextReadId_ += count;
     stats_->l2Accesses += count;
 }
@@ -118,7 +115,6 @@ MemoryPartition::chargeSkippedReadRetries(std::uint64_t count)
 void
 MemoryPartition::audit(Cycle now) const
 {
-    SeqGuard guard(domain_);
     l2_.tags().audit(now);
     StateDumpScope dump([this] { return debugString(); });
     for (const std::uint64_t id : sortedKeys(pendingReads_)) {
@@ -141,7 +137,6 @@ MemoryPartition::audit(Cycle now) const
 std::string
 MemoryPartition::debugString() const
 {
-    SeqGuard guard(domain_);
     char buf[128];
     std::snprintf(buf, sizeof(buf),
                   "MemoryPartition %u: %zu pending reads, nextId=%llu\n",
@@ -163,7 +158,6 @@ MemoryPartition::debugString() const
 void
 MemoryPartition::tick(Cycle now)
 {
-    SeqGuard guard(domain_);
     dram_.tick(now);
 
     doneScratch_.clear();

@@ -22,7 +22,6 @@ MshrOutcome
 MshrFile::registerMiss(Addr line_addr, std::uint64_t access_id,
                        bool allocate_on_fill, Cycle now)
 {
-    SeqGuard guard(domain_);
     auto it = entries_.find(line_addr);
     if (it != entries_.end()) {
         Entry &entry = it->second;
@@ -48,14 +47,12 @@ MshrFile::registerMiss(Addr line_addr, std::uint64_t access_id,
 bool
 MshrFile::pending(Addr line_addr) const
 {
-    SeqGuard guard(domain_);
     return entries_.count(line_addr) != 0;
 }
 
 bool
 MshrFile::canMerge(Addr line_addr) const
 {
-    SeqGuard guard(domain_);
     const auto it = entries_.find(line_addr);
     return it != entries_.end() && it->second.waiters.size() < maxMerges_;
 }
@@ -64,7 +61,6 @@ bool
 MshrFile::completeFill(Addr line_addr,
                        std::vector<std::uint64_t> &waiters_out)
 {
-    SeqGuard guard(domain_);
     auto it = entries_.find(line_addr);
     if (it == entries_.end())
         panic("MSHR fill for line %llu with no pending entry",
@@ -79,7 +75,6 @@ MshrFile::completeFill(Addr line_addr,
 void
 MshrFile::audit(Cycle now, Cycle leak_bound) const
 {
-    SeqGuard guard(domain_);
     StateDumpScope dump([this] { return debugString(); });
 
     LB_AUDIT(entries_.size() <= maxEntries_,
@@ -124,7 +119,6 @@ MshrFile::audit(Cycle now, Cycle leak_bound) const
 std::string
 MshrFile::debugString() const
 {
-    SeqGuard guard(domain_);
     std::string out = "MshrFile " + std::to_string(entries_.size()) + "/" +
         std::to_string(maxEntries_) + " entries\n";
     char buf[128];

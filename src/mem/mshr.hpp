@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "common/thread_safety.hpp"
 #include "common/types.hpp"
 
 namespace lbsim
@@ -68,7 +67,6 @@ class MshrFile
     std::uint32_t
     inUse() const
     {
-        SeqGuard guard(domain_);
         return static_cast<std::uint32_t>(entries_.size());
     }
     std::uint32_t capacity() const { return maxEntries_; }
@@ -95,13 +93,7 @@ class MshrFile
 
     std::uint32_t maxEntries_;
     std::uint32_t maxMerges_;
-    /**
-     * Tick domain of the MSHR file. One MSHR file per SM: under the
-     * parallel tick engine this state belongs to that SM's shard, and
-     * the capability marks every access that the shard boundary covers.
-     */
-    mutable SeqDomain domain_;
-    FlatMap<Addr, Entry> entries_ LB_GUARDED_BY(domain_);
+    FlatMap<Addr, Entry> entries_;
 };
 
 } // namespace lbsim

@@ -342,8 +342,7 @@ generateFaultFuzzCase(std::uint64_t seed)
             event.magnitude = range(rng, 100, 1500);
             break;
           case FaultKind::VttRevoke:
-            // Magnitude is the target SM id (single-owner consumption
-            // under the parallel SM phase); spread revocations across
+            // Magnitude is the target SM id; spread revocations across
             // the chip instead of always hitting SM 0.
             event.magnitude = rng.below(fuzz_case.gpu.numSms);
             break;

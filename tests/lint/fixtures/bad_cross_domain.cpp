@@ -1,7 +1,6 @@
 // Fixture: raw concurrency primitives the lbsim-cross-domain check
-// must flag. Model code may synchronize only at the annotated
-// interconnect barrier (DESIGN.md §13); ad-hoc std:: primitives
-// reintroduce thread-count dependence that -Wthread-safety cannot see.
+// must flag. The cycle model is single-threaded (DESIGN.md §13); an
+// ad-hoc std:: primitive there reintroduces thread-count dependence.
 
 #include <atomic>
 #include <future>

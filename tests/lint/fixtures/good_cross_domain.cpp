@@ -1,43 +1,33 @@
 // Fixture: model-style code with no raw concurrency primitives; the
-// lbsim-cross-domain check must stay silent. Cross-SM traffic goes
-// through explicit per-SM staging lanes drained in SM-index order at
-// the serial barrier, so the model never touches std::thread or
-// std::atomic — the engine's worker pool lives outside model dirs.
+// lbsim-cross-domain check must stay silent. One simulation runs on
+// one thread: SMs tick in index order and append straight to the
+// crossbar's FIFO, so the model never touches std::thread or
+// std::atomic — the cell-level worker pools live outside model dirs.
 
-#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-struct StagedRequest
+struct Request
 {
     std::uint32_t smId = 0;
     std::uint64_t addr = 0;
 };
 
-class StagingLanes
+class RequestFifo
 {
   public:
-    explicit StagingLanes(std::size_t sms) : lanes_(sms) {}
+    /** SM tick: requests queue in (cycle, SM index, program order). */
+    void send(const Request &req) { queue_.push_back(req); }
 
-    /** SM phase: each SM appends only to its own lane. */
-    void stage(const StagedRequest &req)
+    /** Crossbar tick: deliver in FIFO order. */
+    std::vector<Request> deliverAll()
     {
-        lanes_[req.smId].push_back(req);
-    }
-
-    /** Serial phase: drain lanes in SM-index order at the barrier. */
-    std::vector<StagedRequest> drainInOrder()
-    {
-        std::vector<StagedRequest> drained;
-        for (std::deque<StagedRequest> &lane : lanes_) {
-            for (const StagedRequest &req : lane)
-                drained.push_back(req);
-            lane.clear();
-        }
-        return drained;
+        std::vector<Request> delivered(queue_.begin(), queue_.end());
+        queue_.clear();
+        return delivered;
     }
 
   private:
-    std::vector<std::deque<StagedRequest>> lanes_;
+    std::deque<Request> queue_;
 };

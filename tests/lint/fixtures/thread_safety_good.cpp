@@ -28,59 +28,10 @@ class GoodCounter
     int value_ LB_GUARDED_BY(mu_) = 0;
 };
 
-class GoodDomain
-{
-  public:
-    void
-    tick()
-    {
-        lbsim::SeqGuard guard(domain_);
-        ++cycle_;
-    }
-
-  private:
-    mutable lbsim::SeqDomain domain_;
-    unsigned long long cycle_ LB_GUARDED_BY(domain_) = 0;
-};
-
-// Staging-lane pattern from the parallel tick engine (DESIGN.md §13):
-// each SM stages into its own lane under the lane's domain during the
-// SM phase; the serial phase drains every lane at the barrier.
-class GoodStagingLane
-{
-  public:
-    void
-    stage(int request)
-    {
-        lbsim::SeqGuard guard(domain_);
-        staged_[depth_++ % kDepth] = request;
-    }
-
-    int
-    drainAtBarrier()
-    {
-        lbsim::SeqGuard guard(domain_);
-        const int drained = static_cast<int>(depth_);
-        depth_ = 0;
-        return drained;
-    }
-
-  private:
-    static constexpr unsigned kDepth = 4;
-    mutable lbsim::SeqDomain domain_;
-    int staged_[kDepth] LB_GUARDED_BY(domain_) = {};
-    unsigned depth_ LB_GUARDED_BY(domain_) = 0;
-};
-
 int
 main()
 {
     GoodCounter counter;
     counter.increment();
-    GoodDomain domain;
-    domain.tick();
-    GoodStagingLane lane;
-    lane.stage(1);
-    lane.drainAtBarrier();
     return counter.value();
 }

@@ -13,6 +13,7 @@
 
 #include "common/stats.hpp"
 #include "harness/sim_runner.hpp"
+#include "resilience/faultinject.hpp"
 #include "workload/suite.hpp"
 
 namespace lbsim
@@ -95,6 +96,75 @@ TEST(Determinism, DifferentSeedsDiverge)
     // Different irregular address streams must leave some trace in the
     // counters; identical stats would mean the seed is ignored.
     EXPECT_NE(serializeStats(a.stats), serializeStats(b.stats));
+}
+
+/** A short multi-SM run; Linebacker selects inside the budget. */
+SimRunner
+chipRunner(std::uint32_t sms, const FaultPlan &plan = {},
+           const GpuConfig &cfg = {})
+{
+    RunnerOptions options = fastOptions();
+    options.simSms = sms;
+    options.maxCycles = 40000;
+    options.faultPlan = plan;
+    LbConfig lb;
+    lb.monitorPeriod = 4000;
+    return SimRunner(cfg, lb, options);
+}
+
+TEST(Determinism, SameSeedIsByteIdenticalAtSixteenSms)
+{
+    // Sixteen SMs share the crossbar, the CTA dispatcher and one chip
+    // stats bag; a replay on the same runner must not see any of them
+    // differently.
+    SimRunner runner = chipRunner(16);
+    const AppProfile app = irregularApp(7);
+    const RunMetrics a = runner.run(app, SchemeConfig::linebacker());
+    const RunMetrics b = runner.run(app, SchemeConfig::linebacker());
+    EXPECT_EQ(serializeStats(a.stats), serializeStats(b.stats))
+        << "first difference: "
+        << firstStatDifference(a.stats, b.stats);
+}
+
+TEST(Determinism, FaultedRunIsByteIdenticalAtFourSms)
+{
+    // Fault hooks fire inside the SM tick (BackupStall, LoadMonitorLie,
+    // VttRevoke aimed at SM 1 through its magnitude); an injected run
+    // must replay as exactly as a clean one, fault count included.
+    FaultPlan plan;
+    plan.events.push_back({FaultKind::LoadMonitorLie, 2000, 1000, 0});
+    plan.events.push_back({FaultKind::BackupStall, 7000, 4000, 0});
+    plan.events.push_back({FaultKind::VttRevoke, 12000, 20000, 1});
+    SimRunner runner = chipRunner(4, plan);
+    const AppProfile app = irregularApp(7);
+    const RunMetrics a = runner.run(app, SchemeConfig::linebacker());
+    const RunMetrics b = runner.run(app, SchemeConfig::linebacker());
+    EXPECT_GT(a.faultsInjected, 0u) << "the plan never fired";
+    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+    EXPECT_EQ(serializeStats(a.stats), serializeStats(b.stats))
+        << "first difference: "
+        << firstStatDifference(a.stats, b.stats);
+}
+
+TEST(Determinism, WedgedRunReplaysItsHangReport)
+{
+    // A head-of-line-blocking response delay wedges a 4-SM chip; every
+    // replay must trip the watchdog with the same diagnosis.
+    FaultPlan wedge;
+    wedge.events.push_back({FaultKind::IcntDelay, 2000, 400, 2000000});
+    GpuConfig cfg;
+    cfg.watchdogCycles = 3000;
+    SimRunner runner = chipRunner(4, wedge, cfg);
+    const AppProfile app = irregularApp(7);
+    const RunMetrics a = runner.run(app, SchemeConfig::baseline());
+    const RunMetrics b = runner.run(app, SchemeConfig::baseline());
+    ASSERT_EQ(a.outcome, RunOutcome::Hang)
+        << "wedge did not trip the watchdog";
+    EXPECT_EQ(b.outcome, RunOutcome::Hang);
+    EXPECT_EQ(a.hangReportJson, b.hangReportJson);
+    EXPECT_EQ(serializeStats(a.stats), serializeStats(b.stats))
+        << "first difference: "
+        << firstStatDifference(a.stats, b.stats);
 }
 
 TEST(Determinism, SerializeStatsCoversEveryCounter)

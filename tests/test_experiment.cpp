@@ -2,7 +2,8 @@
  * @file
  * Tests for the experiment layer: plan combinators, engine determinism
  * across thread counts, per-cell error isolation, single-flight
- * memoization, and progress reporting.
+ * memoization, progress reporting, and the clamp on the tools'
+ * thread-count arguments.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "harness/experiment.hpp"
 #include "harness/memo_cache.hpp"
 #include "harness/sim_runner.hpp"
@@ -273,6 +275,32 @@ TEST(ParallelMap, PreservesIndexOrderAcrossThreads)
     ASSERT_EQ(squares.size(), 64u);
     for (std::size_t i = 0; i < squares.size(); ++i)
         EXPECT_EQ(squares[i], static_cast<int>(i * i));
+}
+
+TEST(ClampThreadArg, LeavesAutoAndInRangeCountsAlone)
+{
+    EXPECT_EQ(clampThreadArg(0, "--threads"), 0u);
+    EXPECT_EQ(clampThreadArg(1, "--threads"), 1u);
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw > 0) {
+        EXPECT_EQ(clampThreadArg(hw, "--threads"), hw);
+    }
+}
+
+TEST(ClampThreadArg, ClampsToHardwareConcurrencyAndNamesTheFlag)
+{
+    // An unknown hardware concurrency (0) disables the clamp.
+    const unsigned hw = std::thread::hardware_concurrency();
+    ::testing::internal::CaptureStderr();
+    const unsigned clamped = clampThreadArg(hw + 3, "--workers");
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    if (hw == 0) {
+        EXPECT_EQ(clamped, 3u);
+        EXPECT_EQ(warning, "");
+        return;
+    }
+    EXPECT_EQ(clamped, hw);
+    EXPECT_NE(warning.find("--workers"), std::string::npos) << warning;
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "common/stats.hpp"
+#include "core/gpu.hpp"
 #include "harness/sim_runner.hpp"
 #include "workload/suite.hpp"
 
@@ -175,6 +176,33 @@ TEST(GpuIntegration, LockstepMatchesUncheckedRunExactly)
     EXPECT_EQ(serializeStats(a.stats), serializeStats(b.stats))
         << "lockstep perturbed the run: "
         << firstStatDifference(a.stats, b.stats);
+}
+
+TEST(GpuIntegration, ChipStatsCountEverySm)
+{
+    // SMs write the one chip stats bag directly: its issue counter must
+    // be the sum of the SMs' own issue counters, and every SM of a
+    // 4-SM chip must have contributed.
+    GpuConfig cfg = GpuConfig{}.scaleTo(4);
+    cfg.maxCycles = 20000;
+    Gpu gpu(cfg);
+    const SimStats &stats = gpu.runKernel(appById("KM").buildKernel(cfg));
+    std::uint64_t per_sm = 0;
+    for (std::uint32_t i = 0; i < gpu.numSms(); ++i) {
+        EXPECT_GT(gpu.sm(i).instructionsIssued(), 0u) << "SM " << i;
+        per_sm += gpu.sm(i).instructionsIssued();
+    }
+    EXPECT_EQ(stats.instructionsIssued, per_sm);
+}
+
+TEST(GpuIntegration, SmStatsIsTheChipBag)
+{
+    // Callers that wire per-SM controllers by index get the chip bag
+    // for every index.
+    Gpu gpu(GpuConfig{}.scaleTo(4));
+    ASSERT_EQ(gpu.numSms(), 4u);
+    for (std::uint32_t i = 0; i < gpu.numSms(); ++i)
+        EXPECT_EQ(&gpu.smStats(i), &gpu.stats()) << "SM " << i;
 }
 
 TEST(GpuIntegration, WarmupResetPreservesRates)

@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for the interconnect: routing, latency, backpressure.
+ * Unit tests for the interconnect: routing, latency, backpressure,
+ * audits.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/check.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/memory_partition.hpp"
 
@@ -129,6 +132,41 @@ TEST_F(IcntFixture, ManyRequestsAllAnswered)
     }
     run(20000);
     EXPECT_EQ(sink0.responses.size() + sink1.responses.size(), 64u);
+}
+
+TEST_F(IcntFixture, AuditsStayQuietWhileTrafficDrains)
+{
+    // Both SMs send straight into the crossbar queue; the per-SM
+    // in-flight counters and the request ledger must agree with it at
+    // every cycle, and nothing may be left once the traffic drains.
+    std::vector<CheckFailure> failures;
+    const CheckFailureHandler previous = setCheckFailureHandler(
+        [&failures](const CheckFailure &failure) {
+            failures.push_back(failure);
+        });
+    std::size_t reads = 0;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+        MemRequest req;
+        req.lineAddr = static_cast<Addr>(i) * kLineBytes;
+        req.kind = i % 4 == 3 ? RequestKind::DataWrite
+                              : RequestKind::DataRead;
+        req.smId = i % 2;
+        if (req.kind == RequestKind::DataRead)
+            ++reads;
+        while (!icnt->canAcceptRequest(req.smId))
+            run(1);
+        icnt->sendRequest(req, now);
+        icnt->audit(now);
+    }
+    for (Cycle c = 0; c < 20000; ++c) {
+        run(1);
+        icnt->audit(now);
+    }
+    icnt->auditDrained();
+    setCheckFailureHandler(previous);
+
+    EXPECT_TRUE(failures.empty()) << failures.front().message;
+    EXPECT_EQ(sink0.responses.size() + sink1.responses.size(), reads);
 }
 
 } // namespace

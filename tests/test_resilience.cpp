@@ -172,9 +172,8 @@ TEST(FaultInjectorTest, VttRevokeIsConsumedOncePerEvent)
 
 TEST(FaultInjectorTest, VttRevokeIsBoundToItsTargetSm)
 {
-    // magnitude names the target SM: only that SM's tick shard may
-    // consume the event (the single-owner rule the parallel SM phase
-    // depends on).
+    // magnitude names the target SM: only that SM may consume the
+    // event.
     FaultPlan plan;
     plan.events.push_back({FaultKind::VttRevoke, 10, 20, 3});
     FaultInjector injector(plan);

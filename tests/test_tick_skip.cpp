@@ -7,7 +7,7 @@
  * with warm-up and the watchdog in play. These tests run the same
  * (config, workload, seed) with skipping off and on and require the
  * serialized statistics to be byte-identical — the same witness the
- * seed-determinism and parallel-tick suites use. A skip that jumped a
+ * seed-determinism and golden suites use. A skip that jumped a
  * cycle any subsystem would have acted on shows up as a counter
  * mismatch here.
  */
@@ -132,26 +132,58 @@ TEST(TickSkip, OffMatchesOnUnderFaultPlan)
     }
 }
 
-TEST(TickSkip, OffMatchesOnAtSmThreads)
+TEST(TickSkip, OffMatchesOnAtTwoSms)
 {
-    // Tick skipping and the sharded SM phase compose: the skip probe
-    // runs between parallel phases, so (skip x threads) must be one
-    // equivalence class. 2 SMs x {2, 4} worker threads, naive serial
-    // loop as the witness.
+    // The skip probe folds every SM's next-event bound into one chip
+    // target; with two SMs one can be due while the other sleeps.
     RunnerOptions opts = fastOptions();
     opts.simSms = 2;
     const AppProfile app = skipProbeApp(7);
-    const std::string naive =
-        statsWithSkip(app, SchemeConfig::linebacker(), false, {}, opts);
-    for (std::uint32_t threads : {2u, 4u}) {
-        RunnerOptions threaded = opts;
-        threaded.smThreads = threads;
-        EXPECT_EQ(naive, statsWithSkip(app, SchemeConfig::linebacker(),
-                                       true, {}, threaded))
-            << "tick-skip + --sm-threads " << threads
-            << " diverged from the serial naive loop";
-    }
+    EXPECT_EQ(statsWithSkip(app, SchemeConfig::linebacker(), false, {}, opts),
+              statsWithSkip(app, SchemeConfig::linebacker(), true, {}, opts))
+        << "tick-skip changed results at 2 SMs";
 }
+
+/**
+ * Skip off == on at the 4- and 16-SM chips the multi-SM golden pins.
+ * Linebacker's monitoring period is shortened as there, so selection,
+ * throttling and backup traffic land inside the 40k-cycle budget; the
+ * more SMs, the likelier one is due while the rest sleep.
+ */
+class TickSkipAtSmCount : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    static std::string
+    statsAt(const SchemeConfig &scheme, bool skip)
+    {
+        GpuConfig cfg;
+        cfg.tickSkip = skip;
+        LbConfig lb;
+        lb.monitorPeriod = 4000;
+        RunnerOptions opts = fastOptions();
+        opts.simSms = GetParam();
+        opts.maxCycles = 40000;
+        SimRunner runner(cfg, lb, opts);
+        return serializeStats(runner.run(skipProbeApp(7), scheme).stats);
+    }
+};
+
+TEST_P(TickSkipAtSmCount, BaselineOffMatchesOn)
+{
+    EXPECT_EQ(statsAt(SchemeConfig::baseline(), false),
+              statsAt(SchemeConfig::baseline(), true))
+        << "tick-skip changed results at " << GetParam() << " SMs";
+}
+
+TEST_P(TickSkipAtSmCount, LinebackerOffMatchesOn)
+{
+    EXPECT_EQ(statsAt(SchemeConfig::linebacker(), false),
+              statsAt(SchemeConfig::linebacker(), true))
+        << "tick-skip changed results at " << GetParam() << " SMs";
+}
+
+INSTANTIATE_TEST_SUITE_P(SmCounts, TickSkipAtSmCount,
+                         ::testing::Values(4u, 16u));
 
 TEST(TickSkip, OffMatchesOnWithWatchdogArmed)
 {

@@ -51,8 +51,6 @@ usage()
         "  --list               list the 20 Table-2 applications\n"
         "  --warp-limit <n>     static warp limit for best-swl\n"
         "  --sms <n>            SMs to simulate (default 2, scaled chip)\n"
-        "  --sm-threads <n>     worker threads for the parallel SM tick\n"
-        "                       phase (default 1; bit-identical results)\n"
         "  --cycles <n>         measured cycles (default 400000)\n"
         "  --warmup <n>         warm-up cycles (default 200000)\n"
         "  --l1-kb <n>          L1 size in KB (default 48)\n"
@@ -64,6 +62,73 @@ usage()
         "                       a tripped run exits 3 with a hang report\n"
         "  --fault-plan <file>  inject the fault schedule in <file>\n"
         "  --hang-report <path> write the JSON hang report on a trip");
+}
+
+/** How an option consumes the argument after it. */
+enum class Takes
+{
+    Nothing,
+    Value,
+    OptionalPath, ///< --json [path]: a following non-option argument.
+};
+
+struct CliOption
+{
+    const char *name;
+    Takes takes;
+};
+
+/** Every option usage() lists (plus --help). */
+constexpr CliOption kOptions[] = {
+    {"--app", Takes::Value},
+    {"--scheme", Takes::Value},
+    {"--list", Takes::Nothing},
+    {"--warp-limit", Takes::Value},
+    {"--sms", Takes::Value},
+    {"--cycles", Takes::Value},
+    {"--warmup", Takes::Value},
+    {"--l1-kb", Takes::Value},
+    {"--threads", Takes::Value},
+    {"--no-cache", Takes::Nothing},
+    {"--csv", Takes::Nothing},
+    {"--json", Takes::OptionalPath},
+    {"--timeout-cycles", Takes::Value},
+    {"--fault-plan", Takes::Value},
+    {"--hang-report", Takes::Value},
+    {"--help", Takes::Nothing},
+};
+
+/**
+ * Reject anything usage() does not list, so a typo (or a retired
+ * option) cannot silently fall back to a default. @return false after
+ * naming the offending argument on stderr.
+ */
+bool
+validArguments(int argc, char **argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        const CliOption *option = nullptr;
+        for (const CliOption &candidate : kOptions) {
+            if (std::strcmp(argv[i], candidate.name) == 0)
+                option = &candidate;
+        }
+        if (!option) {
+            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
+            return false;
+        }
+        if (option->takes == Takes::Value) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "option '%s' needs a value\n",
+                             argv[i]);
+                return false;
+            }
+            ++i;
+        } else if (option->takes == Takes::OptionalPath && i + 1 < argc &&
+                   argv[i + 1][0] != '-') {
+            ++i;
+        }
+    }
+    return true;
 }
 
 const char *
@@ -129,6 +194,10 @@ main(int argc, char **argv)
 {
     using namespace lbsim;
 
+    if (!validArguments(argc, argv)) {
+        usage();
+        return 1;
+    }
     if (flag(argc, argv, "--help") || argc < 2) {
         usage();
         return argc < 2 ? 1 : 0;
@@ -165,10 +234,6 @@ main(int argc, char **argv)
     if (const char *v = arg(argc, argv, "--sms"))
         options.simSms = static_cast<std::uint32_t>(
             std::strtoul(v, nullptr, 10));
-    if (const char *v = arg(argc, argv, "--sm-threads"))
-        options.smThreads = clampThreadArg(
-            static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10)),
-            "--sm-threads");
     if (const char *v = arg(argc, argv, "--cycles"))
         options.maxCycles = std::strtoull(v, nullptr, 10);
     options.useMemoCache = !flag(argc, argv, "--no-cache");

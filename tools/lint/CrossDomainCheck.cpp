@@ -16,8 +16,8 @@ namespace
 
 /**
  * Concurrency vocabulary types whose presence in model code means
- * synchronization is happening outside the annotated tick-domain
- * barriers. Mirrors CROSS_DOMAIN_TYPES in lbsim_lint.py.
+ * someone is threading the single-threaded cycle model. Mirrors
+ * CROSS_DOMAIN_TYPES in lbsim_lint.py.
  */
 constexpr const char *kConcurrencyTypes =
     "^::std::(thread|jthread|mutex|recursive_mutex|timed_mutex|"
@@ -97,11 +97,10 @@ CrossDomainCheck::check(const MatchFinder::MatchResult &result)
         if (!inModelDirs(decl->getBeginLoc(), sm))
             return;
         diag(decl->getBeginLoc(),
-             "raw std:: concurrency primitive in model code; per-SM "
-             "tick domains may synchronize only at the annotated "
-             "interconnect barrier — use the SeqDomain/Mutex "
-             "capabilities and the common/parallel.hpp pool so "
-             "-Wthread-safety can prove the sharding");
+             "raw std:: concurrency primitive in model code; the "
+             "cycle model is single-threaded (parallelism lives at "
+             "the cell level), so threading it needs a reviewed "
+             "design (DESIGN.md §13), not an ad-hoc primitive");
         return;
     }
     if (const auto *call =
@@ -109,10 +108,9 @@ CrossDomainCheck::check(const MatchFinder::MatchResult &result)
         if (!inModelDirs(call->getBeginLoc(), sm))
             return;
         diag(call->getBeginLoc(),
-             "thread-spawning or fencing call in model code bypasses "
-             "the tick-domain barrier discipline; cross-domain work "
-             "belongs in the serial phase or behind an annotated "
-             "capability");
+             "thread-spawning or fencing call in model code; the "
+             "cycle model is single-threaded — keep concurrency in "
+             "the harness and service layers");
         return;
     }
 }

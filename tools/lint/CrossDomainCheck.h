@@ -2,26 +2,22 @@
  * @file
  * lbsim-cross-domain: flag raw concurrency primitives in model code.
  *
- * The parallel tick engine (DESIGN.md §13) shards the chip per SM:
- * each SM owns its state for the SM phase of a cycle, and the only
- * cross-SM channel is the interconnect's staged per-SM lane, drained
- * in SM-index order at the barrier. That discipline is what makes
- * results bit-identical for every --sm-threads value, and it is proved
- * by clang's -Wthread-safety over the SeqDomain/Mutex capability
- * annotations (common/thread_safety.hpp).
- *
- * Raw std:: concurrency primitives in model code bypass that proof:
- * an ad-hoc std::atomic or std::mutex synchronizes outside the
- * annotated barrier points and silently reintroduces thread-count
- * dependence. This check rejects:
+ * The cycle model is single-threaded: one simulation runs on one
+ * thread, its SMs tick in index order, and parallelism lives at the
+ * cell level (ExperimentEngine, lbsimd). That is what makes results
+ * bit-identical run to run. A per-cycle SM barrier was tried and
+ * measured slower than serial (DESIGN.md §13); any future threading of
+ * the cycle loop needs a reviewed design, not an ad-hoc std::atomic
+ * or std::mutex that silently reintroduces thread-count dependence.
+ * This check rejects:
  *
  *  - declarations (locals, members, params) of std::thread, mutexes,
  *    condition variables, atomics, futures/promises, barriers/latches/
  *    semaphores
  *  - calls to std::async and std::atomic_{thread,signal}_fence
  *
- * Engine code (common/parallel.hpp, the harness worker pools) lives
- * outside ModelDirs and may use these freely.
+ * The harness and service worker pools live outside ModelDirs and may
+ * use these freely.
  *
  * Scope: files under the ModelDirs option (default
  * "src/core,src/mem,src/lb,src/baselines,src/power"); an empty option

@@ -28,11 +28,10 @@ lbsim-stat-registry (everywhere):
 lbsim-cross-domain (model dirs only, see --model-dirs):
   * raw concurrency primitives (std::thread, std::mutex, std::atomic,
     std::condition_variable, std::async, ...) declared or used in
-    model code. Model state is sharded into per-SM tick domains that
-    synchronize only at the annotated interconnect barrier
-    (SeqDomain/Mutex capabilities + the common/parallel.hpp pool);
-    ad-hoc primitives bypass that proof and invite cross-domain
-    access the -Wthread-safety analysis cannot see
+    model code. The cycle model is single-threaded: one simulation
+    runs on one thread, and parallelism lives at the cell level
+    (ExperimentEngine, lbsimd). A primitive in model code threads the
+    cycle loop outside a reviewed design (DESIGN.md §13)
 
 Suppression: a `// NOLINT` or `// NOLINT(check-name)` comment on the
 flagged line, or `// NOLINTNEXTLINE[(check-name)]` on the line before.
@@ -311,16 +310,16 @@ def check_nondet(path, clean, raw_lines, unordered_names, findings):
 def check_cross_domain(path, clean, raw_lines, findings):
     for m in CROSS_DOMAIN_TYPE_RE.finditer(clean):
         findings.add(path, line_of(clean, m.start()), CROSSDOMAIN,
-                     "raw std::%s in model code; per-SM tick domains may "
-                     "synchronize only at the annotated interconnect "
-                     "barrier — use the SeqDomain/Mutex capabilities and "
-                     "the common/parallel.hpp pool so -Wthread-safety "
-                     "can prove the sharding" % m.group(1), raw_lines)
+                     "raw std::%s in model code; the cycle model is "
+                     "single-threaded (parallelism lives at the cell "
+                     "level), so threading it needs a reviewed design "
+                     "(DESIGN.md §13), not an ad-hoc primitive"
+                     % m.group(1), raw_lines)
     for m in CROSS_DOMAIN_CALL_RE.finditer(clean):
         findings.add(path, line_of(clean, m.start()), CROSSDOMAIN,
-                     "std::%s in model code bypasses the tick-domain "
-                     "barrier discipline; cross-domain work belongs in "
-                     "the serial phase or behind an annotated capability"
+                     "std::%s in model code spawns or fences across "
+                     "threads; the cycle model is single-threaded — keep "
+                     "concurrency in the harness and service layers"
                      % m.group(1), raw_lines)
 
 
