@@ -46,10 +46,11 @@ LdstUnit::issue(Warp &warp, const StaticInst &inst,
     }
 }
 
-void
+std::uint64_t
 LdstUnit::tick(std::vector<Warp> &warps, Cycle now)
 {
     // Complete loads whose data arrived.
+    std::uint64_t drained = 0;
     completedScratch_.clear();
     l1_->drainCompleted(now, completedScratch_);
     for (std::uint64_t access_id : completedScratch_) {
@@ -61,7 +62,8 @@ LdstUnit::tick(std::vector<Warp> &warps, Cycle now)
         if (warp.outstandingLoads == 0)
             panic("load completion for warp %u with none outstanding",
                   it->second.warpSlot);
-        --warp.outstandingLoads;
+        if (--warp.outstandingLoads == 0)
+            drained |= std::uint64_t{1} << it->second.warpSlot;
         stats_->loadLatencySum += now - it->second.issued;
         ++stats_->loadsCompleted;
         ++stats_->warpInstructionsRetired;
@@ -86,6 +88,7 @@ LdstUnit::tick(std::vector<Warp> &warps, Cycle now)
             break;
         queue_.pop_front();
     }
+    return drained;
 }
 
 void

@@ -57,8 +57,10 @@ class LdstUnit
      *
      * @param warps Warp table used to credit completed loads.
      * @param now Current cycle.
+     * @return Mask of the warp slots whose last outstanding load
+     *         completed this cycle (their load dependence lifted).
      */
-    void tick(std::vector<Warp> &warps, Cycle now);
+    std::uint64_t tick(std::vector<Warp> &warps, Cycle now);
 
     /** Outstanding queued accesses (structural-hazard visibility). */
     std::size_t queued() const { return queue_.size(); }

@@ -5,11 +5,14 @@
  * Each SM has four schedulers (Table 1); warp slots are striped across
  * them (slot % 4). GTO keeps issuing from the last-issued warp while it
  * remains ready, otherwise falls back to the oldest (earliest-launched)
- * ready warp — the policy used by the paper's baseline.
+ * ready warp — the policy used by the paper's baseline. Stripes are
+ * 64-bit slot masks, which is why an SM holds at most kMaxWarpSlots
+ * warps.
  */
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +21,9 @@
 
 namespace lbsim
 {
+
+/** Warp slots a 64-bit stripe or issue mask covers; an SM's bound. */
+inline constexpr std::uint32_t kMaxWarpSlots = 64;
 
 /** One GTO scheduler instance covering a stripe of warp slots. */
 class GtoScheduler
@@ -32,51 +38,61 @@ class GtoScheduler
     /**
      * Pick the warp slot to issue this cycle.
      *
-     * Templated over the predicate so the per-warp check inlines into
-     * the scan — this runs for every scheduler every cycle over every
-     * warp slot, and a type-erased std::function call per slot was one
-     * of the largest line items in compute-bound profiles.
+     * Templated over the gate so the controller check inlines into the
+     * scan instead of costing a type-erased call per candidate.
      *
      * @param warps All warp slots of the SM.
-     * @param order This stripe's resident warp slots in ascending
-     *        launch order (Sm::schedOrder_). Scanning it in sequence
-     *        and stopping at the first ready warp selects exactly the
-     *        min-launch-order ready warp — launch orders are unique —
-     *        without evaluating the predicate on the rest of the
-     *        stripe, which is the win: after a typical issue the warp
-     *        stalls, the greedy probe misses, and the old full-stripe
-     *        min-scan paid the predicate on every slot every cycle.
-     * @param can_issue Predicate combining warp state, dependence and
-     *        controller gating.
-     * @return Selected slot or -1 if none is ready.
+     * @param candidates This stripe's slots that could issue but for
+     *        the clock and the controller: eligible (Warp::eligible),
+     *        and not waiting on a full LDST queue. Sm maintains the
+     *        eligibility mask at every warp state change, so stalled
+     *        and throttled warps cost nothing here.
+     * @param now Current cycle (a candidate needs readyAt <= now).
+     * @param may_issue Controller gate; called only for candidates
+     *        whose readyAt has arrived.
+     * @return The greedy warp if it is still a ready candidate the gate
+     *         allows, else the ready, allowed candidate with the
+     *         smallest launch order, else -1.
      */
-    template <typename CanIssue>
+    template <typename MayIssue>
     std::int32_t
-    pick(const std::vector<Warp> &warps,
-         const std::vector<std::uint32_t> &order,
-         const CanIssue &can_issue)
+    pick(const std::vector<Warp> &warps, std::uint64_t candidates,
+         Cycle now, const MayIssue &may_issue) const
     {
         // Greedy: stick with the last-issued warp while it stays ready.
-        if (lastIssued_ >= 0 &&
-            static_cast<std::size_t>(lastIssued_) < warps.size() &&
-            can_issue(warps[static_cast<std::size_t>(lastIssued_)])) {
-            return lastIssued_;
+        if (lastIssued_ >= 0) {
+            const std::uint64_t bit = std::uint64_t{1} << lastIssued_;
+            if (candidates & bit) {
+                const Warp &warp =
+                    warps[static_cast<std::size_t>(lastIssued_)];
+                if (warp.readyAt <= now && may_issue(warp))
+                    return lastIssued_;
+                candidates &= ~bit;
+            }
         }
 
-        // Then-oldest: first ready warp in launch order.
-        for (std::uint32_t slot : order) {
-            if (can_issue(warps[slot]))
-                return static_cast<std::int32_t>(slot);
+        // Then-oldest: the smallest launch order among ready candidates
+        // the gate allows. Launch orders are unique, and the gate is
+        // only asked about a candidate older than the best so far.
+        std::int32_t best = -1;
+        std::uint64_t best_order = 0;
+        for (; candidates != 0; candidates &= candidates - 1) {
+            const int slot = std::countr_zero(candidates);
+            const Warp &warp = warps[static_cast<std::size_t>(slot)];
+            if (warp.readyAt > now ||
+                (best >= 0 && warp.launchOrder >= best_order)) {
+                continue;
+            }
+            if (!may_issue(warp))
+                continue;
+            best = slot;
+            best_order = warp.launchOrder;
         }
-        return -1;
+        return best;
     }
 
-    /** True if warp @p slot belongs to this scheduler's stripe. */
-    bool
-    covers(std::uint32_t slot) const
-    {
-        return slot % stride_ == id_;
-    }
+    /** Mask of the warp slots in this scheduler's stripe. */
+    std::uint64_t stripe() const { return stripe_; }
 
     /** Record that @p slot issued (greedy pointer update). */
     void issued(std::uint32_t slot) { lastIssued_ = static_cast<std::int32_t>(slot); }
@@ -85,8 +101,7 @@ class GtoScheduler
     void reset() { lastIssued_ = -1; }
 
   private:
-    std::uint32_t id_;
-    std::uint32_t stride_;
+    std::uint64_t stripe_ = 0;
     std::int32_t lastIssued_ = -1;
 };
 

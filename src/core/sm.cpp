@@ -1,6 +1,7 @@
 #include "core/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -17,11 +18,13 @@ Sm::Sm(const GpuConfig &cfg, std::uint32_t sm_id, Interconnect *icnt,
       ldst_(cfg, l1_.get(), stats), warps_(cfg.maxWarpsPerSm),
       ctas_(cfg.maxCtasPerSm), fi_(fi)
 {
+    if (cfg.maxWarpsPerSm > kMaxWarpSlots) {
+        fatal("maxWarpsPerSm %u exceeds the %u warp slots an SM's "
+              "issue masks cover",
+              cfg.maxWarpsPerSm, kMaxWarpSlots);
+    }
     for (std::uint32_t s = 0; s < cfg.schedulersPerSm; ++s)
         schedulers_.emplace_back(s, cfg.schedulersPerSm);
-    schedOrder_.resize(schedulers_.size());
-    for (auto &order : schedOrder_)
-        order.reserve(warps_.size() / schedulers_.size() + 1);
     for (std::uint32_t slot = 0; slot < warps_.size(); ++slot)
         warps_[slot].smWarpId = slot;
     freeWarpSlots_ = static_cast<std::uint32_t>(warps_.size());
@@ -96,8 +99,6 @@ Sm::launchCta(std::uint32_t global_cta_id, Cycle now)
         warp.warpInCta = assigned;
         warp.globalCtaId = global_cta_id;
         warp.launchOrder = launchCounter_++;
-        schedOrder_[warp.smWarpId % schedulers_.size()].push_back(
-            warp.smWarpId);
         warp.pcIndex = 0;
         warp.iteration = 0;
         warp.waitsOnLoads = kernel_->body[0].dependsOnLoads;
@@ -105,6 +106,7 @@ Sm::launchCta(std::uint32_t global_cta_id, Cycle now)
                        kernel_->body[0].op == Opcode::Store;
         warp.outstandingLoads = 0;
         warp.readyAt = now;
+        refreshMasks(warp);
         slot->warpSlots.push_back(warp.smWarpId);
         if (++assigned == kernel_->warpsPerCta)
             break;
@@ -138,8 +140,10 @@ Sm::setCtaActive(std::uint32_t cta_hw_id, bool active, Cycle now)
         }
     }
     cta.active = active;
-    for (std::uint32_t warp_slot : cta.warpSlots)
+    for (std::uint32_t warp_slot : cta.warpSlots) {
         warps_[warp_slot].active = active;
+        refreshMasks(warps_[warp_slot]);
+    }
     if (!active) {
         for (GtoScheduler &sched : schedulers_)
             sched.reset();
@@ -187,18 +191,25 @@ Sm::lowestInactiveCta() const
     return -1;
 }
 
-bool
-Sm::canIssue(const Warp &warp, Cycle now) const
+void
+Sm::refreshMasks(const Warp &warp)
 {
-    if (!warp.issuable(now))
-        return false;
-    if (warp.waitsOnLoads && warp.outstandingLoads > 0)
-        return false;
-    if (warp.memNext && !ldst_.canAccept())
-        return false;
-    if (controller_ && !controller_->warpMayIssue(*this, warp))
-        return false;
-    return true;
+    const std::uint64_t bit = std::uint64_t{1} << warp.smWarpId;
+    eligible_ = warp.eligible() ? eligible_ | bit : eligible_ & ~bit;
+    memNext_ = warp.memNext ? memNext_ | bit : memNext_ & ~bit;
+}
+
+std::uint64_t
+Sm::issueCandidates(std::uint64_t stripe) const
+{
+    const std::uint64_t candidates = eligible_ & stripe;
+    return ldst_.canAccept() ? candidates : candidates & ~memNext_;
+}
+
+void
+Sm::flipEligibleBitForTest(std::uint32_t slot)
+{
+    eligible_ ^= std::uint64_t{1} << slot;
 }
 
 void
@@ -256,6 +267,7 @@ Sm::issueWarp(Warp &warp, Cycle now)
     warp.waitsOnLoads = next.dependsOnLoads;
     warp.memNext =
         next.op == Opcode::Load || next.op == Opcode::Store;
+    refreshMasks(warp);
 }
 
 void
@@ -279,9 +291,7 @@ Sm::retireFinishedCtas(Cycle now)
 
         for (std::uint32_t warp_slot : cta.warpSlots) {
             warps_[warp_slot].valid = false;
-            std::vector<std::uint32_t> &order =
-                schedOrder_[warp_slot % schedulers_.size()];
-            order.erase(std::find(order.begin(), order.end(), warp_slot));
+            refreshMasks(warps_[warp_slot]);
         }
         rf_.release(cta.firstRegNum, cta.numRegs);
         cta.valid = false;
@@ -308,15 +318,20 @@ Sm::tick(Cycle now)
     if (controller_)
         controller_->onCycle(*this, now);
 
-    ldst_.tick(warps_, now);
+    // A warp whose last outstanding load just completed may have
+    // become eligible.
+    for (std::uint64_t drained = ldst_.tick(warps_, now); drained != 0;
+         drained &= drained - 1)
+        refreshMasks(warps_[static_cast<std::size_t>(
+            std::countr_zero(drained))]);
 
-    const auto can_issue = [this, now](const Warp &warp) {
-        return canIssue(warp, now);
+    const auto may_issue = [this](const Warp &warp) {
+        return !controller_ || controller_->warpMayIssue(*this, warp);
     };
-    for (std::size_t i = 0; i < schedulers_.size(); ++i) {
-        GtoScheduler &sched = schedulers_[i];
-        const std::int32_t slot = sched.pick(warps_, schedOrder_[i],
-                                             can_issue);
+    for (GtoScheduler &sched : schedulers_) {
+        const std::int32_t slot =
+            sched.pick(warps_, issueCandidates(sched.stripe()), now,
+                       may_issue);
         if (slot < 0)
             continue;
         issueWarp(warps_[static_cast<std::uint32_t>(slot)], now);
@@ -378,21 +393,22 @@ Sm::nextEventCycle(Cycle now) const
         }
     }
 
-    // Issue stage: replicate canIssue()'s checks per warp. Warps whose
-    // block only lifts via a memory event (load completion, queue
-    // drain) or a controller action need no bound of their own — those
-    // events are bounded above or arrive from the crossbar.
+    // Issue stage: a ready candidate the gate allows would issue now.
+    // Every live warp's readyAt bounds the skip, load-blocked ones
+    // included. Warps whose block only lifts via a memory event (load
+    // completion, queue drain) or a controller action need no bound of
+    // their own — those events are bounded above or arrive from the
+    // crossbar.
+    const std::uint64_t candidates = issueCandidates(~std::uint64_t{0});
     for (const Warp &warp : warps_) {
-        if (!warp.valid || !warp.active || warp.finished)
+        if (!warp.live())
             continue;
         if (warp.readyAt > now) {
             if (warp.readyAt < bound)
                 bound = warp.readyAt;
             continue;
         }
-        if (warp.waitsOnLoads && warp.outstandingLoads > 0)
-            continue;
-        if (warp.memNext && !ldst_.canAccept())
+        if (!(candidates >> warp.smWarpId & 1))
             continue;
         if (controller_ && !controller_->warpMayIssue(*this, warp))
             continue; // Gate state only moves at the controller bound.
@@ -577,32 +593,23 @@ Sm::audit(Cycle now) const
              "free-warp mirror %u but %zu slots hold %u valid warps",
              freeWarpSlots_, warps_.size(), warps_valid);
 
-    // Scheduler stripe lists: exactly the valid warps of each stripe,
-    // in strictly ascending launch order (pick() relies on the order
-    // to early-exit at the oldest ready warp).
-    std::uint32_t listed = 0;
-    for (std::size_t s = 0; s < schedOrder_.size(); ++s) {
-        std::uint64_t prev_order = 0;
-        bool first = true;
-        for (std::uint32_t slot : schedOrder_[s]) {
-            ++listed;
-            LB_AUDIT(slot < warps_.size() && warps_[slot].valid,
-                     "scheduler %zu stripe lists invalid warp slot %u",
-                     s, slot);
-            LB_AUDIT(schedulers_[s].covers(slot),
-                     "scheduler %zu stripe lists foreign warp slot %u",
-                     s, slot);
-            LB_AUDIT(first || warps_[slot].launchOrder > prev_order,
-                     "scheduler %zu stripe out of launch order at slot "
-                     "%u",
-                     s, slot);
-            prev_order = warps_[slot].launchOrder;
-            first = false;
-        }
+    // Issue masks: the schedulers trust them to hold exactly the
+    // eligible and memory-next warps.
+    std::uint64_t eligible = 0;
+    std::uint64_t mem_next = 0;
+    for (const Warp &warp : warps_) {
+        const std::uint64_t bit = std::uint64_t{1} << warp.smWarpId;
+        eligible |= warp.eligible() ? bit : 0;
+        mem_next |= warp.memNext ? bit : 0;
     }
-    LB_AUDIT(listed == warps_valid,
-             "scheduler stripes list %u warps but %u are valid", listed,
-             warps_valid);
+    LB_AUDIT(eligible_ == eligible,
+             "eligibility mask %016llx but the warp table says %016llx",
+             static_cast<unsigned long long>(eligible_),
+             static_cast<unsigned long long>(eligible));
+    LB_AUDIT(memNext_ == mem_next,
+             "memory-next mask %016llx but the warp table says %016llx",
+             static_cast<unsigned long long>(memNext_),
+             static_cast<unsigned long long>(mem_next));
 }
 
 std::string

@@ -155,6 +155,9 @@ class Sm : public ResponseSinkIf
      * @param cerf_unified Route cache data accesses through RF banks.
      * @param fi Optional fault injector exposed to attached mechanisms
      *     (backup-engine stalls, VTT revocation, load-monitor lies).
+     *
+     * Exits via fatal() when cfg.maxWarpsPerSm exceeds kMaxWarpSlots,
+     * the slots the issue masks cover.
      */
     Sm(const GpuConfig &cfg, std::uint32_t sm_id, Interconnect *icnt,
        SimStats *stats, std::uint32_t l1_extra_ways = 0,
@@ -250,8 +253,10 @@ class Sm : public ResponseSinkIf
     /**
      * Per-SM auditor: register-file bitmap conservation, the warp/CTA
      * tables cross-referencing each other, the CTA register footprint
-     * matching the register-file allocation exactly, and the L1
-     * (tags + MSHRs + pending fills) being internally consistent.
+     * matching the register-file allocation exactly, the L1
+     * (tags + MSHRs + pending fills) being internally consistent, and
+     * every incrementally maintained mirror (CTA counters, occupancy,
+     * issue masks) matching the tables it summarizes.
      */
     void audit(Cycle now) const;
 
@@ -261,10 +266,19 @@ class Sm : public ResponseSinkIf
     /** Clear time-integrated occupancy accumulators (warm-up reset). */
     void resetOccupancyAccumulators();
 
+    /**
+     * Flip warp slot @p slot's eligibility bit so tests can prove the
+     * auditor trips. Never call from simulator code.
+     */
+    void flipEligibleBitForTest(std::uint32_t slot);
+
   private:
-    bool canIssue(const Warp &warp, Cycle now) const;
     void issueWarp(Warp &warp, Cycle now);
     void retireFinishedCtas(Cycle now);
+    /** Re-derive @p warp's bits in eligible_ and memNext_. */
+    void refreshMasks(const Warp &warp);
+    /** Eligible slots of @p stripe that the LDST queue would accept. */
+    std::uint64_t issueCandidates(std::uint64_t stripe) const;
 
     const GpuConfig &cfg_;
     std::uint32_t id_;
@@ -285,14 +299,15 @@ class Sm : public ResponseSinkIf
     std::vector<Addr> lineScratch_;
 
     /**
-     * Per-scheduler resident warp slots in ascending launch order —
-     * the stripe each GtoScheduler::pick() scans. Launch orders are
-     * assigned from a monotonic counter, so appending at CTA launch
-     * keeps each list sorted; retirement erases the CTA's slots. The
-     * sorted order lets pick() stop at the first ready warp instead
-     * of evaluating the whole stripe per cycle.
+     * Issue masks, one bit per warp slot, mirroring Warp::eligible()
+     * and Warp::memNext. Schedulers pick from these instead of
+     * re-testing every resident warp every cycle. Refreshed wherever
+     * the mirrored state changes: launchCta, setCtaActive, the end of
+     * issueWarp, retireFinishedCtas, and the warps whose last
+     * outstanding load LdstUnit::tick completed.
      */
-    std::vector<std::vector<std::uint32_t>> schedOrder_;
+    std::uint64_t eligible_ = 0;
+    std::uint64_t memNext_ = 0;
 
     // Incrementally maintained mirrors of the CTA/warp tables, so the
     // per-cycle paths (canLaunchCta from the dispatcher and the skip

@@ -44,11 +44,23 @@ struct Warp
     bool waitsOnLoads = false; ///< body[pcIndex].dependsOnLoads.
     bool memNext = false;      ///< body[pcIndex] is a Load or Store.
 
-    /** True if the warp could issue at @p now given its own state. */
+    /** Resident, not throttled and not done: its readyAt still matters. */
     bool
-    issuable(Cycle now) const
+    live() const
     {
-        return valid && active && !finished && readyAt <= now;
+        return valid && active && !finished;
+    }
+
+    /**
+     * The one definition of readiness short of the clock: a live warp
+     * not stalled on its own loads. Sm mirrors it per slot in its
+     * eligibility mask; the scheduler adds readyAt, the LDST queue and
+     * the controller gate.
+     */
+    bool
+    eligible() const
+    {
+        return live() && !(waitsOnLoads && outstandingLoads > 0);
     }
 };
 

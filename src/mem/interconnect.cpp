@@ -55,7 +55,8 @@ Interconnect::sendRequest(const MemRequest &req, Cycle now)
     ledger_.onIssue(req, now);
     ++inFlightPerSm_[req.smId];
     const Cycle arrival = now + cfg_.icntLatency;
-    requests_.push_back({arrival, req});
+    requests_.push_back(
+        {arrival, req, RetryBlock::None, partitionOf(req.lineAddr)});
     if (arrival < reqNextArrival_)
         reqNextArrival_ = arrival;
     if (arrival <= now)
@@ -130,7 +131,7 @@ Interconnect::tick(Cycle now)
             requests_[kept++] = entry;
             continue;
         }
-        const std::uint32_t pidx = partitionOf(entry.req.lineAddr);
+        const std::uint32_t pidx = entry.partition;
         MemoryPartition *partition = partitions_[pidx];
         if (entry.block == RetryBlock::Dram) {
             if (partition->dramFreeEpoch() == entry.blockEpoch) {
@@ -248,8 +249,7 @@ Interconnect::applySkippedCycles(std::uint64_t cycles)
     for (InFlightRequest &entry : requests_) {
         if (entry.block != RetryBlock::L2)
             continue;
-        MemoryPartition *partition =
-            partitions_[partitionOf(entry.req.lineAddr)];
+        MemoryPartition *partition = partitions_[entry.partition];
         // Mirror of tick()'s L2-blocked path: while the DRAM queue has
         // room a real retry charges one id + one L2 access per cycle.
         // When it is full the real engine would flip the entry to
@@ -278,7 +278,15 @@ Interconnect::audit(Cycle now) const
                  "(now %llu, hop %u)",
                  static_cast<unsigned long long>(entry.arrival),
                  static_cast<unsigned long long>(now), cfg_.icntLatency);
-        LB_AUDIT(partitions_[partitionOf(entry.req.lineAddr)] != nullptr,
+        // Checked against the address, never indexed by the cached
+        // value: the audit must survive the corruption it reports.
+        const std::uint32_t pidx = partitionOf(entry.req.lineAddr);
+        LB_AUDIT(entry.partition == pidx,
+                 "queued request for line %llx caches partition %u, "
+                 "not %u",
+                 static_cast<unsigned long long>(entry.req.lineAddr),
+                 entry.partition, pidx);
+        LB_AUDIT(partitions_[pidx] != nullptr,
                  "queued request for line %llx targets an unattached "
                  "partition",
                  static_cast<unsigned long long>(entry.req.lineAddr));

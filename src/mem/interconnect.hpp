@@ -118,7 +118,8 @@ class Interconnect
     /**
      * Structural auditor: per-SM in-flight counters match the queued
      * requests exactly, queued traffic is addressed to attached
-     * endpoints, and the ledger counters are consistent.
+     * endpoints through its cached partition, and the ledger counters
+     * are consistent.
      */
     void audit(Cycle now) const;
 
@@ -130,6 +131,15 @@ class Interconnect
 
     /** Queue/counter summary for failure reports. */
     std::string debugString() const;
+
+    /**
+     * Overwrite the newest queued request's cached partition so tests
+     * can prove the auditor trips. Never call from simulator code.
+     */
+    void misrouteNewestRequestForTest(std::uint32_t partition)
+    {
+        requests_.back().partition = partition;
+    }
 
   private:
     /** Why a queued request last bounced off its partition. */
@@ -155,8 +165,18 @@ class Interconnect
          * and skipping would change what it sees.
          */
         RetryBlock block = RetryBlock::None;
+        /**
+         * partitionOf(req.lineAddr), computed once in sendRequest: the
+         * sweep and the skip replay read it for every arrived entry.
+         * Sits in the padding after block, so the entry does not grow.
+         */
+        std::uint32_t partition = 0;
         std::uint64_t blockEpoch = 0;
     };
+    static_assert(sizeof(InFlightRequest) ==
+                      sizeof(Cycle) + sizeof(MemRequest) +
+                          2 * sizeof(std::uint64_t),
+                  "the cached partition must fit the padding after block");
     struct InFlightResponse
     {
         Cycle arrival;

@@ -17,6 +17,7 @@
 #include "core/gpu.hpp"
 #include "core/register_file.hpp"
 #include "lb/backup_engine.hpp"
+#include "lb/linebacker.hpp"
 #include "lb/throttle_logic.hpp"
 #include "lb/victim_tag_table.hpp"
 #include "mem/interconnect.hpp"
@@ -25,6 +26,7 @@
 #include "mem/mshr.hpp"
 #include "mem/request_ledger.hpp"
 #include "mem/tag_array.hpp"
+#include "workload/suite.hpp"
 
 namespace lbsim
 {
@@ -346,6 +348,72 @@ TEST_F(VttAuditFixture, EntryInDeactivatedPartitionTrips)
     vtt.setEntryForTest(3, 0, 0, 0, true, 1);
     vtt.audit(10);
     EXPECT_TRUE(fired("deactivated partition"));
+}
+
+// --- SM issue masks ----------------------------------------------------------
+
+/**
+ * A 16-SM chip stopped mid-kernel under Linebacker (short monitoring
+ * windows, so CTAs are throttled inside the budget): the issue masks
+ * hold load-blocked, throttled and memory-next warps.
+ */
+struct MidRunChipFixture : AuditFixture
+{
+    MidRunChipFixture()
+    {
+        GpuConfig cfg = GpuConfig{}.scaleTo(16);
+        cfg.warmupCycles = 0;
+        cfg.maxCycles = 30000;
+        lb.monitorPeriod = 4000;
+        gpu = std::make_unique<Gpu>(cfg);
+        kernel = appById("KM").buildKernel(gpu->config());
+        std::vector<SmControllerIf *> controllers;
+        for (std::uint32_t i = 0; i < gpu->numSms(); ++i) {
+            lbs.push_back(std::make_unique<Linebacker>(
+                gpu->config(), lb, SchemeConfig::linebacker(),
+                &gpu->sm(i), &gpu->stats()));
+            controllers.push_back(lbs.back().get());
+        }
+        gpu->setControllers(controllers);
+        gpu->runKernel(kernel);
+    }
+
+    LbConfig lb;
+    KernelInfo kernel;
+    std::unique_ptr<Gpu> gpu;
+    std::vector<std::unique_ptr<Linebacker>> lbs;
+};
+
+TEST_F(MidRunChipFixture, HealthySixteenSmAuditPasses)
+{
+    ASSERT_FALSE(gpu->done());
+    bool load_blocked = false;
+    bool throttled = false;
+    for (std::uint32_t i = 0; i < gpu->numSms(); ++i) {
+        for (const Warp &warp : gpu->sm(i).warps()) {
+            load_blocked |= warp.live() && !warp.eligible();
+            throttled |= warp.valid && !warp.active;
+        }
+    }
+    EXPECT_TRUE(load_blocked);
+    EXPECT_TRUE(throttled);
+    gpu->audit();
+    EXPECT_TRUE(failures.empty());
+}
+
+TEST_F(MidRunChipFixture, FlippedEligibilityBitTrips)
+{
+    gpu->sm(5).flipEligibleBitForTest(17);
+    gpu->audit();
+    EXPECT_TRUE(fired("eligibility mask"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
+TEST_F(AuditFixture, SmRejectsMoreThan64WarpSlots)
+{
+    GpuConfig cfg = GpuConfig{}.scaleTo(1);
+    cfg.maxWarpsPerSm = 65;
+    EXPECT_DEATH({ Gpu gpu(cfg); }, "exceeds the 64 warp slots");
 }
 
 // --- Whole-chip audit entry point --------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -167,6 +168,29 @@ TEST_F(IcntFixture, AuditsStayQuietWhileTrafficDrains)
 
     EXPECT_TRUE(failures.empty()) << failures.front().message;
     EXPECT_EQ(sink0.responses.size() + sink1.responses.size(), reads);
+}
+
+TEST_F(IcntFixture, MisroutedPartitionCacheTrips)
+{
+    std::vector<CheckFailure> failures;
+    const CheckFailureHandler previous = setCheckFailureHandler(
+        [&failures](const CheckFailure &failure) {
+            failures.push_back(failure);
+        });
+    MemRequest req;
+    req.lineAddr = kLineBytes; // Served by partition 1.
+    icnt->sendRequest(req, now);
+    icnt->audit(now);
+    const std::size_t healthy = failures.size();
+    icnt->misrouteNewestRequestForTest(0);
+    icnt->audit(now);
+    setCheckFailureHandler(previous);
+
+    EXPECT_EQ(healthy, 0u);
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_NE(failures.front().message.find("caches partition 0, not 1"),
+              std::string::npos)
+        << failures.front().message;
 }
 
 } // namespace

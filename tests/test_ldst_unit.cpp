@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the LDST unit: queueing, divergent fan-out, load
- * completion crediting, and store fire-and-forget semantics.
+ * completion crediting (and the drained-warp mask the SM's issue masks
+ * rely on), and store fire-and-forget semantics.
  */
 
 #include <gtest/gtest.h>
@@ -57,7 +58,8 @@ struct LdstFixture : ::testing::Test
         for (Cycle c = 0; c < cycles; ++c) {
             partition->tick(now);
             icnt->tick(now);
-            ldst->tick(warps, now);
+            if (const std::uint64_t mask = ldst->tick(warps, now))
+                drained.push_back(mask);
             ++now;
         }
     }
@@ -79,6 +81,8 @@ struct LdstFixture : ::testing::Test
     std::unique_ptr<ResponseSinkIf> sink;
     std::unique_ptr<LdstUnit> ldst;
     std::vector<Warp> warps;
+    /** Nonzero drained-warp masks tick() returned, in order. */
+    std::vector<std::uint64_t> drained;
     Cycle now = 0;
 };
 
@@ -89,6 +93,7 @@ TEST_F(LdstFixture, LoadCreditsWarpOnCompletion)
     run(3000);
     EXPECT_EQ(warps[0].outstandingLoads, 0u);
     EXPECT_EQ(stats.loadsCompleted, 1u);
+    EXPECT_EQ(drained, std::vector<std::uint64_t>{0b1});
 }
 
 TEST_F(LdstFixture, DivergentLoadCountsEachLine)
@@ -98,6 +103,8 @@ TEST_F(LdstFixture, DivergentLoadCountsEachLine)
     EXPECT_EQ(warps[1].outstandingLoads, 4u);
     run(5000);
     EXPECT_EQ(warps[1].outstandingLoads, 0u);
+    // Reported once, when the last of the four lines completes.
+    EXPECT_EQ(drained, std::vector<std::uint64_t>{0b10});
 }
 
 TEST_F(LdstFixture, StoresDoNotBlockWarps)
@@ -108,6 +115,7 @@ TEST_F(LdstFixture, StoresDoNotBlockWarps)
     EXPECT_EQ(warps[2].outstandingLoads, 0u);
     run(2000);
     EXPECT_EQ(stats.writeNoAllocates, 2u);
+    EXPECT_TRUE(drained.empty());
 }
 
 TEST_F(LdstFixture, OneAccessPerCyclePort)

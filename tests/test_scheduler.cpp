@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit tests for the Greedy-Then-Oldest scheduler.
+ * Unit tests for the Greedy-Then-Oldest scheduler, and a differential
+ * check of its mask-driven pick against the launch-order scan it
+ * replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
+#include "common/rng.hpp"
 #include "core/scheduler.hpp"
 
 namespace lbsim
@@ -28,27 +33,22 @@ makeWarps(std::size_t count)
 }
 
 /**
- * The stripe's slots in ascending launch order — what Sm::schedOrder_
- * maintains incrementally for each scheduler.
+ * The candidate mask Sm hands @p sched: eligible warps of its stripe,
+ * minus memory-next ones while the LDST queue is full.
  */
-std::vector<std::uint32_t>
-orderOf(const std::vector<Warp> &warps, const GtoScheduler &sched)
+std::uint64_t
+candidatesOf(const std::vector<Warp> &warps, const GtoScheduler &sched,
+             bool ldst_full = false)
 {
-    std::vector<std::uint32_t> order;
+    std::uint64_t mask = 0;
     for (const Warp &warp : warps) {
-        if (sched.covers(warp.smWarpId))
-            order.push_back(warp.smWarpId);
+        if (warp.eligible() && !(ldst_full && warp.memNext))
+            mask |= std::uint64_t{1} << warp.smWarpId;
     }
-    std::sort(order.begin(), order.end(),
-              [&warps](std::uint32_t a, std::uint32_t b) {
-                  return warps[a].launchOrder < warps[b].launchOrder;
-              });
-    return order;
+    return mask & sched.stripe();
 }
 
-const std::function<bool(const Warp &)> kAlwaysReady =
-    [](const Warp &warp) { return warp.valid && warp.active &&
-                                  !warp.finished; };
+const auto kAllow = [](const Warp &) { return true; };
 
 TEST(GtoScheduler, PicksOldestFirst)
 {
@@ -58,7 +58,7 @@ TEST(GtoScheduler, PicksOldestFirst)
     warps[1].launchOrder = 12;
     warps[2].launchOrder = 1; // Oldest.
     warps[3].launchOrder = 11;
-    EXPECT_EQ(sched.pick(warps, orderOf(warps, sched), kAlwaysReady), 2);
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 0, kAllow), 2);
 }
 
 TEST(GtoScheduler, GreedyStaysOnLastIssued)
@@ -66,12 +66,12 @@ TEST(GtoScheduler, GreedyStaysOnLastIssued)
     GtoScheduler sched(0, 1);
     auto warps = makeWarps(4);
     const std::int32_t first =
-        sched.pick(warps, orderOf(warps, sched), kAlwaysReady);
+        sched.pick(warps, candidatesOf(warps, sched), 0, kAllow);
     ASSERT_GE(first, 0);
     sched.issued(static_cast<std::uint32_t>(first));
     // Even if another warp is older by perturbation, greedy sticks.
     warps[3].launchOrder = 0;
-    EXPECT_EQ(sched.pick(warps, orderOf(warps, sched), kAlwaysReady),
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 0, kAllow),
               first);
 }
 
@@ -80,10 +80,11 @@ TEST(GtoScheduler, FallsBackToOldestWhenGreedyBlocked)
     GtoScheduler sched(0, 1);
     auto warps = makeWarps(4);
     sched.issued(1);
-    const auto ready_except_1 = [](const Warp &warp) {
+    const auto allow_except_1 = [](const Warp &warp) {
         return warp.smWarpId != 1;
     };
-    EXPECT_EQ(sched.pick(warps, orderOf(warps, sched), ready_except_1),
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 0,
+                         allow_except_1),
               0);
 }
 
@@ -96,20 +97,19 @@ TEST(GtoScheduler, HonorsStripeAssignment)
         warp.launchOrder += 100; // Slots outside the stripe are older...
     warps[1].launchOrder = 300;
     warps[5].launchOrder = 250; // ...but 5 is the stripe's oldest.
-    const auto not_issued_yet = [](const Warp &warp) {
-        return warp.valid;
-    };
-    EXPECT_EQ(sched.pick(warps, orderOf(warps, sched), not_issued_yet),
-              5);
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 0, kAllow), 5);
 }
 
 TEST(GtoScheduler, CoversMatchesStripe)
 {
     GtoScheduler sched(2, 4);
-    EXPECT_TRUE(sched.covers(2));
-    EXPECT_TRUE(sched.covers(6));
-    EXPECT_FALSE(sched.covers(0));
-    EXPECT_FALSE(sched.covers(3));
+    const std::uint64_t stripe = sched.stripe();
+    EXPECT_TRUE(stripe >> 2 & 1);
+    EXPECT_TRUE(stripe >> 6 & 1);
+    EXPECT_TRUE(stripe >> 62 & 1);
+    EXPECT_FALSE(stripe >> 0 & 1);
+    EXPECT_FALSE(stripe >> 3 & 1);
+    EXPECT_EQ(std::popcount(stripe), 16);
 }
 
 TEST(GtoScheduler, ReturnsMinusOneWhenNothingReady)
@@ -117,7 +117,14 @@ TEST(GtoScheduler, ReturnsMinusOneWhenNothingReady)
     GtoScheduler sched(0, 1);
     auto warps = makeWarps(4);
     const auto nothing = [](const Warp &) { return false; };
-    EXPECT_EQ(sched.pick(warps, orderOf(warps, sched), nothing), -1);
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 0, nothing),
+              -1);
+    // A warp whose readyAt lies ahead is no pick either.
+    for (auto &warp : warps)
+        warp.readyAt = 5;
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 4, kAllow),
+              -1);
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 5, kAllow), 0);
 }
 
 TEST(GtoScheduler, ResetForgetsGreedyPointer)
@@ -129,7 +136,149 @@ TEST(GtoScheduler, ResetForgetsGreedyPointer)
     warps[3].launchOrder = 0; // Unambiguously oldest.
     sched.issued(1);
     sched.reset();
-    EXPECT_EQ(sched.pick(warps, orderOf(warps, sched), kAlwaysReady), 3);
+    EXPECT_EQ(sched.pick(warps, candidatesOf(warps, sched), 0, kAllow), 3);
+}
+
+// --- Differential check against the launch-order scan -----------------------
+
+/**
+ * Reference model: the pick the SM made before issue masks. Each
+ * scheduler kept its stripe's resident slots in ascending launch order
+ * and tested every warp with the full predicate — warp state, load
+ * dependence, LDST room, controller gate — taking the greedy warp if it
+ * passed, else the first slot of the list that did.
+ */
+template <typename Gate>
+std::int32_t
+launchOrderPick(const std::vector<Warp> &warps, std::uint32_t stripe_id,
+                std::uint32_t stripes, std::int32_t last_issued,
+                bool ldst_full, Cycle now, const Gate &gate)
+{
+    const auto can_issue = [&](const Warp &warp) {
+        if (!warp.valid || !warp.active || warp.finished ||
+            warp.readyAt > now)
+            return false;
+        if (warp.waitsOnLoads && warp.outstandingLoads > 0)
+            return false;
+        if (warp.memNext && ldst_full)
+            return false;
+        return gate(warp);
+    };
+    if (last_issued >= 0 &&
+        static_cast<std::size_t>(last_issued) < warps.size() &&
+        can_issue(warps[static_cast<std::size_t>(last_issued)])) {
+        return last_issued;
+    }
+    std::vector<std::uint32_t> order;
+    for (const Warp &warp : warps) {
+        if (warp.valid && warp.smWarpId % stripes == stripe_id)
+            order.push_back(warp.smWarpId);
+    }
+    std::sort(order.begin(), order.end(),
+              [&warps](std::uint32_t a, std::uint32_t b) {
+                  return warps[a].launchOrder < warps[b].launchOrder;
+              });
+    for (std::uint32_t slot : order) {
+        if (can_issue(warps[slot]))
+            return static_cast<std::int32_t>(slot);
+    }
+    return -1;
+}
+
+/** A random 64-slot warp table with unique launch orders. */
+std::vector<Warp>
+randomWarps(Rng &rng, Cycle now)
+{
+    // Per-table densities, so sparse, crowded, mostly-stalled and
+    // mostly-ready tables all occur.
+    const double p_valid = rng.unit();
+    const double p_active = 0.5 + 0.5 * rng.unit();
+    const double p_blocked = rng.unit();
+    const double p_mem = rng.unit();
+    std::vector<std::uint64_t> orders(64);
+    std::iota(orders.begin(), orders.end(), rng.below(1000));
+    for (std::size_t i = orders.size(); i > 1; --i)
+        std::swap(orders[i - 1], orders[rng.below(i)]);
+
+    std::vector<Warp> warps(64);
+    for (std::uint32_t slot = 0; slot < warps.size(); ++slot) {
+        Warp &warp = warps[slot];
+        warp.smWarpId = slot;
+        warp.launchOrder = orders[slot];
+        warp.valid = rng.chance(p_valid);
+        warp.active = rng.chance(p_active);
+        warp.finished = rng.chance(0.1);
+        warp.waitsOnLoads = rng.chance(0.5);
+        warp.outstandingLoads =
+            rng.chance(p_blocked) ? 1 + static_cast<std::uint32_t>(
+                                            rng.below(3))
+                                  : 0;
+        warp.memNext = rng.chance(p_mem);
+        warp.readyAt = now - 3 + rng.below(7);
+    }
+    return warps;
+}
+
+TEST(GtoScheduler, MaskPickMatchesLaunchOrderScan)
+{
+    constexpr std::uint32_t kStripes = 4;
+    Rng rng(0x5eed);
+    std::uint64_t picks = 0;
+    std::uint64_t gate_rejections = 0;
+    for (int table = 0; table < 5000; ++table) {
+        const Cycle now = 100 + rng.below(50);
+        const std::vector<Warp> warps = randomWarps(rng, now);
+        // Gate flavors: none, a slot limit (Best-SWL / PCAL), and an
+        // arbitrary per-slot rank cut (CCWS).
+        const std::uint64_t kind = rng.below(3);
+        const std::uint32_t limit =
+            static_cast<std::uint32_t>(rng.below(65));
+        const std::uint64_t allowed = rng.next();
+        const auto gate = [&](const Warp &warp) {
+            switch (kind) {
+              case 0:
+                return true;
+              case 1:
+                return warp.smWarpId < limit;
+              default:
+                return (allowed >> warp.smWarpId & 1) != 0;
+            }
+        };
+        for (std::uint32_t s = 0; s < kStripes; ++s) {
+            GtoScheduler sched(s, kStripes);
+            // Greedy pointer: none, or any slot of the stripe (often one
+            // that is no longer eligible).
+            std::int32_t last = -1;
+            if (rng.chance(0.75)) {
+                last = static_cast<std::int32_t>(
+                    s + kStripes * rng.below(64 / kStripes));
+                sched.issued(static_cast<std::uint32_t>(last));
+            }
+            const bool ldst_full = rng.chance(0.3);
+            const std::uint64_t candidates =
+                candidatesOf(warps, sched, ldst_full);
+            const auto checked_gate = [&](const Warp &warp) {
+                // The gate sees only ready candidates.
+                EXPECT_TRUE(candidates >> warp.smWarpId & 1);
+                EXPECT_LE(warp.readyAt, now);
+                const bool ok = gate(warp);
+                gate_rejections += ok ? 0 : 1;
+                return ok;
+            };
+            const std::int32_t got =
+                sched.pick(warps, candidates, now, checked_gate);
+            const std::int32_t want = launchOrderPick(
+                warps, s, kStripes, last, ldst_full, now, gate);
+            ASSERT_EQ(got, want)
+                << "table " << table << " stripe " << s << " greedy "
+                << last << " ldst_full " << ldst_full << " gate " << kind;
+            picks += got >= 0 ? 1 : 0;
+        }
+    }
+    // The tables exercise both outcomes and the gate's rejections.
+    EXPECT_GT(picks, 5000u);
+    EXPECT_LT(picks, 20000u);
+    EXPECT_GT(gate_rejections, 1000u);
 }
 
 } // namespace
