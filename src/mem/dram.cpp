@@ -107,7 +107,6 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
 
     const DramCommand cmd = queue_[pick];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
-    ++freeEpoch_;
     issueReadyAt_ = 0; // The erase shifted the lookahead window.
 
     const std::uint32_t bank = bankOf(cmd.lineAddr);

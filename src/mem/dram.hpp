@@ -88,19 +88,6 @@ class DramChannel
      */
     Cycle nextEventCycle(Cycle now) const;
 
-    /**
-     * Monotone counter bumped whenever the command queue shrinks (a
-     * command was issued). While it is unchanged a full queue stays
-     * full — the queue only ever shrinks in issueOne() — so a caller
-     * whose request bounced off canAccept() may skip retrying until
-     * the epoch moves.
-     */
-    std::uint64_t
-    freeEpoch() const
-    {
-        return freeEpoch_;
-    }
-
   private:
     static constexpr std::uint32_t kBanks = 8;
     static constexpr std::uint32_t kRowLines = 16; ///< 2 KB rows.
@@ -125,8 +112,6 @@ class DramChannel
     std::vector<Cycle> bankActivate_;
     /** Issued but not yet completed. */
     std::uint32_t scheduled_ = 0;
-    /** Bumped on every queue_ pop; see freeEpoch(). */
-    std::uint64_t freeEpoch_ = 0;
     /** Next instant the data bus is idle. */
     double busFree_ = 0;
     double busCyclesPerLine_;    ///< Data-bus occupancy per 128 B line.

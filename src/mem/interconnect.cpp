@@ -14,12 +14,12 @@ Interconnect::Interconnect(const GpuConfig &cfg, SimStats *stats,
                            FaultInjector *fi)
     : cfg_(cfg), stats_(stats), fi_(fi),
       partitions_(cfg.numMemPartitions, nullptr),
-      sinks_(cfg.numSms, nullptr),
+      sinks_(cfg.numSms, nullptr), queues_(cfg.numMemPartitions),
       maxInFlightPerSm_(cfg.l1MshrEntries + cfg.dramQueueDepth),
       inFlightPerSm_(cfg.numSms, 0),
-      retrySkip_(fi == nullptr || !fi->armed()),
-      parks_(cfg.numMemPartitions), ledger_(cfg.numSms)
+      retrySkip_(fi == nullptr || !fi->armed()), ledger_(cfg.numSms)
 {
+    moved_.reserve(cfg.numMemPartitions);
 }
 
 void
@@ -52,15 +52,16 @@ Interconnect::sendRequest(const MemRequest &req, Cycle now)
               "request from out-of-range SM %u", req.smId);
     LB_ASSERT(req.lineAddr != kNoAddr,
               "request with sentinel address from SM %u", req.smId);
+    const Cycle arrival = now + cfg_.icntLatency;
+    LB_ASSERT(arrivals_.empty() || arrivals_.back().arrival <= arrival,
+              "request sent at %llu arrives before the one sent earlier "
+              "(%llu > %llu): send order must be arrival order",
+              static_cast<unsigned long long>(now),
+              static_cast<unsigned long long>(arrivals_.back().arrival),
+              static_cast<unsigned long long>(arrival));
     ledger_.onIssue(req, now);
     ++inFlightPerSm_[req.smId];
-    const Cycle arrival = now + cfg_.icntLatency;
-    requests_.push_back(
-        {arrival, req, RetryBlock::None, partitionOf(req.lineAddr)});
-    if (arrival < reqNextArrival_)
-        reqNextArrival_ = arrival;
-    if (arrival <= now)
-        reqAttention_ = true; // Zero-latency hop: due this very tick.
+    arrivals_.push_back({arrival, nextSeq_++, req});
 }
 
 void
@@ -75,145 +76,49 @@ Interconnect::sendResponse(const MemResponse &resp, Cycle now)
         responses_.push_back({now + cfg_.icntLatency + extra, resp});
 }
 
+bool
+Interconnect::present(QueuedRequest &entry, std::uint32_t pidx, Cycle now)
+{
+    switch (partitions_[pidx]->deliver(entry.req, now)) {
+      case DeliverResult::Accepted:
+        --inFlightPerSm_[entry.req.smId];
+        // Writes have no response; hand-off to the partition is
+        // their terminal event in the request-lifetime ledger.
+        if (!needsResponse(entry.req.kind))
+            ledger_.onRetire(entry.req.smId, entry.req.kind, now);
+        return true;
+      case DeliverResult::BlockedDram:
+        entry.block = RetryBlock::Dram;
+        return false;
+      case DeliverResult::BlockedL2:
+        entry.block = RetryBlock::L2;
+        return false;
+    }
+    return false;
+}
+
 void
 Interconnect::tick(Cycle now)
 {
-    // Deliver requests whose hop latency elapsed; a full partition queue
-    // stalls that request (and, FIFO, those behind it). The loop
-    // compacts retained entries in place, preserving FIFO order — the
-    // same order the old pop-front/push-back rotation produced.
-    //
-    // The retry-skip cache makes the stalled-retry storm cheap: once a
-    // request bounced, re-presenting it to the partition is pure
-    // overhead until the partition's state actually moved (DRAM queue
-    // drained a slot, or an L2 fill freed MSHR space). The partition
-    // epochs tell us exactly that, and the charge hook replays the
-    // counters a real bounce would have touched, so the skip is
-    // invisible in every statistic and in the read-id sequence.
-    // Fast path: the sweep runs only when an arrival is due, when an
-    // unparked arrived entry exists (armed injector), or when a park
-    // summary shows a partition's epoch moved (see parks_). Otherwise
-    // the sweep would re-park every entry unchanged, and its only
-    // per-cycle effect — the L2-blocked retry charge — is replayed per
-    // partition straight from the park counts, in the same aggregate
-    // the entry-by-entry walk would have produced (per-partition
-    // counter increments commute across entries).
-    bool sweep = reqAttention_ || now >= reqNextArrival_;
-    if (!sweep && parkedTotal_ != 0) {
-        for (std::size_t p = 0; p < parks_.size(); ++p) {
-            const PartitionPark &park = parks_[p];
-            if (park.dram != 0 &&
-                partitions_[p]->dramFreeEpoch() != park.dramEpoch) {
-                sweep = true;
-                break;
-            }
-            if (park.l2 != 0 &&
-                (partitions_[p]->l2Epoch() != park.l2Epoch ||
-                 !partitions_[p]->dramCanAccept())) {
-                sweep = true;
-                break;
-            }
-        }
-    }
-    if (sweep) {
-    bool attention = false;
-    Cycle next_arrival = kNoCycle;
-    for (PartitionPark &park : parks_)
-        park = PartitionPark{};
-    parkedTotal_ = 0;
-    std::size_t kept = 0;
-    const std::size_t n = requests_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        InFlightRequest entry = requests_[i];
-        if (entry.arrival > now) {
-            if (entry.arrival < next_arrival)
-                next_arrival = entry.arrival;
-            requests_[kept++] = entry;
+    lastTick_ = now;
+    // Parked requests first: each was sent before every request still
+    // in the arrival FIFO, and deliver() order is send order.
+    if (parkedTotal_ != 0)
+        walkParked(now);
+    while (!arrivals_.empty() && arrivals_.front().arrival <= now) {
+        QueuedRequest entry = arrivals_.front();
+        arrivals_.pop_front();
+        const std::uint32_t pidx = partitionOf(entry.req.lineAddr);
+        if (present(entry, pidx, now))
             continue;
-        }
-        const std::uint32_t pidx = entry.partition;
-        MemoryPartition *partition = partitions_[pidx];
-        if (entry.block == RetryBlock::Dram) {
-            if (partition->dramFreeEpoch() == entry.blockEpoch) {
-                // Queue only ever shrinks on issue; unchanged epoch
-                // means still full. A real retry would have no effect.
-                ++parks_[pidx].dram;
-                parks_[pidx].dramEpoch = entry.blockEpoch;
-                ++parkedTotal_;
-                requests_[kept++] = entry;
-                continue;
-            }
-        } else if (entry.block == RetryBlock::L2) {
-            if (!partition->dramCanAccept()) {
-                // The DRAM queue filled up since the L2 stall; a real
-                // retry would now bounce at the front door with zero
-                // effects. Reclassify without charging anything.
-                entry.block = RetryBlock::Dram;
-                entry.blockEpoch = partition->dramFreeEpoch();
-                ++parks_[pidx].dram;
-                parks_[pidx].dramEpoch = entry.blockEpoch;
-                ++parkedTotal_;
-                requests_[kept++] = entry;
-                continue;
-            }
-            if (partition->l2Epoch() == entry.blockEpoch) {
-                // No fill since the stall: the L2 MSHRs are still
-                // exhausted for this read, and a real retry would
-                // charge one access and consume one id before
-                // bouncing. Replay exactly that.
-                partition->chargeSkippedReadRetry();
-                ++parks_[pidx].l2;
-                parks_[pidx].l2Epoch = entry.blockEpoch;
-                ++parkedTotal_;
-                requests_[kept++] = entry;
-                continue;
-            }
-        }
-        switch (partition->deliver(entry.req, now)) {
-          case DeliverResult::Accepted:
-            --inFlightPerSm_[entry.req.smId];
-            // Writes have no response; hand-off to the partition is
-            // their terminal event in the request-lifetime ledger.
-            if (!needsResponse(entry.req.kind))
-                ledger_.onRetire(entry.req.smId, entry.req.kind, now);
-            break;
-          case DeliverResult::BlockedDram:
-            if (retrySkip_) {
-                entry.block = RetryBlock::Dram;
-                entry.blockEpoch = partition->dramFreeEpoch();
-                ++parks_[pidx].dram;
-                parks_[pidx].dramEpoch = entry.blockEpoch;
-                ++parkedTotal_;
-            } else {
-                attention = true;
-            }
-            requests_[kept++] = entry;
-            break;
-          case DeliverResult::BlockedL2:
-            if (retrySkip_) {
-                entry.block = RetryBlock::L2;
-                entry.blockEpoch = partition->l2Epoch();
-                ++parks_[pidx].l2;
-                parks_[pidx].l2Epoch = entry.blockEpoch;
-                ++parkedTotal_;
-            } else {
-                attention = true;
-            }
-            requests_[kept++] = entry;
-            break;
-        }
-    }
-    requests_.resize(kept);
-    reqAttention_ = attention;
-    reqNextArrival_ = next_arrival;
-    } else if (parkedTotal_ != 0) {
-        // No partition moved: replay this cycle's L2 retry charges in
-        // bulk (the pre-check established dramCanAccept() for every
-        // partition with L2 parks).
-        for (std::size_t p = 0; p < parks_.size(); ++p) {
-            if (parks_[p].l2 != 0)
-                partitions_[p]->chargeSkippedReadRetries(parks_[p].l2);
-        }
+        PartitionQueue &queue = queues_[pidx];
+        queue.parked.push_back(entry);
+        ++parkCount(queue, entry.block);
+        ++parkedTotal_;
+        // Presented after this tick's fills, like every L2 stall
+        // already here (a fill this tick moved the partition).
+        if (entry.block == RetryBlock::L2)
+            queue.l2Epoch = partitions_[pidx]->l2Epoch();
     }
 
     while (!responses_.empty() && responses_.front().arrival <= now) {
@@ -225,19 +130,104 @@ Interconnect::tick(Cycle now)
     }
 }
 
+void
+Interconnect::walkParked(Cycle now)
+{
+    // O(partitions): find the partitions whose parked requests could
+    // act. Every other partition's only effect this tick is its L2
+    // stalls' retry charge (its DRAM queue has room and no fill
+    // landed, so each would stall again), charged in bulk.
+    moved_.clear();
+    for (std::uint32_t p = 0; p < queues_.size(); ++p) {
+        const PartitionQueue &queue = queues_[p];
+        if (queue.parked.empty())
+            continue;
+        MemoryPartition *partition = partitions_[p];
+        const bool room = partition->dramCanAccept();
+        if (!retrySkip_ || (queue.dram != 0 && room) ||
+            (queue.l2 != 0 &&
+             (!room || partition->l2Epoch() != queue.l2Epoch)))
+            moved_.push_back({p, 0, 0, queue.l2});
+        else if (queue.l2 != 0)
+            partition->chargeSkippedReadRetries(queue.l2);
+    }
+    // Walk the moved queues merged by seq: the deliver() calls of two
+    // partitions interleave in the one response FIFO, so they must
+    // come in send order. Few partitions move at once, so a linear
+    // pick of the smallest head beats a heap.
+    while (!moved_.empty()) {
+        std::size_t pick = 0;
+        for (std::size_t i = 1; i < moved_.size(); ++i) {
+            const Cursor &c = moved_[i];
+            const Cursor &best = moved_[pick];
+            if (queues_[c.partition].parked[c.read].seq <
+                queues_[best.partition].parked[best.read].seq)
+                pick = i;
+        }
+        Cursor &cursor = moved_[pick];
+        if (stepParked(cursor, now))
+            continue;
+        // Close the gap left by accepted requests; whatever lies past
+        // the cursor would bounce at deliver()'s front door, untouched.
+        PartitionQueue &queue = queues_[cursor.partition];
+        queue.parked.erase(queue.parked.begin() + cursor.write,
+                           queue.parked.begin() + cursor.read);
+        queue.l2Epoch = partitions_[cursor.partition]->l2Epoch();
+        cursor = moved_.back();
+        moved_.pop_back();
+    }
+}
+
+bool
+Interconnect::stepParked(Cursor &cursor, Cycle now)
+{
+    PartitionQueue &queue = queues_[cursor.partition];
+    MemoryPartition *partition = partitions_[cursor.partition];
+    QueuedRequest entry = queue.parked[cursor.read++];
+    if (entry.block == RetryBlock::L2)
+        --cursor.l2Left;
+    if (!partition->dramCanAccept()) {
+        // Bounces at deliver()'s front door with zero effect. An L2
+        // stall re-files as a DRAM-full bounce: it can act only once
+        // the queue has room, and then must really be presented.
+        if (entry.block == RetryBlock::L2) {
+            --queue.l2;
+            ++queue.dram;
+            entry.block = RetryBlock::Dram;
+        }
+        queue.parked[cursor.write++] = entry;
+    } else if (entry.block == RetryBlock::L2 && retrySkip_ &&
+               (partition->l2Epoch() == queue.l2Epoch ||
+                partition->l2StallPersists(entry.req.lineAddr, now))) {
+        // It stalled when last presented, and only this tick's fills
+        // landed since (the walk of every fill tick reaches it): with
+        // no fill, or with the MSHR file full and its line untouched
+        // this tick, it would stall again. Replay the stall's charge.
+        partition->chargeSkippedReadRetry();
+        queue.parked[cursor.write++] = entry;
+    } else {
+        --parkCount(queue, entry.block);
+        if (present(entry, cursor.partition, now)) {
+            --parkedTotal_;
+        } else {
+            ++parkCount(queue, entry.block);
+            queue.parked[cursor.write++] = entry;
+        }
+    }
+    return cursor.read < queue.parked.size() &&
+           (cursor.l2Left != 0 || partition->dramCanAccept());
+}
+
 Cycle
 Interconnect::nextEventCycle(Cycle now) const
 {
     if (!retrySkip_)
         return now; // Armed injector: every attempt must really happen.
-    // reqNextArrival_ bounds every entry that has not been attempted
-    // yet: the last sweep parked everything arrived (retry-skip is on)
-    // and recorded the min future arrival, and enqueues since only
-    // lower it. Parked retries impose no bound of their own — they
-    // only move when their partition does, which the partition's own
-    // nextEventCycle() covers. The per-cycle L2 retry charge is
-    // replayed by applySkippedCycles.
-    Cycle bound = reqNextArrival_;
+    // The arrival FIFO's front bounds every request not yet presented.
+    // Parked requests impose no bound of their own (see the header);
+    // their per-cycle L2 stall charge is replayed by
+    // applySkippedCycles.
+    Cycle bound = arrivals_.empty() ? kNoCycle : arrivals_.front().arrival;
     if (!responses_.empty() && responses_.front().arrival < bound)
         bound = responses_.front().arrival;
     return bound <= now ? now : bound;
@@ -246,18 +236,10 @@ Interconnect::nextEventCycle(Cycle now) const
 void
 Interconnect::applySkippedCycles(std::uint64_t cycles)
 {
-    for (InFlightRequest &entry : requests_) {
-        if (entry.block != RetryBlock::L2)
-            continue;
-        MemoryPartition *partition = partitions_[entry.partition];
-        // Mirror of tick()'s L2-blocked path: while the DRAM queue has
-        // room a real retry charges one id + one L2 access per cycle.
-        // When it is full the real engine would flip the entry to
-        // BlockedDram (zero charge) on the next attempt; leaving it as
-        // BlockedL2 here is equivalent because both states converge at
-        // the partition's wake cycle, which ends the skip anyway.
-        if (partition->dramCanAccept())
-            partition->chargeSkippedReadRetries(cycles);
+    for (std::size_t p = 0; p < queues_.size(); ++p) {
+        if (queues_[p].l2 != 0 && partitions_[p]->dramCanAccept())
+            partitions_[p]->chargeSkippedReadRetries(queues_[p].l2 *
+                                                     cycles);
     }
 }
 
@@ -269,28 +251,85 @@ Interconnect::audit(Cycle now) const
     // The per-SM in-flight counter tracks exactly the requests still
     // queued in the crossbar (delivery to a partition decrements it).
     std::vector<std::uint32_t> queued(inFlightPerSm_.size(), 0);
-    for (const InFlightRequest &entry : requests_) {
+    auto count_sm = [&](const QueuedRequest &entry) {
         LB_AUDIT(entry.req.smId < queued.size(),
                  "queued request from out-of-range SM %u", entry.req.smId);
-        ++queued[entry.req.smId];
+        if (entry.req.smId < queued.size())
+            ++queued[entry.req.smId];
+        LB_AUDIT(partitions_[partitionOf(entry.req.lineAddr)] != nullptr,
+                 "queued request for line %llx targets an unattached "
+                 "partition",
+                 static_cast<unsigned long long>(entry.req.lineAddr));
+    };
+
+    for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+        const QueuedRequest &entry = arrivals_[i];
+        count_sm(entry);
         LB_AUDIT(entry.arrival <= now + cfg_.icntLatency,
                  "queued request arrival %llu too far in the future "
                  "(now %llu, hop %u)",
                  static_cast<unsigned long long>(entry.arrival),
                  static_cast<unsigned long long>(now), cfg_.icntLatency);
-        // Checked against the address, never indexed by the cached
-        // value: the audit must survive the corruption it reports.
-        const std::uint32_t pidx = partitionOf(entry.req.lineAddr);
-        LB_AUDIT(entry.partition == pidx,
-                 "queued request for line %llx caches partition %u, "
-                 "not %u",
-                 static_cast<unsigned long long>(entry.req.lineAddr),
-                 entry.partition, pidx);
-        LB_AUDIT(partitions_[pidx] != nullptr,
-                 "queued request for line %llx targets an unattached "
-                 "partition",
-                 static_cast<unsigned long long>(entry.req.lineAddr));
+        LB_AUDIT(i == 0 || entry.seq > arrivals_[i - 1].seq,
+                 "arriving request seq %llu follows seq %llu: the "
+                 "arrival FIFO is out of send order",
+                 static_cast<unsigned long long>(entry.seq),
+                 static_cast<unsigned long long>(arrivals_[i - 1].seq));
     }
+
+    // Every arriving request must be younger than every parked one:
+    // tick() presents all parked requests before any arrival.
+    const std::uint64_t first_arrival =
+        arrivals_.empty() ? ~std::uint64_t{0} : arrivals_.front().seq;
+    std::uint32_t parked = 0;
+    for (std::size_t p = 0; p < queues_.size(); ++p) {
+        const PartitionQueue &queue = queues_[p];
+        std::uint32_t dram = 0;
+        std::uint32_t l2 = 0;
+        for (std::size_t i = 0; i < queue.parked.size(); ++i) {
+            const QueuedRequest &entry = queue.parked[i];
+            count_sm(entry);
+            const std::uint32_t owner = partitionOf(entry.req.lineAddr);
+            LB_AUDIT(owner == p,
+                     "parked request for line %llx sits in partition "
+                     "%zu's queue, not %u's",
+                     static_cast<unsigned long long>(entry.req.lineAddr),
+                     p, owner);
+            LB_AUDIT(i == 0 || entry.seq > queue.parked[i - 1].seq,
+                     "partition %zu parked seq %llu follows seq %llu: "
+                     "the queue is out of send order",
+                     p, static_cast<unsigned long long>(entry.seq),
+                     static_cast<unsigned long long>(
+                         queue.parked[i - 1].seq));
+            LB_AUDIT(entry.seq < first_arrival,
+                     "partition %zu parked seq %llu is younger than "
+                     "arriving seq %llu",
+                     p, static_cast<unsigned long long>(entry.seq),
+                     static_cast<unsigned long long>(first_arrival));
+            LB_AUDIT(entry.arrival <= now,
+                     "partition %zu parked a request arriving at %llu "
+                     "(now %llu)",
+                     p, static_cast<unsigned long long>(entry.arrival),
+                     static_cast<unsigned long long>(now));
+            if (entry.block == RetryBlock::Dram)
+                ++dram;
+            else if (entry.block == RetryBlock::L2)
+                ++l2;
+        }
+        // Only DRAM-full bounces and L2 stalls park; tick() trusts the
+        // counts to decide which partitions to walk and what to charge.
+        LB_AUDIT(queue.dram == dram && queue.l2 == l2 &&
+                     dram + l2 == queue.parked.size(),
+                 "partition %zu park counts (%u dram-full, %u "
+                 "l2-stalled) disagree with its %zu parked requests "
+                 "(%u dram-full, %u l2-stalled)",
+                 p, queue.dram, queue.l2, queue.parked.size(), dram, l2);
+        parked += static_cast<std::uint32_t>(queue.parked.size());
+    }
+    LB_AUDIT(parked == parkedTotal_,
+             "parked total %u disagrees with %u parked requests",
+             parkedTotal_, parked);
+
     for (std::size_t sm = 0; sm < inFlightPerSm_.size(); ++sm) {
         LB_AUDIT(inFlightPerSm_[sm] == queued[sm],
                  "SM %zu in-flight counter %u != %u queued requests",
@@ -298,47 +337,6 @@ Interconnect::audit(Cycle now) const
         LB_AUDIT(inFlightPerSm_[sm] <= maxInFlightPerSm_,
                  "SM %zu in-flight counter %u exceeds cap %u", sm,
                  inFlightPerSm_[sm], maxInFlightPerSm_);
-    }
-    // Park summaries must mirror the queue's retry-skip cache exactly:
-    // tick()'s fast path trusts them to decide whether a sweep (and
-    // the per-cycle L2 retry charge) can be elided.
-    std::uint32_t parked = 0;
-    std::vector<PartitionPark> expect(parks_.size());
-    for (const InFlightRequest &entry : requests_) {
-        if (entry.block == RetryBlock::None)
-            continue;
-        ++parked;
-        PartitionPark &park = expect[partitionOf(entry.req.lineAddr)];
-        if (entry.block == RetryBlock::Dram) {
-            ++park.dram;
-            park.dramEpoch = entry.blockEpoch;
-        } else {
-            ++park.l2;
-            park.l2Epoch = entry.blockEpoch;
-        }
-    }
-    LB_AUDIT(parked == parkedTotal_,
-             "parked-entry total %u disagrees with %u cached entries",
-             parkedTotal_, parked);
-    for (std::size_t p = 0; p < parks_.size(); ++p) {
-        LB_AUDIT(parks_[p].dram == expect[p].dram &&
-                     parks_[p].l2 == expect[p].l2,
-                 "partition %zu park summary (%u dram, %u l2) disagrees "
-                 "with queue (%u dram, %u l2)",
-                 p, parks_[p].dram, parks_[p].l2, expect[p].dram,
-                 expect[p].l2);
-        LB_AUDIT(parks_[p].dram == 0 ||
-                     parks_[p].dramEpoch == expect[p].dramEpoch,
-                 "partition %zu dram park epoch %llu disagrees with "
-                 "queue epoch %llu",
-                 p, static_cast<unsigned long long>(parks_[p].dramEpoch),
-                 static_cast<unsigned long long>(expect[p].dramEpoch));
-        LB_AUDIT(parks_[p].l2 == 0 ||
-                     parks_[p].l2Epoch == expect[p].l2Epoch,
-                 "partition %zu l2 park epoch %llu disagrees with "
-                 "queue epoch %llu",
-                 p, static_cast<unsigned long long>(parks_[p].l2Epoch),
-                 static_cast<unsigned long long>(expect[p].l2Epoch));
     }
     for (const InFlightResponse &entry : responses_) {
         LB_AUDIT(entry.resp.smId < sinks_.size() &&
@@ -356,9 +354,9 @@ void
 Interconnect::auditDrained() const
 {
     StateDumpScope dump([this] { return debugString(); });
-    LB_AUDIT(requests_.empty(),
+    LB_AUDIT(arrivals_.empty() && parkedTotal_ == 0,
              "%zu requests still queued after the grid drained",
-             requests_.size());
+             arrivals_.size() + parkedTotal_);
     LB_AUDIT(responses_.empty(),
              "%zu responses still queued after the grid drained",
              responses_.size());
@@ -368,12 +366,31 @@ Interconnect::auditDrained() const
 std::string
 Interconnect::debugString() const
 {
-    char buf[128];
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "Interconnect: %zu queued requests, %zu queued "
-                  "responses, cap %u/SM\n",
-                  requests_.size(), responses_.size(), maxInFlightPerSm_);
+                  "Interconnect: %zu arriving requests, %u parked, %zu "
+                  "queued responses, cap %u/SM\n",
+                  arrivals_.size(), parkedTotal_, responses_.size(),
+                  maxInFlightPerSm_);
     std::string out = buf;
+    for (std::size_t p = 0; p < queues_.size(); ++p) {
+        const PartitionQueue &queue = queues_[p];
+        std::snprintf(buf, sizeof(buf),
+                      "partition=%zu parked dram-full=%u l2-stalled=%u", p,
+                      queue.dram, queue.l2);
+        out += buf;
+        if (!queue.parked.empty()) {
+            const QueuedRequest &oldest = queue.parked.front();
+            std::snprintf(
+                buf, sizeof(buf),
+                " oldest age=%llu line=%llx sm=%u kind=%s",
+                static_cast<unsigned long long>(lastTick_ - oldest.arrival),
+                static_cast<unsigned long long>(oldest.req.lineAddr),
+                oldest.req.smId, requestKindName(oldest.req.kind));
+            out += buf;
+        }
+        out += '\n';
+    }
     for (std::size_t sm = 0; sm < inFlightPerSm_.size(); ++sm) {
         if (inFlightPerSm_[sm] == 0)
             continue;

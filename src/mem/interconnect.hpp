@@ -63,7 +63,11 @@ class Interconnect
     /** Send @p resp back to its SM; arrives after the hop latency. */
     void sendResponse(const MemResponse &resp, Cycle now);
 
-    /** Deliver all traffic whose hop latency has elapsed by @p now. */
+    /**
+     * Deliver all traffic whose hop latency has elapsed by @p now:
+     * first the parked requests that could act, then the due arrivals,
+     * all in send order; then the due responses.
+     */
     void tick(Cycle now);
 
     /** Partition index serving @p line_addr. */
@@ -82,32 +86,32 @@ class Interconnect
     bool
     quiescent() const
     {
-        return requests_.empty() && responses_.empty();
+        return arrivals_.empty() && parkedTotal_ == 0 && responses_.empty();
     }
 
     /**
      * Earliest future cycle at which ticking the crossbar could have an
      * effect, or kNoCycle when nothing is in flight. Traffic still
-     * crossing bounds at its arrival cycle; an already-arrived request
-     * that has not been attempted (block == None) bounds at @p now; a
-     * blocked retry has no intrinsic bound — it only moves when its
-     * partition does, which the partition's own bound covers. Responses
-     * bound at the front's arrival: only the front is ever popped, so
-     * later (possibly earlier-stamped) entries cannot act before it.
-     * Returns @p now (no skip) when retry-skip is disabled, because the
-     * armed fault injector must observe every real delivery attempt.
+     * crossing bounds at its arrival cycle (the arrival FIFO's front).
+     * A parked request has no intrinsic bound: it only moves when its
+     * partition does, which the partition's own bound covers.
+     * Responses bound at the front's arrival: only the front is ever
+     * popped, so later (possibly earlier-stamped) entries cannot act
+     * before it. Returns @p now (no skip) when retry-skip is disabled,
+     * because the armed fault injector must observe every real
+     * delivery attempt.
      */
     Cycle nextEventCycle(Cycle now) const;
 
     /**
      * Replay the per-cycle side effects of @p cycles skipped crossbar
      * ticks. The only per-cycle effect while every bound is in the
-     * future is the L2-blocked read retry charge (one read id + one L2
-     * access per cycle, per blocked entry whose DRAM queue has room —
-     * exactly what a real retry loop would have charged; when the DRAM
-     * queue is full the real engine flips the entry to BlockedDram at
-     * the next attempt and charges nothing, and the two states converge
-     * at the partition's wake cycle).
+     * future is the L2-stalled read retry charge: one read id and one
+     * L2 access per cycle for each L2-stalled request whose DRAM queue
+     * has room, read from the per-partition park counts. When the
+     * queue is full a real tick would re-file those requests as
+     * DRAM-full bounces and charge nothing; both states converge at
+     * the partition's wake cycle, which ends the skip anyway.
      */
     void applySkippedCycles(std::uint64_t cycles);
 
@@ -117,9 +121,12 @@ class Interconnect
 
     /**
      * Structural auditor: per-SM in-flight counters match the queued
-     * requests exactly, queued traffic is addressed to attached
-     * endpoints through its cached partition, and the ledger counters
-     * are consistent.
+     * requests exactly; every parked request sits in the queue of
+     * partitionOf(lineAddr); each parked queue and the arrival FIFO
+     * are in send order, and every arriving request is younger than
+     * every parked one; the park counts match the parked flavors;
+     * queued traffic is addressed to attached endpoints; and the
+     * ledger counters are consistent.
      */
     void audit(Cycle now) const;
 
@@ -129,59 +136,128 @@ class Interconnect
      */
     void auditDrained() const;
 
-    /** Queue/counter summary for failure reports. */
+    /**
+     * Queue/counter summary for failure and hang reports, with one line
+     * per partition: its parked requests by flavor and the age of the
+     * oldest.
+     */
     std::string debugString() const;
 
     /**
-     * Overwrite the newest queued request's cached partition so tests
-     * can prove the auditor trips. Never call from simulator code.
+     * Move partition @p from's newest parked request to the end of
+     * partition @p to's queue, counts following it, so tests can prove
+     * the routing clause of audit() trips. The hooks below corrupt one
+     * other clause each. Never call any of them from simulator code.
      */
-    void misrouteNewestRequestForTest(std::uint32_t partition)
+    void
+    misrouteNewestParkedForTest(std::uint32_t from, std::uint32_t to)
     {
-        requests_.back().partition = partition;
+        const QueuedRequest entry = queues_[from].parked.back();
+        queues_[from].parked.pop_back();
+        --parkCount(queues_[from], entry.block);
+        queues_[to].parked.push_back(entry);
+        ++parkCount(queues_[to], entry.block);
+    }
+
+    /** Overwrite the send order of parked request @p index. */
+    void
+    setParkedSeqForTest(std::uint32_t partition, std::size_t index,
+                        std::uint64_t seq)
+    {
+        queues_[partition].parked[index].seq = seq;
+    }
+
+    /** Overwrite the send order of arriving request @p index. */
+    void
+    setArrivalSeqForTest(std::size_t index, std::uint64_t seq)
+    {
+        arrivals_[index].seq = seq;
+    }
+
+    /** Flip a parked request's flavor without touching the counts. */
+    void
+    flipParkedFlavorForTest(std::uint32_t partition, std::size_t index)
+    {
+        RetryBlock &block = queues_[partition].parked[index].block;
+        block = block == RetryBlock::Dram ? RetryBlock::L2
+                                          : RetryBlock::Dram;
     }
 
   private:
-    /** Why a queued request last bounced off its partition. */
+    /** Why a parked request last bounced off its partition. */
     enum class RetryBlock : std::uint8_t
     {
-        None, ///< Never attempted (or retry-skip disabled).
+        None, ///< Not presented yet (still in the arrival FIFO).
         Dram, ///< Bounced off a full DRAM queue (zero side effects).
         L2,   ///< Read stalled on L2 MSHRs (charged an access + id).
     };
 
-    struct InFlightRequest
+    struct QueuedRequest
     {
         Cycle arrival;
+        /** Send order, crossbar-wide; orders deliver() calls. */
+        std::uint64_t seq;
         MemRequest req;
-        /**
-         * Retry-skip cache: the blocked flavor of the last delivery
-         * attempt plus the partition epoch observed then. While the
-         * epoch is unchanged a real retry would bounce identically, so
-         * tick() skips the partition walk and just replays the
-         * attempt's (possibly empty) counter effects. Never populated
-         * when an armed fault injector is attached: the injector
-         * observes every real delivery attempt (storm-delay probes),
-         * and skipping would change what it sees.
-         */
         RetryBlock block = RetryBlock::None;
-        /**
-         * partitionOf(req.lineAddr), computed once in sendRequest: the
-         * sweep and the skip replay read it for every arrived entry.
-         * Sits in the padding after block, so the entry does not grow.
-         */
-        std::uint32_t partition = 0;
-        std::uint64_t blockEpoch = 0;
     };
-    static_assert(sizeof(InFlightRequest) ==
-                      sizeof(Cycle) + sizeof(MemRequest) +
-                          2 * sizeof(std::uint64_t),
-                  "the cached partition must fit the padding after block");
+
+    /**
+     * The requests one partition bounced, in send order, and what can
+     * wake them. A DRAM-full bounce can act once the DRAM queue has
+     * room; an L2-stalled read once a fill landed in the slice, or
+     * (its DRAM queue full) it re-files as a DRAM-full bounce.
+     */
+    struct PartitionQueue
+    {
+        std::vector<QueuedRequest> parked;
+        std::uint32_t dram = 0; ///< Parked on a full DRAM queue.
+        std::uint32_t l2 = 0;   ///< Reads parked on the L2 MSHRs.
+        /**
+         * The partition's l2Epoch() when every L2-stalled read here
+         * was last presented or charged; while it holds, no fill has
+         * landed since and each would stall again.
+         */
+        std::uint64_t l2Epoch = 0;
+    };
+
+    /** tick()'s walk over one partition whose parked requests moved. */
+    struct Cursor
+    {
+        std::uint32_t partition;
+        std::uint32_t read;   ///< Next entry to present.
+        std::uint32_t write;  ///< Next slot for a kept entry.
+        std::uint32_t l2Left; ///< L2-stalled reads at or past read.
+    };
+
     struct InFlightResponse
     {
         Cycle arrival;
         MemResponse resp;
     };
+
+    /**
+     * Present @p entry to partition @p pidx. Returns true when it was
+     * accepted; otherwise records the bounce's flavor in the entry.
+     */
+    bool present(QueuedRequest &entry, std::uint32_t pidx, Cycle now);
+
+    /**
+     * Walk the parked queues of every partition that moved, merged by
+     * seq; charge the others' L2 stalls in bulk.
+     */
+    void walkParked(Cycle now);
+
+    /**
+     * Present the entry at @p cursor. Returns false once nothing at or
+     * past the cursor can act.
+     */
+    bool stepParked(Cursor &cursor, Cycle now);
+
+    std::uint32_t &
+    parkCount(PartitionQueue &queue, RetryBlock block)
+    {
+        return block == RetryBlock::L2 ? queue.l2 : queue.dram;
+    }
 
     const GpuConfig &cfg_;
     SimStats *stats_;
@@ -189,56 +265,30 @@ class Interconnect
     std::vector<MemoryPartition *> partitions_;
     std::vector<ResponseSinkIf *> sinks_;
     /**
-     * FIFO of undelivered requests. A vector compacted in place per
-     * tick (not a deque rotated entry by entry): tick() walks every
-     * entry each cycle, and under memory-bound phases the queue holds
-     * hundreds of stalled retries, so the walk is the hot loop.
+     * Requests not yet presented, in send order. The hop latency is
+     * constant, so send order is arrival order and tick() pops only
+     * the front.
      */
-    std::vector<InFlightRequest> requests_;
+    std::deque<QueuedRequest> arrivals_;
+    /** One parked queue per partition. */
+    std::vector<PartitionQueue> queues_;
+    /** Total parked requests across queues_ (0 skips the walk). */
+    std::uint32_t parkedTotal_ = 0;
+    /** Reused by walkParked(); tick() must not allocate. */
+    std::vector<Cursor> moved_;
+    std::uint64_t nextSeq_ = 0;
+    /** Cycle of the latest tick(), for parked ages in debugString(). */
+    Cycle lastTick_ = 0;
     std::deque<InFlightResponse> responses_;
     std::uint32_t maxInFlightPerSm_;
     std::vector<std::uint32_t> inFlightPerSm_;
-    /** False when an armed fault injector is attached (see
-     *  InFlightRequest): fault hooks must see every real attempt. */
+    /**
+     * False when an armed fault injector is attached: fault hooks
+     * (storm-delay probes on the L2 path) must see every real attempt,
+     * so every partition with parked requests counts as moved on every
+     * tick and no L2 stall is charged without presenting it.
+     */
     bool retrySkip_;
-    /**
-     * Fast-path state for tick()'s request sweep: true while any
-     * retained request has arrived without being parked in the
-     * retry-skip cache (block == None) — only possible when retry-skip
-     * is disabled, where every arrived entry must re-present to the
-     * armed fault injector each tick. When false, the sweep runs only
-     * at reqNextArrival_ (the exact min arrival over the in-flight
-     * set) or when a park summary says a partition moved. Recomputed
-     * by every sweep; enqueues lower the arrival bound (and raise
-     * attention on a same-cycle hop).
-     */
-    bool reqAttention_ = false;
-    Cycle reqNextArrival_ = kNoCycle;
-    /**
-     * Per-partition summary of the parked (retry-skip cached) entries.
-     * Sweep invariant: immediately after a sweep, every parked entry's
-     * blockEpoch equals its partition's current epoch of the matching
-     * flavor — an unchanged-epoch entry passed an equality check and a
-     * freshly parked one recorded the current value — and epochs only
-     * move inside MemoryPartition::tick, never during the sweep
-     * itself. tick() therefore needs just this O(partitions) summary,
-     * not an O(queue) walk, to decide whether any parked entry could
-     * act: a flavor's count is nonzero and its partition's epoch
-     * moved (or, for L2 parks, the DRAM queue filled, which a real
-     * retry would observe by reclassifying). While no partition moved,
-     * the only per-cycle effect is the L2-blocked retry charge,
-     * replayed per partition straight from the counts.
-     */
-    struct PartitionPark
-    {
-        std::uint32_t dram = 0; ///< Entries blocked on a full DRAM queue.
-        std::uint32_t l2 = 0;   ///< Reads stalled on L2 MSHRs.
-        std::uint64_t dramEpoch = 0;
-        std::uint64_t l2Epoch = 0;
-    };
-    std::vector<PartitionPark> parks_;
-    /** Total parked entries across parks_ (0 short-circuits the scan). */
-    std::uint32_t parkedTotal_ = 0;
     RequestLedger ledger_;
 };
 

@@ -83,6 +83,9 @@ class L2Slice
 
     const TagArray &tags() const { return tags_; }
 
+    /** True when no miss on a new line can get an MSHR entry. */
+    bool mshrsFull() const { return mshrs_.inUse() >= mshrs_.capacity(); }
+
   private:
     L2Outcome accessReadImpl(Addr line_addr, std::uint64_t access_id,
                              Cycle now);

@@ -2,6 +2,7 @@
 
 #include "common/det.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -63,6 +64,7 @@ MemoryPartition::deliver(const MemRequest &req, Cycle now)
             return DeliverResult::Accepted;
           case L2Outcome::Miss:
             // The L2 lookup precedes the DRAM fetch.
+            touch(req.lineAddr, now);
             pendingReads_[id] = {req.lineAddr, req.smId, req.kind};
             dram_.enqueue({req.lineAddr, false, req.kind, req.smId, now},
                           now, now + cfg_.l2Latency + storm);
@@ -110,6 +112,26 @@ MemoryPartition::chargeSkippedReadRetries(std::uint64_t count)
 {
     nextReadId_ += count;
     stats_->l2Accesses += count;
+}
+
+void
+MemoryPartition::touch(Addr line_addr, Cycle now)
+{
+    if (touchedAt_ != now) {
+        touched_.clear();
+        touchedAt_ = now;
+    }
+    touched_.push_back(line_addr);
+}
+
+bool
+MemoryPartition::l2StallPersists(Addr line_addr, Cycle now) const
+{
+    if (!l2_.mshrsFull())
+        return false;
+    return touchedAt_ != now ||
+        std::find(touched_.begin(), touched_.end(), line_addr) ==
+            touched_.end();
 }
 
 void
@@ -167,6 +189,7 @@ MemoryPartition::tick(Cycle now)
         switch (cmd.kind) {
           case RequestKind::DataRead: {
             ++l2Epoch_;
+            touch(cmd.lineAddr, now);
             waiterScratch_.clear();
             std::vector<std::uint64_t> &waiters = waiterScratch_;
             l2_.fill(cmd.lineAddr, completion.done, waiters);

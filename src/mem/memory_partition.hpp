@@ -79,19 +79,27 @@ class MemoryPartition
         return l2Epoch_;
     }
 
-    /** Forward of DramChannel::freeEpoch() for the retry-skip cache. */
-    std::uint64_t dramFreeEpoch() const { return dram_.freeEpoch(); }
-
     /** Live DRAM backpressure (cheap; see Interconnect::tick). */
     bool dramCanAccept() const { return dram_.canAccept(); }
+
+    /**
+     * True when a read of @p line_addr that stalled on the L2 MSHRs,
+     * with no fill landing since other than this tick's, would stall
+     * again at @p now: the MSHR file is full, and the line was neither
+     * filled nor given an MSHR entry this tick. MSHR entries free up
+     * and lines arrive only at fills, and a tag miss has no side
+     * effects, so nothing else can clear such a stall.
+     */
+    bool l2StallPersists(Addr line_addr, Cycle now) const;
 
     /**
      * Replay the side effects of one skipped L2-stalled read retry.
      * A real retry runs deliver()'s DataRead path up to the MSHR stall:
      * it consumes a read id and charges one L2 access (the transient
      * pending-read entry is inserted and erased again, net zero). The
-     * interconnect calls this instead of deliver() while l2Epoch() is
-     * unchanged, keeping every counter and the id sequence bit-exact.
+     * interconnect calls this instead of deliver() while the stall
+     * provably persists, keeping every counter and the id sequence
+     * bit-exact.
      */
     void chargeSkippedReadRetry();
 
@@ -134,6 +142,9 @@ class MemoryPartition
 
     void respond(const PendingRead &read, Cycle ready);
 
+    /** Record that @p line_addr was filled or given an MSHR entry. */
+    void touch(Addr line_addr, Cycle now);
+
     const GpuConfig &cfg_;
     std::uint32_t id_;
     Interconnect *icnt_;
@@ -142,8 +153,11 @@ class MemoryPartition
     L2Slice l2_;
     DramChannel dram_;
     std::uint64_t nextReadId_ = 1;
-    /** Bumped per tick that completed at least one L2 fill. */
+    /** Bumped per L2 fill (per completed DRAM read). */
     std::uint64_t l2Epoch_ = 0;
+    /** Lines filled or given an L2 MSHR entry at cycle touchedAt_. */
+    std::vector<Addr> touched_;
+    Cycle touchedAt_ = kNoCycle;
     FlatMap<std::uint64_t, PendingRead> pendingReads_;
     /** Reused per-tick buffers; tick() is hot and must not allocate. */
     std::vector<DramCompletion> doneScratch_;

@@ -242,6 +242,105 @@ TEST_F(L1AuditFixture, OrphanPendingFillTrips)
     EXPECT_TRUE(fired("fill will never arrive"));
 }
 
+// --- Crossbar parked-queue auditor ------------------------------------------
+
+/**
+ * A two-SM, two-partition crossbar with tiny queues. After tick 1,
+ * partition 0 holds SM 0's L2-stalled read (seq 1, behind a miss that
+ * took the only MSHR) and DRAM-full write (seq 3, behind a write that
+ * filled the depth-2 DRAM queue), and two reads from SM 1 for
+ * partition 1 (seq 4, 5) are still crossing.
+ */
+struct CrossbarAuditFixture : AuditFixture
+{
+    CrossbarAuditFixture()
+    {
+        cfg.numSms = 2;
+        cfg.numMemPartitions = 2;
+        cfg.dramQueueDepth = 2;
+        cfg.l1MshrEntries = 1;
+        cfg.l1MshrMergesPerEntry = 1;
+        cfg.icntLatency = 1;
+        icnt = std::make_unique<Interconnect>(cfg, &stats);
+        for (std::uint32_t p = 0; p < cfg.numMemPartitions; ++p) {
+            partitions.push_back(std::make_unique<MemoryPartition>(
+                cfg, p, icnt.get(), &stats));
+            icnt->attachPartition(p, partitions.back().get());
+        }
+        send(0, RequestKind::DataRead, 0);
+        send(2, RequestKind::DataRead, 0);
+        send(4, RequestKind::DataWrite, 0);
+        send(6, RequestKind::DataWrite, 0);
+        for (; now < 2; ++now) {
+            for (auto &partition : partitions)
+                partition->tick(now);
+            icnt->tick(now);
+        }
+        now = 1;
+        send(1, RequestKind::DataRead, 1);
+        send(3, RequestKind::DataRead, 1);
+    }
+
+    void
+    send(std::uint64_t line, RequestKind kind, std::uint32_t sm)
+    {
+        MemRequest req;
+        req.lineAddr = line * kLineBytes;
+        req.kind = kind;
+        req.smId = sm;
+        icnt->sendRequest(req, now);
+    }
+
+    GpuConfig cfg;
+    SimStats stats;
+    std::unique_ptr<Interconnect> icnt;
+    std::vector<std::unique_ptr<MemoryPartition>> partitions;
+    Cycle now = 0;
+};
+
+TEST_F(CrossbarAuditFixture, ParkedStatePasses)
+{
+    icnt->audit(now);
+    EXPECT_TRUE(failures.empty()) << failures.front().message;
+    EXPECT_NE(icnt->debugString().find(
+                  "partition=0 parked dram-full=1 l2-stalled=1 oldest "
+                  "age=0 line=100 sm=0 kind=DataRead"),
+              std::string::npos)
+        << icnt->debugString();
+}
+
+TEST_F(CrossbarAuditFixture, ParkCountsDisagreeingWithFlavorsTrip)
+{
+    icnt->flipParkedFlavorForTest(0, 0);
+    icnt->audit(now);
+    EXPECT_TRUE(fired("park counts"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
+TEST_F(CrossbarAuditFixture, ParkedQueueOutOfSendOrderTrips)
+{
+    icnt->setParkedSeqForTest(0, 1, 0);
+    icnt->audit(now);
+    EXPECT_TRUE(fired("the queue is out of send order"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
+TEST_F(CrossbarAuditFixture, ArrivalFifoOutOfSendOrderTrips)
+{
+    icnt->setArrivalSeqForTest(1, 4);
+    icnt->audit(now);
+    EXPECT_TRUE(fired("the arrival FIFO is out of send order"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
+TEST_F(CrossbarAuditFixture, ParkedYoungerThanArrivalTrips)
+{
+    icnt->setParkedSeqForTest(0, 1, 9);
+    icnt->audit(now);
+    EXPECT_TRUE(fired("is younger than arriving"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
 // --- Backup-engine conservation auditor -------------------------------------
 
 struct BackupAuditFixture : AuditFixture

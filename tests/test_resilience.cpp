@@ -419,9 +419,14 @@ TEST(ResilienceSimTest, WedgeTripsWatchdogAndNamesStuckRequest)
         << m.hangReport;
     EXPECT_NE(m.hangReport.find("fault injection"), std::string::npos)
         << m.hangReport;
+    // The crossbar names each partition's parked requests by flavor.
+    EXPECT_NE(m.hangReport.find("partition=0 parked dram-full="),
+              std::string::npos)
+        << m.hangReport;
 
     EXPECT_NE(m.hangReportJson.find("watchdog-trip"), std::string::npos);
     EXPECT_NE(m.hangReportJson.find("oldestRequest"), std::string::npos);
+    EXPECT_NE(m.hangReportJson.find("l2-stalled="), std::string::npos);
 
     // Hang diagnosis is deterministic too.
     SimRunner again(cfg, LbConfig{}, options);

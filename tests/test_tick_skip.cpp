@@ -9,7 +9,8 @@
  * serialized statistics to be byte-identical — the same witness the
  * seed-determinism and golden suites use. A skip that jumped a
  * cycle any subsystem would have acted on shows up as a counter
- * mismatch here.
+ * mismatch here. The inert-plan suite applies the same witness to the
+ * crossbar's parking, which an armed fault injector turns off.
  */
 
 #include <gtest/gtest.h>
@@ -183,6 +184,53 @@ TEST_P(TickSkipAtSmCount, LinebackerOffMatchesOn)
 }
 
 INSTANTIATE_TEST_SUITE_P(SmCounts, TickSkipAtSmCount,
+                         ::testing::Values(4u, 16u));
+
+/**
+ * Crossbar parking vs every-tick retry on the whole chip. An armed
+ * fault injector whose only event lies beyond the run never fires,
+ * but arming it turns off tick skipping and the crossbar's retry-skip:
+ * every parked request is presented again on every tick. The stats
+ * must equal the unarmed run's, which parks, charges L2 stalls without
+ * presenting them and skips quiet stretches.
+ */
+class InertPlanAtSmCount : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    static std::string
+    statsFor(const char *app, const SchemeConfig &scheme, bool armed)
+    {
+        LbConfig lb;
+        lb.monitorPeriod = 4000;
+        RunnerOptions opts = fastOptions();
+        opts.simSms = GetParam();
+        opts.maxCycles = 20000;
+        if (armed) {
+            opts.faultPlan.events.push_back(
+                {FaultKind::IcntDelay, Cycle{1} << 40, 1, 1});
+        }
+        SimRunner runner(GpuConfig{}, lb, opts);
+        const RunMetrics m = runner.run(appById(app), scheme);
+        EXPECT_EQ(m.faultsInjected, 0u);
+        return serializeStats(m.stats);
+    }
+};
+
+TEST_P(InertPlanAtSmCount, StatsMatchUnarmedRun)
+{
+    for (const char *app : {"KM", "S2", "CF"}) {
+        for (const SchemeConfig &scheme :
+             {SchemeConfig::baseline(), SchemeConfig::cerf(),
+              SchemeConfig::linebacker()}) {
+            EXPECT_EQ(statsFor(app, scheme, false),
+                      statsFor(app, scheme, true))
+                << "an inert armed plan changed " << app << " under "
+                << scheme.name << " at " << GetParam() << " SMs";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(SmCounts, InertPlanAtSmCount,
                          ::testing::Values(4u, 16u));
 
 TEST(TickSkip, OffMatchesOnWithWatchdogArmed)
