@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/cli_args.hpp"
 #include "harness/experiment.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
@@ -73,11 +73,11 @@ parseBenchArgs(int argc, char **argv, const std::string &bench_name)
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--threads" && i + 1 < argc) {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseUnsignedArg(argv[++i], "--threads", opts.threads))
+                std::exit(2);
         } else if (a == "--sms" && i + 1 < argc) {
-            opts.sms = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseUnsignedArg(argv[++i], "--sms", opts.sms, 1, 64))
+                std::exit(2);
         } else if (a == "--smoke") {
             opts.smoke = true;
         } else if (a == "--json") {

@@ -5,26 +5,23 @@
  * Times the Fig-12 sweep (baseline, SWL, PCAL, CERF, Linebacker over
  * the bench suite) with the memo cache forced off, so every cell pays
  * the real cycle kernel. Reports simulated-cycles-per-wall-second and
- * the process peak RSS after each scheme, writes the BENCH_perf.json
- * artifact (a gitignored per-run output), and maintains the committed
- * trajectory file (bench/perf/BENCH_perf_trajectory.json, format
- * #lbsim-perf-point-v1 via harness/perf_point) so the repo carries its
- * own performance history:
+ * the process peak RSS after each scheme, and writes them as a perf
+ * point (harness/perf_point, #lbsim-perf-point-v1) into the
+ * BENCH_perf.json artifact. Beyond the shared bench options:
  *
- *   --record <label>    append this run to the trajectory file
- *   --check             compare against the newest trajectory point;
- *                       exit 1 below 75%, warn below 90%
- *   --trajectory <path> trajectory file location
- *                       (default bench/perf/BENCH_perf_trajectory.json)
  *   --naive             naive-reference mode: run the plain per-cycle
  *                       loop (event-driven tick skipping disabled)
  *   --vs <artifact>     relative gate: require this run's total
  *                       cycles/sec to beat the point in another run's
- *                       BENCH_perf.json by --min-ratio (default 2.0).
- *                       CI runs the naive reference first, then gates
- *                       the optimized kernel against it — runner-speed
+ *                       BENCH_perf.json by --min-ratio. CI runs the
+ *                       naive reference first, then gates the
+ *                       optimized kernel against it — runner-speed
  *                       independent, unlike an absolute floor.
  *   --min-ratio <f>     ratio for --vs (default 2.0)
+ *
+ * Exit status: 0 ok, 1 below the --vs floor, 2 on a usage error or an
+ * unusable reference. The reference is read and checked before the
+ * sweep, so a bad one costs no simulation.
  *
  * The Best-SWL column runs a fixed warp limit ("SWL-8") instead of the
  * per-app oracle sweep: the oracle multiplies wall time by its sweep
@@ -39,15 +36,14 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/fs.hpp"
 #include "harness/perf_point.hpp"
 
 namespace
@@ -73,54 +69,55 @@ nowSec()
         .count();
 }
 
-/** Whole-file slurp; empty optional when unreadable. */
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out = buf.str();
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string record_label;
-    bool check = false;
     bool naive = false;
     std::string vs_path;
     double min_ratio = 2.0;
-    std::string trajectory = "bench/perf/BENCH_perf_trajectory.json";
 
     // Strip the perf-specific arguments, then hand the rest to the
     // shared parser.
     std::vector<char *> rest = {argv[0]};
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--record" && i + 1 < argc) {
-            record_label = argv[++i];
-        } else if (a == "--check") {
-            check = true;
-        } else if (a == "--naive") {
+        if (a == "--naive") {
             naive = true;
         } else if (a == "--vs" && i + 1 < argc) {
             vs_path = argv[++i];
         } else if (a == "--min-ratio" && i + 1 < argc) {
-            min_ratio = std::strtod(argv[++i], nullptr);
-        } else if (a == "--trajectory" && i + 1 < argc) {
-            trajectory = argv[++i];
+            char *end = nullptr;
+            min_ratio = std::strtod(argv[++i], &end);
+            if (end == argv[i] || *end != '\0' || !(min_ratio > 0) ||
+                !std::isfinite(min_ratio)) {
+                std::fprintf(stderr, "--min-ratio: expected a positive "
+                             "number, got '%s'\n", argv[i]);
+                return 2;
+            }
         } else {
             rest.push_back(argv[i]);
         }
     }
     const BenchOptions opts = parseBenchArgs(
         static_cast<int>(rest.size()), rest.data(), "perf");
+
+    PerfPoint reference;
+    if (!vs_path.empty()) {
+        std::string text, error;
+        if (!readFileToString(vs_path, text, &error) ||
+            !parsePerfPointArtifact(text, reference, &error)) {
+            std::fprintf(stderr, "--vs: cannot read point from %s: %s\n",
+                         vs_path.c_str(), error.c_str());
+            return 2;
+        }
+        if (!(reference.totalCyclesPerSec > 0)) {
+            std::fprintf(stderr, "--vs: %s has no positive "
+                         "totalCyclesPerSec\n", vs_path.c_str());
+            return 2;
+        }
+    }
 
     // Throughput numbers are meaningless against the memo cache.
     setenv("LBSIM_NO_CACHE", "1", 1);
@@ -144,9 +141,7 @@ main(int argc, char **argv)
         SchemeConfig::linebacker()};
 
     PerfPoint point;
-    point.label = record_label.empty() ? (naive ? "naive" : "run")
-                                       : record_label;
-    point.timestamp = static_cast<std::int64_t>(std::time(nullptr));
+    point.label = naive ? "naive" : "run";
     point.smoke = opts.smoke;
     point.sms = opts.sms ? opts.sms : 2;
 
@@ -203,73 +198,18 @@ main(int argc, char **argv)
         std::printf("\nJSON artifact: %s\n", opts.jsonPath.c_str());
     }
 
-    if (!record_label.empty()) {
-        std::string error;
-        if (!appendTrajectoryPoint(trajectory, point, &error)) {
-            std::fprintf(stderr, "failed to update %s: %s\n",
-                         trajectory.c_str(), error.c_str());
-            return 2;
-        }
-        std::printf("Recorded trajectory point '%s' in %s\n",
-                    record_label.c_str(), trajectory.c_str());
-    }
-
     if (!vs_path.empty()) {
-        std::string text, error;
-        PerfPoint other;
-        if (!readFile(vs_path, text) ||
-            !parsePerfPointArtifact(text, other, &error)) {
-            std::fprintf(stderr, "--vs: cannot read point from %s: %s\n",
-                         vs_path.c_str(), error.c_str());
-            return 2;
-        }
-        const double ratio = other.totalCyclesPerSec > 0
-                                 ? point.totalCyclesPerSec /
-                                       other.totalCyclesPerSec
-                                 : 0;
+        const double ratio =
+            point.totalCyclesPerSec / reference.totalCyclesPerSec;
         std::printf("\nRelative gate vs '%s' (%.0f cyc/s): %.2fx "
                     "(floor %.2fx)\n",
-                    other.label.c_str(), other.totalCyclesPerSec, ratio,
-                    min_ratio);
+                    reference.label.c_str(), reference.totalCyclesPerSec,
+                    ratio, min_ratio);
         if (ratio < min_ratio) {
-            std::fprintf(stderr,
-                         "FAIL: %.2fx vs %s, need >= %.2fx\n", ratio,
-                         other.label.c_str(), min_ratio);
+            std::fprintf(stderr, "FAIL: %.2fx vs %s, need >= %.2fx\n",
+                         ratio, reference.label.c_str(), min_ratio);
             return 1;
         }
-    }
-
-    if (check) {
-        std::vector<PerfPoint> history;
-        std::string error;
-        if (!loadTrajectory(trajectory, history, &error)) {
-            std::fprintf(stderr, "--check: %s\n", error.c_str());
-            return 2;
-        }
-        if (history.empty()) {
-            std::fprintf(stderr, "--check: no trajectory point in %s\n",
-                         trajectory.c_str());
-            return 2;
-        }
-        const PerfPoint &last = history.back();
-        const double ratio = last.totalCyclesPerSec > 0
-                                 ? point.totalCyclesPerSec /
-                                       last.totalCyclesPerSec
-                                 : 0;
-        std::printf("\nPerf check vs '%s' (%.0f cyc/s): ratio %.2fx\n",
-                    last.label.c_str(), last.totalCyclesPerSec, ratio);
-        if (ratio < 0.75) {
-            std::fprintf(stderr,
-                         "FAIL: throughput %.2fx of trajectory "
-                         "(floor 0.75x)\n",
-                         ratio);
-            return 1;
-        }
-        if (ratio < 0.90)
-            std::fprintf(stderr,
-                         "WARN: throughput %.2fx of trajectory "
-                         "(below 0.90x)\n",
-                         ratio);
     }
     return 0;
 }

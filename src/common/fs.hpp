@@ -3,13 +3,13 @@
  * Crash-safe filesystem helpers.
  *
  * Every JSON artifact the harness emits (BENCH_*.json, hang reports,
- * fuzz repro files, the perf trajectory) used to be written with a
- * plain truncating ofstream — a process killed mid-write left a
- * half-written file that downstream tooling then misparsed. The fix is
- * one shared primitive: atomicWriteFile() stages the content in a
- * temporary file in the destination directory, fsyncs it, and renames
- * it over the target, so readers only ever observe the old content or
- * the complete new content, never a torn prefix.
+ * fuzz repro files) used to be written with a plain truncating
+ * ofstream — a process killed mid-write left a half-written file that
+ * downstream tooling then misparsed. The fix is one shared primitive:
+ * atomicWriteFile() stages the content in a temporary file in the
+ * destination directory, fsyncs it, and renames it over the target, so
+ * readers only ever observe the old content or the complete new
+ * content, never a torn prefix.
  */
 
 #pragma once

@@ -3,14 +3,14 @@
  * Minimal JSON support: a streaming writer and a strict reader.
  *
  * The harness emits machine-readable experiment results
- * (BENCH_<name>.json) so the perf trajectory can be tracked by tooling;
- * the writer is the small dependency-free core that keeps the output
- * valid: it tracks object/array nesting, inserts commas, escapes
- * strings, and formats doubles deterministically (non-finite values
- * become null, which JSON lacks).
+ * (BENCH_<name>.json) for tooling to consume; the writer is the small
+ * dependency-free core that keeps the output valid: it tracks
+ * object/array nesting, inserts commas, escapes strings, and formats
+ * doubles deterministically (non-finite values become null, which
+ * JSON lacks).
  *
- * The reader (JsonValue + parseJson) is the inverse half, shared by the
- * perf-trajectory loader and the lbsimd wire protocol: a strict
+ * The reader (JsonValue + parseJson) is the inverse half, shared by
+ * bench_perf's --vs reference and the lbsimd wire protocol: a strict
  * recursive-descent parser into a small value tree. Strict means no
  * trailing garbage, no non-finite numbers, and a one-line reason for
  * every rejection — wire frames and committed artifacts are either

@@ -2,10 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "common/fs.hpp"
 #include "common/json.hpp"
 
 namespace lbsim
@@ -36,6 +33,76 @@ formatDouble(double value)
     return buf;
 }
 
+bool
+pointFromValue(const JsonValue &root, PerfPoint &out, std::string *err)
+{
+    if (!root.isObject()) {
+        *err = "perf point is not a JSON object";
+        return false;
+    }
+
+    PerfPoint point;
+    double version = 0.0, sms = 0.0, sim_cycles = 0.0, rss = 0.0;
+    if (!numberField(root, "version", version, err))
+        return false;
+    point.version = static_cast<int>(version);
+
+    const JsonValue *label = root.member("label");
+    if (!label || !label->isString()) {
+        *err = "missing or non-string field \"label\"";
+        return false;
+    }
+    point.label = label->text;
+
+    const JsonValue *smoke = root.member("smoke");
+    if (!smoke || smoke->kind != JsonValue::Kind::Bool) {
+        *err = "missing or non-boolean field \"smoke\"";
+        return false;
+    }
+    point.smoke = smoke->boolean;
+
+    if (!numberField(root, "sms", sms, err) ||
+        !numberField(root, "totalCyclesPerSec", point.totalCyclesPerSec,
+                     err) ||
+        !numberField(root, "wallSec", point.wallSec, err) ||
+        !numberField(root, "simCycles", sim_cycles, err) ||
+        !numberField(root, "peakRssKb", rss, err))
+        return false;
+    point.sms = static_cast<std::uint32_t>(sms);
+    point.simCycles = static_cast<std::uint64_t>(sim_cycles);
+    point.peakRssKb = static_cast<std::int64_t>(rss);
+
+    const JsonValue *schemes = root.member("schemes");
+    if (!schemes || !schemes->isObject()) {
+        *err = "missing or non-object field \"schemes\"";
+        return false;
+    }
+    for (const auto &[name, body] : schemes->members) {
+        if (!body.isObject()) {
+            *err = "scheme \"" + name + "\" is not an object";
+            return false;
+        }
+        SchemePerfPoint scheme;
+        scheme.scheme = name;
+        if (!numberField(body, "cyclesPerSec", scheme.cyclesPerSec, err) ||
+            !numberField(body, "wallSec", scheme.wallSec, err) ||
+            !numberField(body, "peakRssKb", rss, err)) {
+            *err = "scheme \"" + name + "\": " + *err;
+            return false;
+        }
+        scheme.peakRssKb = static_cast<std::int64_t>(rss);
+        point.schemes.push_back(std::move(scheme));
+    }
+
+    const std::string why = validatePerfPoint(point);
+    if (!why.empty()) {
+        *err = why;
+        return false;
+    }
+    out = std::move(point);
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -44,10 +111,8 @@ serializePerfPoint(const PerfPoint &point)
     std::string out = "{";
     out += "\"version\":" + std::to_string(point.version);
     out += ",\"label\":\"" + JsonWriter::escape(point.label) + "\"";
-    out += ",\"timestamp\":" + std::to_string(point.timestamp);
     out += ",\"smoke\":" + std::string(point.smoke ? "true" : "false");
     out += ",\"sms\":" + std::to_string(point.sms);
-    out += ",\"smThreads\":" + std::to_string(point.smThreads);
     out += ",\"totalCyclesPerSec\":" + formatDouble(point.totalCyclesPerSec);
     out += ",\"wallSec\":" + formatDouble(point.wallSec);
     out += ",\"simCycles\":" + std::to_string(point.simCycles);
@@ -76,8 +141,6 @@ validatePerfPoint(const PerfPoint &point)
     }
     if (point.label.empty())
         return "point has an empty label";
-    if (point.timestamp < 0)
-        return "negative timestamp";
     if (!(point.totalCyclesPerSec >= 0.0) ||
         !std::isfinite(point.totalCyclesPerSec)) {
         return "totalCyclesPerSec must be finite and non-negative";
@@ -102,115 +165,6 @@ validatePerfPoint(const PerfPoint &point)
     return {};
 }
 
-namespace
-{
-
-bool
-pointFromValue(const JsonValue &root, PerfPoint &out, std::string *err)
-{
-    if (!root.isObject()) {
-        *err = "perf point is not a JSON object";
-        return false;
-    }
-
-    PerfPoint point;
-    double number = 0.0;
-    if (!numberField(root, "version", number, err))
-        return false;
-    point.version = static_cast<int>(number);
-
-    const JsonValue *label = root.member("label");
-    if (!label || !label->isString()) {
-        *err = "missing or non-string field \"label\"";
-        return false;
-    }
-    point.label = label->text;
-
-    if (!numberField(root, "timestamp", number, err))
-        return false;
-    point.timestamp = static_cast<std::int64_t>(number);
-
-    const JsonValue *smoke = root.member("smoke");
-    if (!smoke || smoke->kind != JsonValue::Kind::Bool) {
-        *err = "missing or non-boolean field \"smoke\"";
-        return false;
-    }
-    point.smoke = smoke->boolean;
-
-    if (!numberField(root, "sms", number, err))
-        return false;
-    point.sms = static_cast<std::uint32_t>(number);
-    if (!numberField(root, "smThreads", number, err))
-        return false;
-    point.smThreads = static_cast<std::uint32_t>(number);
-    if (!numberField(root, "totalCyclesPerSec", number, err))
-        return false;
-    point.totalCyclesPerSec = number;
-    if (!numberField(root, "wallSec", number, err))
-        return false;
-    point.wallSec = number;
-    if (!numberField(root, "simCycles", number, err))
-        return false;
-    point.simCycles = static_cast<std::uint64_t>(number);
-    if (!numberField(root, "peakRssKb", number, err))
-        return false;
-    point.peakRssKb = static_cast<std::int64_t>(number);
-
-    const JsonValue *schemes = root.member("schemes");
-    if (!schemes || !schemes->isObject()) {
-        *err = "missing or non-object field \"schemes\"";
-        return false;
-    }
-    for (const auto &entry : schemes->members) {
-        const JsonValue &body = entry.second;
-        if (!body.isObject()) {
-            *err = "scheme \"" + entry.first + "\" is not an object";
-            return false;
-        }
-        SchemePerfPoint scheme;
-        scheme.scheme = entry.first;
-        if (!numberField(body, "cyclesPerSec", number, err)) {
-            *err = "scheme \"" + entry.first + "\": " + *err;
-            return false;
-        }
-        scheme.cyclesPerSec = number;
-        if (!numberField(body, "wallSec", number, err)) {
-            *err = "scheme \"" + entry.first + "\": " + *err;
-            return false;
-        }
-        scheme.wallSec = number;
-        if (!numberField(body, "peakRssKb", number, err)) {
-            *err = "scheme \"" + entry.first + "\": " + *err;
-            return false;
-        }
-        scheme.peakRssKb = static_cast<std::int64_t>(number);
-        point.schemes.push_back(std::move(scheme));
-    }
-
-    const std::string why = validatePerfPoint(point);
-    if (!why.empty()) {
-        *err = why;
-        return false;
-    }
-    out = std::move(point);
-    return true;
-}
-
-} // namespace
-
-bool
-parsePerfPoint(const std::string &text, PerfPoint &out, std::string *error)
-{
-    std::string scratch;
-    std::string *err = error ? error : &scratch;
-    err->clear();
-
-    JsonValue root;
-    if (!parseJson(text, root, err))
-        return false;
-    return pointFromValue(root, out, err);
-}
-
 bool
 parsePerfPointArtifact(const std::string &text, PerfPoint &out,
                        std::string *error)
@@ -227,89 +181,6 @@ parsePerfPointArtifact(const std::string &text, PerfPoint &out,
             return pointFromValue(*inner, out, err);
     }
     return pointFromValue(root, out, err);
-}
-
-bool
-loadTrajectory(const std::string &path, std::vector<PerfPoint> &out,
-               std::string *error)
-{
-    out.clear();
-    std::ifstream in(path);
-    if (!in)
-        return true; // Absent file = empty trajectory.
-
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_open = false, saw_close = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        // Strip the array scaffolding and inter-point commas; each
-        // point lives alone on its line.
-        while (!line.empty() &&
-               (line.back() == ',' || line.back() == ' ' ||
-                line.back() == '\r')) {
-            line.pop_back();
-        }
-        if (line.empty())
-            continue;
-        if (line == "[") {
-            saw_open = true;
-            continue;
-        }
-        if (line == "]") {
-            saw_close = true;
-            continue;
-        }
-        PerfPoint point;
-        std::string why;
-        if (!parsePerfPoint(line, point, &why)) {
-            if (error) {
-                *error = path + ":" + std::to_string(line_no) + ": " + why;
-            }
-            return false;
-        }
-        out.push_back(std::move(point));
-    }
-    if (!saw_open || !saw_close) {
-        if (error)
-            *error = path + ": not a one-point-per-line JSON array";
-        return false;
-    }
-    return true;
-}
-
-bool
-appendTrajectoryPoint(const std::string &path, const PerfPoint &point,
-                      std::string *error)
-{
-    const std::string why = validatePerfPoint(point);
-    if (!why.empty()) {
-        if (error)
-            *error = why;
-        return false;
-    }
-
-    // Re-load (and thereby re-validate) the existing trajectory, then
-    // rewrite the whole file. Rewriting keeps the scaffolding canonical
-    // no matter what whitespace the previous writer left behind.
-    std::vector<PerfPoint> points;
-    std::ifstream probe(path);
-    const bool existed = probe.good();
-    probe.close();
-    if (existed && !loadTrajectory(path, points, error))
-        return false;
-    points.push_back(point);
-
-    std::ostringstream out;
-    out << "[\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        out << serializePerfPoint(points[i])
-            << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    out << "]\n";
-    // Atomic replace: a kill mid-rewrite must never cost the committed
-    // trajectory history.
-    return atomicWriteFile(path, out.str(), error);
 }
 
 } // namespace lbsim

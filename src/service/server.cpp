@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "common/log.hpp"
 #include "harness/memo_cache.hpp"
@@ -24,11 +25,16 @@ namespace lbsim
 /** One accepted connection; shared with the plans it submitted. */
 struct SweepServer::ClientConn
 {
+    /** Closed only once this connection's thread is joined, so the
+     *  number cannot be reused while a worker may still hold it. */
     int fd = -1;
     /** Serializes event frames from concurrent workers. */
     Mutex writeMutex;
-    /** Cleared on the first failed write; later events are dropped. */
+    /** Cleared on the first failed write and when the connection loop
+     *  ends; later events are dropped. */
     std::atomic<bool> alive{true};
+    /** Set when the connection loop has returned (thread joinable). */
+    std::atomic<bool> finished{false};
 
     /** Send one frame, demoting write failures to "client gone". */
     void
@@ -37,7 +43,9 @@ struct SweepServer::ClientConn
         if (!alive.load(std::memory_order_acquire))
             return;
         MutexLock lock(writeMutex);
-        if (!writeFrame(fd, payload))
+        // Re-check under the lock: the loop may have ended meanwhile.
+        if (alive.load(std::memory_order_acquire) &&
+            !writeFrame(fd, payload))
             alive.store(false, std::memory_order_release);
     }
 };
@@ -105,11 +113,8 @@ SweepServer::~SweepServer()
         if (worker.joinable())
             worker.join();
     }
-    for (std::thread &conn : connections_) {
-        if (conn.joinable())
-            conn.join();
-    }
 #ifdef LBSIM_HAVE_POSIX_SERVER
+    reapConnections(true); // Empty unless run() exited by an exception.
     if (listenFd_ >= 0)
         ::close(listenFd_);
     for (int fd : wakePipe_) {
@@ -131,6 +136,13 @@ SweepServer::queuedCells() const
 {
     MutexLock lock(mutex_);
     return queuedCells_;
+}
+
+std::size_t
+SweepServer::connectionThreads() const
+{
+    MutexLock lock(mutex_);
+    return connections_.size();
 }
 
 std::string
@@ -310,10 +322,12 @@ SweepServer::run()
         conn->fd = fd;
         {
             MutexLock lock(mutex_);
-            liveConns_.push_back(conn);
+            connections_.push_back(
+                {conn, std::thread([this, conn] { connectionLoop(conn); })});
         }
-        connections_.emplace_back(
-            [this, conn] { connectionLoop(conn); });
+        // The daemon holds a thread per open connection, not one per
+        // connection it ever accepted.
+        reapConnections(false);
     }
 
     // Graceful drain: no new connections or tasks; in-flight cells
@@ -328,21 +342,34 @@ SweepServer::run()
     workers_.clear();
     // Unblock connection readers parked in readFrame(); their clients
     // already received every event the drained workers produced.
-    {
-        MutexLock lock(mutex_);
-        for (const std::weak_ptr<ClientConn> &weak : liveConns_) {
-            if (const std::shared_ptr<ClientConn> conn = weak.lock())
-                ::shutdown(conn->fd, SHUT_RDWR);
-        }
-        liveConns_.clear();
-    }
-    for (std::thread &conn : connections_)
-        conn.join();
-    connections_.clear();
+    reapConnections(true);
 
     persistQueuedPlans();
     MemoCache::shared().compact();
     return 0;
+}
+
+void
+SweepServer::reapConnections(bool all)
+{
+    std::vector<Connection> reaped;
+    {
+        MutexLock lock(mutex_);
+        const auto first =
+            all ? connections_.begin()
+                : std::partition(connections_.begin(), connections_.end(),
+                                 [](const Connection &c) {
+                                     return !c.conn->finished.load(
+                                         std::memory_order_acquire);
+                                 });
+        std::move(first, connections_.end(), std::back_inserter(reaped));
+        connections_.erase(first, connections_.end());
+    }
+    for (Connection &c : reaped) {
+        ::shutdown(c.conn->fd, SHUT_RDWR); // Wakes a reader still parked.
+        c.thread.join();
+        ::close(c.conn->fd);
+    }
 }
 
 void
@@ -385,8 +412,13 @@ SweepServer::connectionLoop(std::shared_ptr<ClientConn> conn)
             break;
         }
     }
+    // No frame may follow: a worker past send()'s first alive check
+    // re-checks under writeMutex. Shutdown tells the client at once;
+    // the descriptor stays allocated until the reaper closes it.
+    MutexLock lock(conn->writeMutex);
     conn->alive.store(false, std::memory_order_release);
-    ::close(conn->fd);
+    ::shutdown(conn->fd, SHUT_RDWR);
+    conn->finished.store(true, std::memory_order_release);
 }
 
 void

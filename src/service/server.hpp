@@ -121,14 +121,29 @@ class SweepServer
     /** Queued-but-not-running cell count (admission pressure). */
     std::size_t queuedCells() const;
 
+    /**
+     * Connection threads held: one per open connection, plus closed
+     * ones that the next accept has not reaped yet.
+     */
+    std::size_t connectionThreads() const;
+
     const ServerOptions &options() const { return options_; }
 
   private:
     struct ClientConn;
     struct PlanState;
     struct CellTask;
+    /** An accepted connection and the thread running its loop. */
+    struct Connection
+    {
+        std::shared_ptr<ClientConn> conn;
+        std::thread thread;
+    };
 
     void connectionLoop(std::shared_ptr<ClientConn> conn);
+    /** Join and close the connections whose loop has returned, or
+     *  every connection when @p all (shut down first). */
+    void reapConnections(bool all);
     void handleSubmit(const std::shared_ptr<ClientConn> &conn,
                       const JsonValue &message);
     void workerLoop();
@@ -149,7 +164,6 @@ class SweepServer
     int wakePipe_[2] = {-1, -1};
     std::atomic<bool> stopping_{false};
     std::vector<std::thread> workers_;
-    std::vector<std::thread> connections_;
 
     mutable Mutex mutex_;
     std::condition_variable queueCv_;
@@ -164,10 +178,10 @@ class SweepServer
     /** Plans not yet completed, by id (for persistence + done marks). */
     std::map<std::string, std::shared_ptr<PlanState>> livePlans_
         LB_GUARDED_BY(mutex_);
-    /** Open connections; drained (shutdown) on stop so their reader
-     *  threads unblock and join. */
-    std::vector<std::weak_ptr<ClientConn>> liveConns_
-        LB_GUARDED_BY(mutex_);
+    /** Accepted connections whose thread is not joined yet. Each
+     *  accept reaps the finished ones; the drain shuts down the rest so
+     *  their readers unblock and join. */
+    std::vector<Connection> connections_ LB_GUARDED_BY(mutex_);
     ServerStats stats_ LB_GUARDED_BY(mutex_);
 };
 

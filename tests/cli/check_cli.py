@@ -4,8 +4,9 @@
 The exit codes are API: scripts and CI jobs branch on them, so they are
 pinned here end-to-end against the real binaries.
 
-  lbsim_cli:     0 ok, 1 usage error (unknown option), 3 watchdog trip
-                 (with a parseable JSON hang report next to it)
+  lbsim_cli:     0 ok, 1 usage error (unknown option or a bad numeric
+                 value), 3 watchdog trip (with a parseable JSON hang
+                 report next to it)
   lbsim_submit:  0 ok, 2 usage/connect errors, 4 shed by the daemon
 
 Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit>
@@ -83,6 +84,27 @@ def test_cli_rejects_unknown_options(cli):
               proc.stderr[-200:])
 
 
+def test_bad_numeric_values(cli, submit):
+    """A numeric option takes a whole number in range, or is refused
+    up front with its name on stderr; it never falls back to a default
+    or reaches the simulator."""
+    base = [cli, "--app", "KM", "--scheme", "baseline", "--warmup", "0",
+            "--cycles", "1000", "--no-cache"]
+    for option, value in (("--l1-kb", "0"), ("--sms", "abc")):
+        proc = run(base + [option, value])
+        check(f"cli {option} {value} exits 1", proc.returncode == 1,
+              f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+        check(f"cli {option} {value} is named on stderr",
+              option in proc.stderr, proc.stderr[-200:])
+    # --direct would otherwise run the plan in-process and exit 0.
+    proc = run([submit, "--direct", "--schemes", "baseline", "--apps",
+                "S2", "--smoke", "--sms", "abc"])
+    check("submit --sms abc exits 2", proc.returncode == 2,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+    check("submit --sms abc is named on stderr", "--sms" in proc.stderr,
+          proc.stderr[-200:])
+
+
 def test_submit_usage_and_connect_errors(submit, tmp):
     proc = run([submit, "--socket", os.path.join(tmp, "x.sock")])
     check("submit without --schemes exits 2", proc.returncode == 2,
@@ -138,6 +160,7 @@ def main():
         test_cli_ok_exit_code(cli, tmp)
         test_cli_hang_exit_code(cli, tmp)
         test_cli_rejects_unknown_options(cli)
+        test_bad_numeric_values(cli, submit)
         test_submit_usage_and_connect_errors(submit, tmp)
         test_submit_shed_exit_code(daemon, submit, tmp)
     if FAILURES:

@@ -1,5 +1,5 @@
 // Fixture: range-for over unordered containers whose bodies have
-// order-visible effects (state mutation, output). Both backends must
+// order-visible effects (state mutation, output). lbsim_lint.py must
 // flag each loop header line.
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Fixture: NOLINT suppression. Each would-be finding is silenced by a
 // NOLINT / NOLINTNEXTLINE comment naming the check, so this file must
-// come out clean under both backends.
+// come out clean under lbsim_lint.py.
 
 #include <cstdlib>
 

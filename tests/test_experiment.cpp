@@ -9,13 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/cli_args.hpp"
 #include "harness/experiment.hpp"
 #include "harness/memo_cache.hpp"
 #include "harness/sim_runner.hpp"
@@ -301,6 +303,71 @@ TEST(ClampThreadArg, ClampsToHardwareConcurrencyAndNamesTheFlag)
     }
     EXPECT_EQ(clamped, hw);
     EXPECT_NE(warning.find("--workers"), std::string::npos) << warning;
+}
+
+/**
+ * Expect parseUnsignedArg to refuse @p text for a uint32 option with
+ * range [@p min, @p max]: false, the output untouched, and stderr
+ * naming both the option and the text.
+ */
+void
+expectRefused(const char *text, std::uint64_t min = 0,
+              std::uint64_t max = UINT64_MAX)
+{
+    std::uint32_t out = 42;
+    ::testing::internal::CaptureStderr();
+    const bool ok = parseUnsignedArg(text, "--sms", out, min, max);
+    const std::string message = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(ok) << "'" << text << "'";
+    EXPECT_EQ(out, 42u) << "'" << text << "'";
+    EXPECT_NE(message.find("--sms"), std::string::npos) << message;
+    EXPECT_NE(message.find("'" + std::string(text) + "'"),
+              std::string::npos)
+        << message;
+}
+
+TEST(ParseUnsignedArg, AcceptsWholeNumbersAcrossTheRange)
+{
+    std::uint64_t wide = 7;
+    EXPECT_TRUE(parseUnsignedArg("0", "--cycles", wide));
+    EXPECT_EQ(wide, 0u);
+    EXPECT_TRUE(parseUnsignedArg("18446744073709551615", "--cycles", wide));
+    EXPECT_EQ(wide, UINT64_MAX);
+    std::uint32_t narrow = 0;
+    EXPECT_TRUE(parseUnsignedArg("1", "--sms", narrow, 1, 64));
+    EXPECT_EQ(narrow, 1u);
+    EXPECT_TRUE(parseUnsignedArg("0064", "--sms", narrow, 1, 64));
+    EXPECT_EQ(narrow, 64u);
+}
+
+TEST(ParseUnsignedArg, RefusesGarbageAndTrailingText)
+{
+    expectRefused("abc");
+    expectRefused("");
+    expectRefused("12x");
+    expectRefused("4 ");
+    expectRefused(" 4");
+    expectRefused("1.5");
+    expectRefused("0x10");
+}
+
+TEST(ParseUnsignedArg, RefusesSignsAndOverflow)
+{
+    // strtoull would negate "-1" into a huge value and accept "+1".
+    expectRefused("-1");
+    expectRefused("+1");
+    expectRefused("18446744073709551616");
+    expectRefused("99999999999999999999999");
+    // Past the output type even when the caller's range is wider.
+    expectRefused("4294967296");
+}
+
+TEST(ParseUnsignedArg, RefusesValuesOutsideTheCallersRange)
+{
+    expectRefused("0", 1, 64);
+    expectRefused("65", 1, 64);
+    std::uint32_t out = 0;
+    EXPECT_TRUE(parseUnsignedArg("64", "--sms", out, 1, 64));
 }
 
 } // namespace

@@ -1,21 +1,19 @@
 /**
  * @file
  * Perf-harness schema tests: the #lbsim-perf-point-v1 format behind
- * bench_perf and the committed trajectory file.
+ * bench_perf's artifact and its --vs reference.
  *
- * The serializer/parser round-trip, the versioned trajectory append,
- * and the malformed-point rejections are pure data tests; the smoke
- * test at the end runs a miniature sweep through SimRunner — the same
- * measurement loop bench_perf times — and requires a positive
- * cycles/sec figure for every scheme, so a kernel that silently stops
- * simulating cannot report a healthy trajectory point.
+ * The serializer/parser round-trip and the malformed-point rejections
+ * are pure data tests; the smoke test at the end runs a miniature
+ * sweep through SimRunner — the same measurement loop bench_perf
+ * times — and requires a positive cycles/sec figure for every scheme,
+ * so a kernel that silently stops simulating cannot report a healthy
+ * point. tests/perf/check_perf_gate.py drives the --vs gate itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -33,10 +31,8 @@ samplePoint(const std::string &label = "unit")
 {
     PerfPoint point;
     point.label = label;
-    point.timestamp = 1700000000;
     point.smoke = true;
     point.sms = 2;
-    point.smThreads = 4;
     point.totalCyclesPerSec = 123456.7;
     point.wallSec = 36.5;
     point.simCycles = 4500000;
@@ -46,13 +42,6 @@ samplePoint(const std::string &label = "unit")
     return point;
 }
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + "lbsim_perf_" + name + "_" +
-           std::to_string(::getpid()) + ".json";
-}
-
 TEST(PerfPoint, SerializeParseRoundTrip)
 {
     const PerfPoint point = samplePoint();
@@ -60,14 +49,12 @@ TEST(PerfPoint, SerializeParseRoundTrip)
 
     PerfPoint parsed;
     std::string error;
-    ASSERT_TRUE(parsePerfPoint(line, parsed, &error)) << error;
+    ASSERT_TRUE(parsePerfPointArtifact(line, parsed, &error)) << error;
 
     EXPECT_EQ(parsed.version, kPerfPointVersion);
     EXPECT_EQ(parsed.label, point.label);
-    EXPECT_EQ(parsed.timestamp, point.timestamp);
     EXPECT_EQ(parsed.smoke, point.smoke);
     EXPECT_EQ(parsed.sms, point.sms);
-    EXPECT_EQ(parsed.smThreads, point.smThreads);
     EXPECT_NEAR(parsed.totalCyclesPerSec, point.totalCyclesPerSec, 0.1);
     EXPECT_NEAR(parsed.wallSec, point.wallSec, 0.1);
     EXPECT_EQ(parsed.simCycles, point.simCycles);
@@ -95,10 +82,13 @@ TEST(PerfPoint, ArtifactWrapperParses)
     std::string error;
     ASSERT_TRUE(parsePerfPointArtifact(artifact, parsed, &error)) << error;
     EXPECT_EQ(parsed.label, "unit");
-    // A bare point is accepted too.
-    ASSERT_TRUE(parsePerfPointArtifact(serializePerfPoint(samplePoint()),
-                                       parsed, &error))
-        << error;
+
+    // A point from an older writer, which also carried "timestamp" and
+    // "smThreads", still parses: unknown keys are ignored.
+    std::string older = serializePerfPoint(samplePoint());
+    older.insert(1, "\"timestamp\":1700000000,\"smThreads\":0,");
+    ASSERT_TRUE(parsePerfPointArtifact(older, parsed, &error)) << error;
+    EXPECT_EQ(parsed.schemes.size(), 2u);
 }
 
 TEST(PerfPoint, RejectsMalformedPoints)
@@ -107,22 +97,26 @@ TEST(PerfPoint, RejectsMalformedPoints)
     std::string error;
 
     // Not JSON at all.
-    EXPECT_FALSE(parsePerfPoint("not json", parsed, &error));
+    EXPECT_FALSE(parsePerfPointArtifact("not json", parsed, &error));
     EXPECT_FALSE(error.empty());
 
     // Truncated object.
     const std::string good = serializePerfPoint(samplePoint());
-    EXPECT_FALSE(
-        parsePerfPoint(good.substr(0, good.size() / 2), parsed, &error));
+    EXPECT_FALSE(parsePerfPointArtifact(good.substr(0, good.size() / 2),
+                                        parsed, &error));
 
     // Trailing garbage.
-    EXPECT_FALSE(parsePerfPoint(good + "x", parsed, &error));
+    EXPECT_FALSE(parsePerfPointArtifact(good + "x", parsed, &error));
+
+    // A wrapper whose point is malformed.
+    EXPECT_FALSE(parsePerfPointArtifact("{\"bench\":\"perf\",\"point\":1}",
+                                        parsed, &error));
 
     // Wrong schema version.
     PerfPoint wrong = samplePoint();
     wrong.version = 99;
     EXPECT_FALSE(
-        parsePerfPoint(serializePerfPoint(wrong), parsed, &error));
+        parsePerfPointArtifact(serializePerfPoint(wrong), parsed, &error));
     EXPECT_NE(error.find("version"), std::string::npos) << error;
 
     // Version field missing entirely (the pre-versioning format).
@@ -130,24 +124,24 @@ TEST(PerfPoint, RejectsMalformedPoints)
     const std::size_t pos = unversioned.find("\"version\":1,");
     ASSERT_NE(pos, std::string::npos);
     unversioned.erase(pos, std::string("\"version\":1,").size());
-    EXPECT_FALSE(parsePerfPoint(unversioned, parsed, &error));
+    EXPECT_FALSE(parsePerfPointArtifact(unversioned, parsed, &error));
 
     // Empty label.
     PerfPoint unlabeled = samplePoint("");
     EXPECT_FALSE(
-        parsePerfPoint(serializePerfPoint(unlabeled), parsed, &error));
+        parsePerfPointArtifact(serializePerfPoint(unlabeled), parsed, &error));
 
     // No schemes.
     PerfPoint bare = samplePoint();
     bare.schemes.clear();
     EXPECT_FALSE(
-        parsePerfPoint(serializePerfPoint(bare), parsed, &error));
+        parsePerfPointArtifact(serializePerfPoint(bare), parsed, &error));
 
     // Negative throughput.
     PerfPoint negative = samplePoint();
     negative.schemes[0].cyclesPerSec = -1.0;
     EXPECT_FALSE(
-        parsePerfPoint(serializePerfPoint(negative), parsed, &error));
+        parsePerfPointArtifact(serializePerfPoint(negative), parsed, &error));
 }
 
 TEST(PerfPoint, ValidateMirrorsParseRules)
@@ -165,78 +159,6 @@ TEST(PerfPoint, ValidateMirrorsParseRules)
     bad = samplePoint();
     bad.schemes.clear();
     EXPECT_FALSE(validatePerfPoint(bad).empty());
-}
-
-TEST(PerfTrajectory, AppendCreatesLoadsAndExtends)
-{
-    const std::string path = tempPath("trajectory");
-    std::remove(path.c_str());
-
-    // Missing file = empty trajectory.
-    std::vector<PerfPoint> points;
-    std::string error;
-    ASSERT_TRUE(loadTrajectory(path, points, &error)) << error;
-    EXPECT_TRUE(points.empty());
-
-    // First append creates the file.
-    ASSERT_TRUE(appendTrajectoryPoint(path, samplePoint("pre-opt"),
-                                      &error))
-        << error;
-    // Second extends it.
-    ASSERT_TRUE(appendTrajectoryPoint(path, samplePoint("post-opt"),
-                                      &error))
-        << error;
-
-    ASSERT_TRUE(loadTrajectory(path, points, &error)) << error;
-    ASSERT_EQ(points.size(), 2u);
-    EXPECT_EQ(points[0].label, "pre-opt");
-    EXPECT_EQ(points[1].label, "post-opt");
-
-    // The file keeps the one-point-per-line array layout.
-    std::ifstream in(path);
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line))
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 4u);
-    EXPECT_EQ(lines.front(), "[");
-    EXPECT_EQ(lines.back(), "]");
-    EXPECT_EQ(lines[1].back(), ',');
-
-    std::remove(path.c_str());
-}
-
-TEST(PerfTrajectory, RejectsInvalidAppendAndMalformedFile)
-{
-    const std::string path = tempPath("reject");
-    std::remove(path.c_str());
-
-    // An invalid point never reaches the file.
-    PerfPoint bad = samplePoint();
-    bad.schemes.clear();
-    std::string error;
-    EXPECT_FALSE(appendTrajectoryPoint(path, bad, &error));
-    std::ifstream probe(path);
-    EXPECT_FALSE(probe.good());
-
-    // A file with a malformed line fails to load with a located error.
-    {
-        std::ofstream out(path);
-        out << "[\n" << serializePerfPoint(samplePoint()) << ",\n"
-            << "{\"version\":1,\"label\":\"broken\"}\n" << "]\n";
-    }
-    std::vector<PerfPoint> points;
-    EXPECT_FALSE(loadTrajectory(path, points, &error));
-    EXPECT_NE(error.find(":3:"), std::string::npos) << error;
-
-    // A bare JSON line without the array scaffolding is rejected.
-    {
-        std::ofstream out(path);
-        out << serializePerfPoint(samplePoint()) << "\n";
-    }
-    EXPECT_FALSE(loadTrajectory(path, points, &error));
-
-    std::remove(path.c_str());
 }
 
 /**
@@ -296,7 +218,7 @@ TEST(PerfSmoke, EverySchemeReportsPositiveThroughput)
     PerfPoint parsed;
     std::string error;
     EXPECT_TRUE(
-        parsePerfPoint(serializePerfPoint(point), parsed, &error))
+        parsePerfPointArtifact(serializePerfPoint(point), parsed, &error))
         << error;
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -753,6 +754,76 @@ TEST(SweepServerTest, DrainReturnsZeroWithIdleClients)
     ASSERT_GE(fd, 0);
     EXPECT_EQ(running.drain(), 0);
     ::close(fd);
+}
+
+TEST(SweepServerTest, ClientsLeavingMidPlanAreNotWrittenTo)
+{
+    RunningServer running(testServerOptions("leave"));
+    ASSERT_TRUE(running.started());
+    PlanRequest request = oneCellSmoke();
+    request.apps = {"S2", "KM", "GA"};
+
+    // Each client leaves right after "accepted", so the worker's cell
+    // frames race the connection's close; memo hits after the first
+    // round make that race tight. No frame may reach a closed (or
+    // reused) descriptor, and every cell still completes.
+    constexpr int kRounds = 20;
+    for (int round = 0; round < kRounds; ++round) {
+        int fd = -1;
+        const JsonValue accepted = submitAndReadReply(
+            running.server().options().socketPath, request, &fd);
+        ASSERT_EQ(accepted.stringOr("type"), "accepted");
+        ::close(fd);
+    }
+    for (int wait = 0; wait < 3000; ++wait) {
+        if (running.server().stats().plansCompleted == kRounds)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const ServerStats stats = running.server().stats();
+    EXPECT_EQ(stats.plansCompleted, static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(stats.cellsCompleted, 3u * kRounds);
+    EXPECT_EQ(stats.cellsFailed, 0u);
+    EXPECT_EQ(running.drain(), 0);
+}
+
+TEST(SweepServerTest, ReapsFinishedConnectionThreads)
+{
+    RunningServer running(testServerOptions("reap"));
+    ASSERT_TRUE(running.started());
+    const std::string socket_path =
+        running.server().options().socketPath;
+    // Connect and finish one stats round trip: once the reply is
+    // back, the server has accepted this connection.
+    const auto open_served = [&socket_path] {
+        const int fd = connectTo(socket_path);
+        std::string payload, error;
+        bool eof = false;
+        EXPECT_TRUE(fd >= 0 && writeFrame(fd, statsRequestMessage(),
+                                          &error) &&
+                    readFrame(fd, payload, eof, &error))
+            << error;
+        return fd;
+    };
+
+    for (int i = 0; i < 50; ++i)
+        ::close(open_served());
+
+    // With one connection open, the server may hold one thread. An
+    // accept reaps only the loops that have returned by then (and may
+    // not have reaped yet when the reply arrives), so a loop still
+    // unwinding from the previous close waits for a later probe.
+    std::size_t held = 0;
+    for (int probe = 0; probe < 100; ++probe) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        const int fd = open_served();
+        held = running.server().connectionThreads();
+        ::close(fd);
+        if (held <= 1)
+            break;
+    }
+    EXPECT_LE(held, 1u);
+    EXPECT_EQ(running.drain(), 0);
 }
 
 #endif  // LBSIM_HAVE_SOCKETS

@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_args.hpp"
 #include "common/fs.hpp"
-#include "common/parallel.hpp"
 #include "harness/experiment.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
@@ -218,24 +218,31 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // Every numeric option goes through the one checked parser: a bad
+    // value is a usage error, never a silent default.
+    const auto number = [&](const char *name, auto &out,
+                            std::uint64_t min = 0,
+                            std::uint64_t max = UINT64_MAX) {
+        const char *v = arg(argc, argv, name);
+        return !v || parseUnsignedArg(v, name, out, min, max);
+    };
     GpuConfig cfg;
-    if (const char *v = arg(argc, argv, "--l1-kb"))
-        cfg.l1.sizeBytes = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10) * 1024);
     cfg.warmupCycles = 200000;
-    if (const char *v = arg(argc, argv, "--warmup"))
-        cfg.warmupCycles = std::strtoull(v, nullptr, 10);
-    if (const char *v = arg(argc, argv, "--timeout-cycles"))
-        cfg.watchdogCycles = std::strtoull(v, nullptr, 10);
-
     RunnerOptions options;
     options.simSms = 2;
     options.maxCycles = 400000;
-    if (const char *v = arg(argc, argv, "--sms"))
-        options.simSms = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10));
-    if (const char *v = arg(argc, argv, "--cycles"))
-        options.maxCycles = std::strtoull(v, nullptr, 10);
+    std::uint32_t l1_kb = cfg.l1.sizeBytes / 1024;
+    std::uint32_t warp_limit = 0;
+    unsigned threads = 0;
+    if (!number("--l1-kb", l1_kb, 1, 1024) ||
+        !number("--warmup", cfg.warmupCycles) ||
+        !number("--timeout-cycles", cfg.watchdogCycles) ||
+        !number("--sms", options.simSms, 1, 64) ||
+        !number("--cycles", options.maxCycles, 1) ||
+        !number("--warp-limit", warp_limit, 0, 64) ||
+        !number("--threads", threads))
+        return 1;
+    cfg.l1.sizeBytes = l1_kb * 1024;
     options.useMemoCache = !flag(argc, argv, "--no-cache");
 
     if (const char *v = arg(argc, argv, "--fault-plan")) {
@@ -261,10 +268,6 @@ main(int argc, char **argv)
         apps.push_back(appById(app_id));
 
     const std::string name = scheme_name;
-    std::uint32_t warp_limit = 0;
-    if (const char *v = arg(argc, argv, "--warp-limit"))
-        warp_limit = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10));
     SchemeConfig scheme;
     bool oracle_swl = false;
     if (!schemeByName(name, warp_limit, scheme, oracle_swl)) {
@@ -289,10 +292,7 @@ main(int argc, char **argv)
     }
 
     EngineOptions engine_opts;
-    if (const char *v = arg(argc, argv, "--threads"))
-        engine_opts.threads = clampThreadArg(
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10)),
-            "--threads");
+    engine_opts.threads = clampThreadArg(threads, "--threads");
     engine_opts.printProgress = apps.size() > 1;
     const std::vector<CellResult> results =
         ExperimentEngine(engine_opts).run(plan);

@@ -33,6 +33,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli_args.hpp"
 #include "common/fs.hpp"
 #include "resilience/isolation.hpp"
 #include "testing/fuzz.hpp"
@@ -49,6 +50,7 @@ namespace
 using lbsim::FuzzCase;
 using lbsim::FuzzCaseResult;
 using lbsim::IsolationStatus;
+using lbsim::parseUnsignedArg;
 
 /** Wall-clock guard per forked case; a hang is a failure too. */
 constexpr unsigned kChildTimeoutSec = 120;
@@ -111,10 +113,9 @@ runIsolated(const FuzzCase &fuzz_case)
         std::getline(in, verdict.property);
         std::string checks;
         std::getline(in, checks);
-        if (!checks.empty()) {
-            verdict.lockstepChecks =
-                std::strtoull(checks.c_str(), nullptr, 10);
-        }
+        if (!checks.empty())
+            parseUnsignedArg(checks.c_str(), "lockstep check count",
+                             verdict.lockstepChecks);
         std::ostringstream rest;
         rest << in.rdbuf();
         verdict.detail = rest.str();
@@ -299,16 +300,20 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--iters") {
-            options.iters = std::strtoull(nextValue(), nullptr, 10);
+            if (!parseUnsignedArg(nextValue(), "--iters", options.iters, 1))
+                return 2;
         } else if (arg == "--seed-base") {
-            options.seedBase = std::strtoull(nextValue(), nullptr, 10);
+            if (!parseUnsignedArg(nextValue(), "--seed-base",
+                                  options.seedBase))
+                return 2;
         } else if (arg == "--out") {
             options.outDir = nextValue();
         } else if (arg == "--replay") {
             options.replayFile = nextValue();
         } else if (arg == "--dump") {
-            const std::uint64_t seed =
-                std::strtoull(nextValue(), nullptr, 10);
+            std::uint64_t seed = 0;
+            if (!parseUnsignedArg(nextValue(), "--dump", seed))
+                return 2;
             const std::string path = nextValue();
             const FuzzCase dumped =
                 options.faults ? lbsim::generateFaultFuzzCase(seed)
@@ -337,9 +342,5 @@ main(int argc, char **argv)
 
     if (!options.replayFile.empty())
         return replay(options.replayFile);
-    if (options.iters == 0) {
-        usage(argv[0]);
-        return 2;
-    }
     return fuzz(options);
 }

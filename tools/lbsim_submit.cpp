@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/cli_args.hpp"
 #include "harness/report.hpp"
 #include "service/wire.hpp"
 
@@ -351,24 +351,24 @@ main(int argc, char **argv)
     if (const char *v = arg(argc, argv, "--schemes"))
         request.schemes = splitCommas(v);
     request.smoke = flag(argc, argv, "--smoke");
-    if (const char *v = arg(argc, argv, "--sms"))
-        request.sms = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10));
-    if (const char *v = arg(argc, argv, "--cycles"))
-        request.cycles = std::strtoull(v, nullptr, 10);
-    if (const char *v = arg(argc, argv, "--warmup"))
-        request.warmup = std::strtoull(v, nullptr, 10);
-    if (const char *v = arg(argc, argv, "--warp-limit"))
-        request.warpLimit = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10));
-    if (const char *v = arg(argc, argv, "--timeout-cycles"))
-        request.timeoutCycles = std::strtoull(v, nullptr, 10);
-    if (const char *v = arg(argc, argv, "--deadline-sec"))
-        request.deadlineSec = static_cast<unsigned>(
-            std::strtoul(v, nullptr, 10));
-    if (const char *v = arg(argc, argv, "--retry-cap"))
-        request.retryCap = static_cast<unsigned>(
-            std::strtoul(v, nullptr, 10));
+    // Every numeric option goes through the one checked parser: a bad
+    // value is a usage error, never a silent default.
+    const auto number = [&](const char *name, auto &out,
+                            std::uint64_t min = 0,
+                            std::uint64_t max = UINT64_MAX) {
+        const char *v = arg(argc, argv, name);
+        return !v || lbsim::parseUnsignedArg(v, name, out, min, max);
+    };
+    unsigned threads = 0;
+    if (!number("--sms", request.sms, 1, 64) ||
+        !number("--cycles", request.cycles, 1) ||
+        !number("--warmup", request.warmup) ||
+        !number("--warp-limit", request.warpLimit, 0, 64) ||
+        !number("--timeout-cycles", request.timeoutCycles) ||
+        !number("--deadline-sec", request.deadlineSec) ||
+        !number("--retry-cap", request.retryCap) ||
+        !number("--threads", threads))
+        return kExitUsage;
     if (request.schemes.empty()) {
         std::fprintf(stderr, "lbsim_submit: --schemes is required\n");
         usage();
@@ -376,14 +376,10 @@ main(int argc, char **argv)
     }
 
     const char *json_path = arg(argc, argv, "--json");
-    if (flag(argc, argv, "--direct")) {
-        unsigned threads = 0;
-        if (const char *v = arg(argc, argv, "--threads"))
-            threads = lbsim::clampThreadArg(
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10)),
-                "--threads");
-        return runDirect(request, threads, json_path);
-    }
+    if (flag(argc, argv, "--direct"))
+        return runDirect(request,
+                         lbsim::clampThreadArg(threads, "--threads"),
+                         json_path);
 
     std::string client = "anon";
     if (const char *v = arg(argc, argv, "--client"))

@@ -12,7 +12,8 @@
  * finish, queued plans persist to the plans journal, both journals
  * compact — and the process exits 0. A SIGKILL loses nothing durable:
  * completed cells live in the memo journal, admitted plans in the
- * plans journal, and the next start resumes the difference.
+ * plans journal, and the next start resumes the difference. A socket
+ * or journal that cannot be set up exits 1, a bad option 2.
  *
  * Example:
  *   lbsimd --socket /tmp/lbsimd.sock --workers 2 &
@@ -25,7 +26,7 @@
 #include <cstring>
 #include <string>
 
-#include "common/parallel.hpp"
+#include "common/cli_args.hpp"
 #include "service/server.hpp"
 
 namespace
@@ -98,22 +99,24 @@ main(int argc, char **argv)
     ServerOptions options;
     if (const char *v = arg(argc, argv, "--socket"))
         options.socketPath = v;
-    if (const char *v = arg(argc, argv, "--workers"))
-        options.workers = clampThreadArg(
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10)),
-            "--workers");
-    if (const char *v = arg(argc, argv, "--queue"))
-        options.maxQueuedCells = std::strtoull(v, nullptr, 10);
-    if (const char *v = arg(argc, argv, "--client-quota"))
-        options.perClientQueuedCells = std::strtoull(v, nullptr, 10);
+    // Every numeric option goes through the one checked parser: a bad
+    // value is a usage error (exit 2), never a silent default.
+    const auto number = [&](const char *name, auto &out,
+                            std::uint64_t min = 0) {
+        const char *v = arg(argc, argv, name);
+        return !v || parseUnsignedArg(v, name, out, min);
+    };
+    if (!number("--workers", options.workers, 1) ||
+        !number("--queue", options.maxQueuedCells) ||
+        !number("--client-quota", options.perClientQueuedCells) ||
+        !number("--retry-backoff-ms", options.retryBackoffMs))
+        return 2;
+    options.workers = clampThreadArg(options.workers, "--workers");
     if (const char *v = arg(argc, argv, "--plans-journal"))
         options.plansJournalPath =
             std::strcmp(v, "none") == 0 ? "" : v;
     if (flag(argc, argv, "--isolate"))
         options.isolateCells = true;
-    if (const char *v = arg(argc, argv, "--retry-backoff-ms"))
-        options.retryBackoffMs = static_cast<unsigned>(
-            std::strtoul(v, nullptr, 10));
 
     SweepServer server(options);
     g_server = &server;

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Portable backend of the lbsim lint suite.
+"""The lbsim lint suite: four project-specific check families.
 
-Implements the same check families as the clang-tidy plugin
-(tools/lint/*.cpp) with textual heuristics, so the suite runs on any
-box with python3 — no LLVM dev toolchain required. The plugin is the
-precise reference implementation; this backend exists so ctest and
-tools/run_static_analysis.sh can enforce the rules everywhere. Both
-backends are validated against the same fixture corpus in tests/lint/.
+Textual heuristics over the C++ sources, so the suite runs on any box
+with python3 and no LLVM toolchain. It is the suite's only backend:
+ctest (lint_fixtures_python, lint_tree_clean) and
+tools/run_static_analysis.sh both run it. The fixture corpus in
+tests/lint/fixtures pins its behaviour: every line a check must flag
+carries an EXPECT comment. A new check lands here, beside fixtures
+that exercise it.
 
 Check families
 --------------
