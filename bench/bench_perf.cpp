@@ -7,17 +7,14 @@
  * the real cycle kernel. Reports simulated-cycles-per-wall-second and
  * the process peak RSS after each scheme, and writes them as a perf
  * point (harness/perf_point, #lbsim-perf-point-v1) into the
- * BENCH_perf.json artifact. Beyond the shared bench options:
+ * BENCH_perf.json artifact. It runs the figures' Regime (--smoke,
+ * --sms; harness/figures.hpp).
  *
- *   --naive             naive-reference mode: run the plain per-cycle
- *                       loop (event-driven tick skipping disabled)
- *   --vs <artifact>     relative gate: require this run's total
- *                       cycles/sec to beat the point in another run's
- *                       BENCH_perf.json by --min-ratio. CI runs the
- *                       naive reference first, then gates the
- *                       optimized kernel against it — runner-speed
- *                       independent, unlike an absolute floor.
- *   --min-ratio <f>     ratio for --vs (default 2.0)
+ * The relative gate --vs requires this run's total cycles/sec to beat
+ * the point in another run's BENCH_perf.json by --min-ratio. CI runs
+ * the naive reference (--naive: the plain per-cycle loop, event-driven
+ * tick skipping off) first, then gates the optimized kernel against it
+ * — runner-speed independent, unlike an absolute floor.
  *
  * Exit status: 0 ok, 1 below the --vs floor, 2 on a usage error or an
  * unusable reference. The reference is read and checked before the
@@ -42,15 +39,35 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "common/cli_args.hpp"
 #include "common/fs.hpp"
+#include "harness/figures.hpp"
 #include "harness/perf_point.hpp"
+#include "harness/report.hpp"
 
 namespace
 {
 
 using namespace lbsim;
-using namespace lbsim::bench;
+
+constexpr CliOption kOptions[] = {
+    {"--smoke", "reduced cycles and app subset"},
+    {"--sms <n>", "SMs to simulate (default 2, scaled chip)"},
+    {"--json [path]", "JSON path (default BENCH_perf.json)"},
+    {"--no-json", "skip the JSON artifact"},
+    {"--naive", "naive reference: tick skipping off"},
+    {"--vs <artifact>", "gate on another run's BENCH_perf.json"},
+    {"--min-ratio <f>", "ratio --vs requires (default 2.0)"},
+    {"--help", nullptr},
+    {"-h", nullptr},
+};
+
+void
+usage()
+{
+    std::puts("usage: bench_perf [options]");
+    printOptions(kOptions);
+}
 
 long
 peakRssKb()
@@ -74,53 +91,48 @@ nowSec()
 int
 main(int argc, char **argv)
 {
-    bool naive = false;
-    std::string vs_path;
+    const bool valid = validArguments(argc, argv, kOptions);
+    if (!valid || flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
+        usage();
+        return valid ? 0 : 2;
+    }
+    const bool naive = flag(argc, argv, "--naive");
+    const char *vs_path = arg(argc, argv, "--vs");
     double min_ratio = 2.0;
-
-    // Strip the perf-specific arguments, then hand the rest to the
-    // shared parser.
-    std::vector<char *> rest = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--naive") {
-            naive = true;
-        } else if (a == "--vs" && i + 1 < argc) {
-            vs_path = argv[++i];
-        } else if (a == "--min-ratio" && i + 1 < argc) {
-            char *end = nullptr;
-            min_ratio = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' || !(min_ratio > 0) ||
-                !std::isfinite(min_ratio)) {
-                std::fprintf(stderr, "--min-ratio: expected a positive "
-                             "number, got '%s'\n", argv[i]);
-                return 2;
-            }
-        } else {
-            rest.push_back(argv[i]);
+    if (const char *v = arg(argc, argv, "--min-ratio")) {
+        char *end = nullptr;
+        min_ratio = std::strtod(v, &end);
+        if (end == v || *end != '\0' || !(min_ratio > 0) ||
+            !std::isfinite(min_ratio)) {
+            std::fprintf(stderr, "--min-ratio: expected a positive "
+                         "number, got '%s'\n", v);
+            return 2;
         }
     }
-    const BenchOptions opts = parseBenchArgs(
-        static_cast<int>(rest.size()), rest.data(), "perf");
+    // Throughput numbers are meaningless against the memo cache.
+    Regime regime{.smoke = flag(argc, argv, "--smoke"),
+                  .memoCache = false};
+    if (!numberArg(argc, argv, "--sms", regime.sms, 1, 64))
+        return 2;
+    const char *json = arg(argc, argv, "--json");
+    const std::string json_path =
+        json && json[0] != '-' ? json : "BENCH_perf.json";
 
     PerfPoint reference;
-    if (!vs_path.empty()) {
+    if (vs_path) {
         std::string text, error;
         if (!readFileToString(vs_path, text, &error) ||
             !parsePerfPointArtifact(text, reference, &error)) {
             std::fprintf(stderr, "--vs: cannot read point from %s: %s\n",
-                         vs_path.c_str(), error.c_str());
+                         vs_path, error.c_str());
             return 2;
         }
         if (!(reference.totalCyclesPerSec > 0)) {
             std::fprintf(stderr, "--vs: %s has no positive "
-                         "totalCyclesPerSec\n", vs_path.c_str());
+                         "totalCyclesPerSec\n", vs_path);
             return 2;
         }
     }
-
-    // Throughput numbers are meaningless against the memo cache.
-    setenv("LBSIM_NO_CACHE", "1", 1);
 
     printFigureBanner("Perf", naive
                           ? "Simulation throughput per scheme "
@@ -128,12 +140,11 @@ main(int argc, char **argv)
                           : "Simulation throughput per scheme "
                             "(cycles/sec, uncached)");
 
-    GpuConfig gpu = benchGpuConfig(opts);
+    GpuConfig gpu = regime.gpuConfig();
     if (naive)
         gpu.tickSkip = false;
-    RunnerOptions options = benchRunnerOptions(opts);
-    options.useMemoCache = false;
-    const std::vector<AppProfile> apps = benchApps(opts);
+    const RunnerOptions options = regime.runnerOptions();
+    const std::vector<AppProfile> apps = regime.apps();
 
     const std::vector<SchemeConfig> schemes = {
         SchemeConfig::baseline(), SchemeConfig::bestSwl(8),
@@ -142,8 +153,8 @@ main(int argc, char **argv)
 
     PerfPoint point;
     point.label = naive ? "naive" : "run";
-    point.smoke = opts.smoke;
-    point.sms = opts.sms ? opts.sms : 2;
+    point.smoke = regime.smoke;
+    point.sms = options.simSms;
 
     for (const SchemeConfig &scheme : schemes) {
         SchemePerfPoint perf;
@@ -191,14 +202,14 @@ main(int argc, char **argv)
                 point.totalCyclesPerSec,
                 static_cast<double>(point.peakRssKb) / 1024.0);
 
-    if (opts.writeJson) {
-        std::ofstream out(opts.jsonPath);
+    if (!flag(argc, argv, "--no-json")) {
+        std::ofstream out(json_path);
         out << "{\"bench\":\"perf\",\"point\":" << serializePerfPoint(point)
             << "}\n";
-        std::printf("\nJSON artifact: %s\n", opts.jsonPath.c_str());
+        std::printf("\nJSON artifact: %s\n", json_path.c_str());
     }
 
-    if (!vs_path.empty()) {
+    if (vs_path) {
         const double ratio =
             point.totalCyclesPerSec / reference.totalCyclesPerSec;
         std::printf("\nRelative gate vs '%s' (%.0f cyc/s): %.2fx "

@@ -5,7 +5,7 @@
  * Linebacker helps their workloads.
  *
  * Exercises the harness API: SimRunner, the Best-SWL oracle, and the
- * ComparisonReport formatting used by the paper-figure benches.
+ * ComparisonReport formatting the paper figures (lbsim_figures) use.
  */
 
 #include <cstdio>

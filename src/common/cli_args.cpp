@@ -3,10 +3,69 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 namespace lbsim
 {
+
+bool
+validArguments(int argc, char **argv, std::span<const CliOption> options)
+{
+    for (int i = 1; i < argc; ++i) {
+        const char *value = nullptr; // The spelling after the name.
+        for (const CliOption &option : options) {
+            const std::size_t name = std::strcspn(option.spelling, " ");
+            if (std::strncmp(argv[i], option.spelling, name) == 0 &&
+                argv[i][name] == '\0')
+                value = option.spelling + name;
+        }
+        if (!value) {
+            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
+            return false;
+        }
+        if (value[0] && value[1] == '<') {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "option '%s' needs a value\n",
+                             argv[i]);
+                return false;
+            }
+            ++i;
+        } else if (value[0] && i + 1 < argc && argv[i + 1][0] != '-') {
+            ++i;
+        }
+    }
+    return true;
+}
+
+void
+printOptions(std::span<const CliOption> options)
+{
+    for (const CliOption &option : options) {
+        if (option.help)
+            std::printf("  %-22s %s\n", option.spelling, option.help);
+    }
+}
+
+const char *
+arg(int argc, char **argv, const char *name)
+{
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], name) == 0)
+            return argv[i + 1];
+    }
+    return nullptr;
+}
+
+bool
+flag(int argc, char **argv, const char *name)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], name) == 0)
+            return true;
+    }
+    return false;
+}
 
 bool
 parseUnsignedArg(const char *text, const char *name, std::uint64_t &out,

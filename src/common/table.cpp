@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <sstream>
 
@@ -77,35 +78,43 @@ TextTable::renderCsv() const
 }
 
 std::string
+format(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    va_list measure;
+    va_copy(measure, args);
+    std::string out(
+        static_cast<std::size_t>(std::vsnprintf(nullptr, 0, fmt, measure)),
+        '\0');
+    va_end(measure);
+    std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+    va_end(args);
+    return out;
+}
+
+std::string
 fmtDouble(double value, int digits)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-    return buf;
+    return format("%.*f", digits, value);
 }
 
 std::string
 fmtPercent(double value, int digits)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f%%", digits, value * 100.0);
-    return buf;
+    return format("%.*f%%", digits, value * 100.0);
 }
 
 std::string
 fmtSpeedup(double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2fx", value);
-    return buf;
+    return format("%.2fx", value);
 }
 
 std::string
 fmtKb(double bytes)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.1fKB", bytes / 1024.0);
-    return buf;
+    return format("%.1fKB", bytes / 1024.0);
 }
 
 } // namespace lbsim

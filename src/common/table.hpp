@@ -37,6 +37,9 @@ class TextTable
     std::vector<std::vector<std::string>> rows_;
 };
 
+/** printf() into a string. */
+[[gnu::format(printf, 1, 2)]] std::string format(const char *fmt, ...);
+
 /** Format @p value with @p digits fractional digits. */
 std::string fmtDouble(double value, int digits = 2);
 

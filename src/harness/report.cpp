@@ -12,11 +12,6 @@
 namespace lbsim
 {
 
-ComparisonReport::ComparisonReport(std::string metric_name)
-    : metricName_(std::move(metric_name))
-{
-}
-
 void
 ComparisonReport::add(const std::string &app, const std::string &scheme,
                       double value)
@@ -84,23 +79,6 @@ ComparisonReport::renderNormalized(
     return table.render();
 }
 
-std::string
-ComparisonReport::renderRaw() const
-{
-    TextTable table;
-    std::vector<std::string> header = {"app"};
-    for (const std::string &scheme : schemeOrder_)
-        header.push_back(scheme);
-    table.setHeader(std::move(header));
-    for (const std::string &app : appOrder_) {
-        std::vector<std::string> row = {app};
-        for (const std::string &scheme : schemeOrder_)
-            row.push_back(fmtDouble(value(app, scheme), 3));
-        table.addRow(std::move(row));
-    }
-    return table.render();
-}
-
 double
 ComparisonReport::geomeanVs(const std::string &scheme,
                             const std::string &reference_scheme) const
@@ -142,7 +120,7 @@ reportFromCells(const ExperimentPlan &plan,
     return report;
 }
 
-void
+bool
 writeExperimentJson(const std::string &path, const std::string &bench,
                     bool smoke, const std::vector<CellResult> &results)
 {
@@ -181,49 +159,13 @@ writeExperimentJson(const std::string &path, const std::string &bench,
         json.field("avgVictimRegs", m.avgVictimRegs);
         json.field("monitoringWindows", m.monitoringWindows);
         json.field("victimSpaceUtilization", m.victimSpaceUtilization);
-        const SimStats &s = m.stats;
+        // The counters' one enumeration, which the memo cache and
+        // serializeStats walk too: every counter reaches the artifact.
         json.beginObjectField("stats");
-        json.field("cycles", static_cast<std::uint64_t>(s.cycles));
-        json.field("instructionsIssued", s.instructionsIssued);
-        json.field("warpInstructionsRetired", s.warpInstructionsRetired);
-        json.field("ctasCompleted", s.ctasCompleted);
-        json.field("l1Hits", s.l1.l1Hits);
-        json.field("regHits", s.l1.regHits);
-        json.field("misses", s.l1.misses);
-        json.field("bypasses", s.l1.bypasses);
-        json.field("coldMisses", s.coldMisses);
-        json.field("capacityMisses", s.capacityMisses);
-        json.field("evictions", s.evictions);
-        json.field("writeEvicts", s.writeEvicts);
-        json.field("writeNoAllocates", s.writeNoAllocates);
-        json.field("victimLinesStored", s.victimLinesStored);
-        json.field("victimStoreRejected", s.victimStoreRejected);
-        json.field("victimInvalidations", s.victimInvalidations);
-        json.field("vttProbes", s.vttProbes);
-        json.field("vttProbeCycles", s.vttProbeCycles);
-        json.field("loadLatencySum", s.loadLatencySum);
-        json.field("loadsCompleted", s.loadsCompleted);
-        json.field("rfAccesses", s.rfAccesses);
-        json.field("rfBankConflicts", s.rfBankConflicts);
-        json.field("rfVictimAccesses", s.rfVictimAccesses);
-        json.field("l2Accesses", s.l2Accesses);
-        json.field("l2Hits", s.l2Hits);
-        json.field("dramReads", s.dramReads);
-        json.field("dramWrites", s.dramWrites);
-        json.field("dramBackupWrites", s.dramBackupWrites);
-        json.field("dramRestoreReads", s.dramRestoreReads);
-        json.field("dramRowHits", s.dramRowHits);
-        json.field("dramRowMisses", s.dramRowMisses);
-        json.field("ctaThrottleEvents", s.ctaThrottleEvents);
-        json.field("ctaActivateEvents", s.ctaActivateEvents);
-        json.field("monitoringPeriods", s.monitoringPeriods);
-        json.field("selectedLoads", s.selectedLoads);
-        json.field("avgActiveRegisters", s.avgActiveRegisters);
-        json.field("avgVictimRegisters", s.avgVictimRegisters);
-        json.field("avgStaticallyUnusedRegisters",
-                   s.avgStaticallyUnusedRegisters);
-        json.field("avgDynamicallyUnusedRegisters",
-                   s.avgDynamicallyUnusedRegisters);
+        forEachStatField(m.stats, [&json](const char *name,
+                                          const auto &value) {
+            json.field(name, value);
+        });
         json.endObject();
         json.endObject();
     }
@@ -231,24 +173,17 @@ writeExperimentJson(const std::string &path, const std::string &bench,
     json.endObject();
     out << '\n';
     std::string why;
-    if (!atomicWriteFile(path, out.str(), &why))
-        logMessage(LogLevel::Warn, "cannot write %s: %s", path.c_str(),
-                   why.c_str());
+    if (atomicWriteFile(path, out.str(), &why))
+        return true;
+    logMessage(LogLevel::Warn, "cannot write %s: %s", path.c_str(),
+               why.c_str());
+    return false;
 }
 
 void
 printFigureBanner(const std::string &figure, const std::string &caption)
 {
     std::printf("\n=== %s: %s ===\n\n", figure.c_str(), caption.c_str());
-}
-
-void
-printPaperVsMeasured(const std::string &what, double paper,
-                     double measured, const std::string &unit)
-{
-    std::printf("  %-52s paper: %8.1f%s   measured: %8.1f%s\n",
-                what.c_str(), paper, unit.c_str(), measured,
-                unit.c_str());
 }
 
 } // namespace lbsim

@@ -4,8 +4,8 @@
  *
  * ComparisonReport collects per-app metrics for several schemes and
  * renders rows normalized to a reference scheme, plus the geometric-mean
- * row the paper's figures carry — the format all performance benches
- * share (Figs 5, 10-12, 14, 15).
+ * row the paper's figures carry — the format the performance figures
+ * share (Figs 5, 11, 12, 15 and the CCWS extension).
  */
 
 #pragma once
@@ -26,9 +26,6 @@ namespace lbsim
 class ComparisonReport
 {
   public:
-    /** @param metric_name Printed unit label (e.g.\ "IPC norm."). */
-    explicit ComparisonReport(std::string metric_name = "speedup");
-
     /** Record @p value for (app, scheme). */
     void add(const std::string &app, const std::string &scheme,
              double value);
@@ -45,9 +42,6 @@ class ComparisonReport
      */
     std::string renderNormalized(const std::string &reference_scheme) const;
 
-    /** Render raw values (no normalization). */
-    std::string renderRaw() const;
-
     /** Geometric mean of scheme/reference across apps. */
     double geomeanVs(const std::string &scheme,
                      const std::string &reference_scheme) const;
@@ -60,7 +54,6 @@ class ComparisonReport
   private:
     double value(const std::string &app, const std::string &scheme) const;
 
-    std::string metricName_;
     std::vector<std::string> appOrder_;
     std::vector<std::string> schemeOrder_;
     std::map<std::string, std::map<std::string, double>> values_;
@@ -84,18 +77,15 @@ reportFromCells(const ExperimentPlan &plan,
  * output: one record per cell with app/scheme/variant, derived metrics,
  * and the full SimStats counter set. Intentionally excludes runtime
  * facts like thread count so N-thread and 1-thread runs emit identical
- * bytes.
+ * bytes. @return false, after a warning on stderr, when the file
+ * could not be written.
  */
-void writeExperimentJson(const std::string &path,
+bool writeExperimentJson(const std::string &path,
                          const std::string &bench, bool smoke,
                          const std::vector<CellResult> &results);
 
 /** Print a figure banner ("=== Figure 12: ... ==="). */
 void printFigureBanner(const std::string &figure,
                        const std::string &caption);
-
-/** Print a "paper vs measured" summary line. */
-void printPaperVsMeasured(const std::string &what, double paper,
-                          double measured, const std::string &unit);
 
 } // namespace lbsim

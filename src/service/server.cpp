@@ -207,11 +207,10 @@ SweepServer::recoverPlans(std::string *error)
             Admit admit;
             std::string why;
             if (!planValue ||
+                !parsePriority(value, admit.priority, why) ||
                 !parsePlanRequest(*planValue, admit.request, why))
                 continue;
             admit.client = value.stringOr("client", "(recovery)");
-            admit.priority =
-                static_cast<int>(value.numberOr("priority", 0));
             admitted.emplace_back(id, std::move(admit));
         } else if (op == "done") {
             admitted.erase(
@@ -426,15 +425,15 @@ SweepServer::handleSubmit(const std::shared_ptr<ClientConn> &conn,
                           const JsonValue &message)
 {
     const std::string client = message.stringOr("client", "anon");
-    const int priority =
-        static_cast<int>(message.numberOr("priority", 0));
 
     // Validation errors shed before touching the queue at all.
+    int priority = 0;
     PlanRequest request;
     ExperimentPlan built;
     std::string why;
     const JsonValue *planValue = message.member("plan");
-    if (!planValue || !parsePlanRequest(*planValue, request, why) ||
+    if (!parsePriority(message, priority, why) || !planValue ||
+        !parsePlanRequest(*planValue, request, why) ||
         !buildExperimentPlan(request, built, why)) {
         MutexLock lock(mutex_);
         ++stats_.plansShed;

@@ -1,8 +1,12 @@
 #include "service/wire.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
+#include "harness/figures.hpp"
 #include "workload/suite.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -28,21 +32,34 @@ quoted(const std::string &text)
     return '"' + JsonWriter::escape(text) + '"';
 }
 
-/** Read @p key as a non-negative integer; absent keeps @p out. */
+/**
+ * Read @p key as a whole number in [@p min, @p max]; absent keeps
+ * @p out. Anything else is refused with @p error naming the key, as
+ * converting a fraction, NaN or out-of-range double to an integer
+ * would be undefined behaviour.
+ */
 template <typename T>
 bool
-uintField(const JsonValue &obj, const char *key, T &out,
-          std::string &error)
+wholeField(const JsonValue &obj, const char *key, T &out,
+           std::string &error,
+           std::type_identity_t<T> min = std::numeric_limits<T>::min(),
+           std::type_identity_t<T> max = std::numeric_limits<T>::max())
 {
     const JsonValue *v = obj.member(key);
     if (!v)
         return true;
-    if (!v->isNumber() || v->number < 0) {
-        error = std::string("plan field \"") + key +
-                "\" must be a non-negative number";
+    // Exact as doubles: each bound is 64 or a type's maximum, and
+    // max + 1.0 is the first value past it (2^64 for a 64-bit one).
+    const double x = v->isNumber() ? v->number : std::nan("");
+    if (!(x >= static_cast<double>(min) &&
+          x < static_cast<double>(max) + 1.0) ||
+        x != std::floor(x)) {
+        error = std::string("\"") + key +
+                "\" must be a whole number in [" + std::to_string(min) +
+                ", " + std::to_string(max) + "]";
         return false;
     }
-    out = static_cast<T>(v->number);
+    out = static_cast<T>(x);
     return true;
 }
 
@@ -110,13 +127,15 @@ parsePlanRequest(const JsonValue &plan, PlanRequest &request,
                 request.schemes.push_back(entry.text);
         }
     }
-    if (!uintField(plan, "sms", request.sms, error) ||
-        !uintField(plan, "cycles", request.cycles, error) ||
-        !uintField(plan, "warmup", request.warmup, error) ||
-        !uintField(plan, "warpLimit", request.warpLimit, error) ||
-        !uintField(plan, "timeoutCycles", request.timeoutCycles, error) ||
-        !uintField(plan, "deadlineSec", request.deadlineSec, error) ||
-        !uintField(plan, "retryCap", request.retryCap, error)) {
+    // The CLI's ranges (lbsim_submit), where 0 keeps a default.
+    if (!wholeField(plan, "sms", request.sms, error, 0, 64) ||
+        !wholeField(plan, "cycles", request.cycles, error) ||
+        !wholeField(plan, "warmup", request.warmup, error) ||
+        !wholeField(plan, "warpLimit", request.warpLimit, error, 0, 64) ||
+        !wholeField(plan, "timeoutCycles", request.timeoutCycles, error) ||
+        !wholeField(plan, "deadlineSec", request.deadlineSec, error) ||
+        !wholeField(plan, "retryCap", request.retryCap, error)) {
+        error = "plan field " + error;
         return false;
     }
     if (request.schemes.empty()) {
@@ -124,6 +143,13 @@ parsePlanRequest(const JsonValue &plan, PlanRequest &request,
         return false;
     }
     return true;
+}
+
+bool
+parsePriority(const JsonValue &message, int &priority, std::string &error)
+{
+    priority = 0;
+    return wholeField(message, "priority", priority, error);
 }
 
 bool
@@ -157,22 +183,14 @@ buildExperimentPlan(const PlanRequest &request, ExperimentPlan &plan,
         }
     }
 
-    // Same scaled-chip defaults as the figure benches (bench_common),
-    // so service results share memo entries with bench runs.
-    GpuConfig gpu;
-    gpu.warmupCycles = request.warmup
-        ? request.warmup
-        : (request.smoke ? 50000 : 200000);
+    // The figures' regime, so service results share memo entries with
+    // figure runs.
+    const Regime regime{request.smoke, request.sms, request.cycles,
+                        request.warmup};
+    GpuConfig gpu = regime.gpuConfig();
     if (request.timeoutCycles)
         gpu.watchdogCycles = request.timeoutCycles;
-    RunnerOptions options;
-    options.simSms = request.sms ? request.sms : 2;
-    options.maxCycles = request.cycles
-        ? request.cycles
-        : (request.smoke ? 100000 : 400000);
-    options.useMemoCache = true;
-
-    plan = ExperimentPlan(gpu, LbConfig{}, options);
+    plan = ExperimentPlan(gpu, LbConfig{}, regime.runnerOptions());
     // Scheme-major, matching crossApps(): deterministic cell order is
     // what makes daemon and --direct artifacts byte-comparable.
     for (const std::string &name : request.schemes) {

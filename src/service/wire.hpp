@@ -24,7 +24,7 @@
  *   stats    {"type":"stats", ...counters...}
  *
  * The plan object is a declarative sweep request (PlanRequest below):
- * apps x schemes on the standard scaled-chip bench configuration, with
+ * apps x schemes on the figures' scaled-chip Regime, with
  * the same knobs the CLI exposes. buildExperimentPlan() turns it into
  * an ExperimentPlan; lbsim_submit --direct runs that same plan
  * in-process, which is what makes daemon-vs-direct runs comparable
@@ -55,9 +55,9 @@ struct PlanRequest
     bool smoke = false;
     /** SMs to simulate; 0 keeps the standard 2-SM scaled slice. */
     std::uint32_t sms = 0;
-    /** Measured cycles; 0 picks the bench default. */
+    /** Measured cycles; 0 picks the Regime default. */
     std::uint64_t cycles = 0;
-    /** Warm-up cycles; 0 picks the bench default. */
+    /** Warm-up cycles; 0 picks the Regime default. */
     std::uint64_t warmup = 0;
     /** Static warp limit for best-swl; 0 means the oracle sweep. */
     std::uint32_t warpLimit = 0;
@@ -73,15 +73,27 @@ struct PlanRequest
 /** Serialize @p request as the submit "plan" JSON object. */
 std::string serializePlanRequest(const PlanRequest &request);
 
-/** Parse a "plan" object. @return false with @p error on bad input. */
+/**
+ * Parse a "plan" object. @return false with @p error on bad input,
+ * including a number that is not whole or lies outside lbsim_submit's
+ * range for its field.
+ */
 bool parsePlanRequest(const JsonValue &plan, PlanRequest &request,
                       std::string &error);
 
 /**
+ * Read the "priority" of a submit message or journal record; absent
+ * is 0. @return false with @p error unless it is a whole number in
+ * int range.
+ */
+bool parsePriority(const JsonValue &message, int &priority,
+                   std::string &error);
+
+/**
  * Validate @p request against the app suite / scheme registry and
- * expand it into an ExperimentPlan on the standard bench
- * configuration. Deterministic: the same request always yields the
- * same cells in the same order.
+ * expand it into an ExperimentPlan on the figures' Regime
+ * (harness/figures.hpp). Deterministic: the same request always
+ * yields the same cells in the same order.
  */
 bool buildExperimentPlan(const PlanRequest &request, ExperimentPlan &plan,
                          std::string &error);

@@ -1,8 +1,6 @@
 #include "testing/lockstep.hpp"
 
-#include <cstdarg>
-#include <cstdio>
-
+#include "common/table.hpp"
 #include "core/gpu.hpp"
 
 namespace lbsim
@@ -10,18 +8,6 @@ namespace lbsim
 
 namespace
 {
-
-/** printf-style message builder for mismatch reports. */
-std::string
-format(const char *fmt, ...)
-{
-    char buf[256];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 const char *
 outcomeName(L1Outcome outcome)

@@ -8,8 +8,11 @@ pinned here end-to-end against the real binaries.
                  value), 3 watchdog trip (with a parseable JSON hang
                  report next to it)
   lbsim_submit:  0 ok, 2 usage/connect errors, 4 shed by the daemon
+  lbsimd:        2 usage error
+  lbsim_figures: 0 ok, 1 artifact not written, 2 usage error (unknown
+                 option or id, --json <path> with --fig all)
 
-Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit>
+Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit> <lbsim_figures>
 """
 
 import json
@@ -105,6 +108,55 @@ def test_bad_numeric_values(cli, submit):
           proc.stderr[-200:])
 
 
+def test_front_ends_refuse_unlisted_options(daemon, submit, figures, tmp):
+    """A misspelled option is a usage error in every front end, never a
+    silently ignored argument."""
+    proc = run([submit, "--direct", "--apps", "S2", "--schemes",
+                "baseline", "--smok", "--sms", "1", "--cycles", "2000",
+                "--warmup", "0"])
+    check("submit --smok exits 2", proc.returncode == 2,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+    try:
+        # A daemon that accepted the typo would listen until killed.
+        proc = run([daemon, "--wrokers", "4", "--socket",
+                    os.path.join(tmp, "typo.sock"), "--plans-journal",
+                    "none"], cwd=tmp, timeout=20)
+        check("lbsimd --wrokers exits 2", proc.returncode == 2,
+              f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+    except subprocess.TimeoutExpired:
+        check("lbsimd --wrokers exits 2", False, "daemon started")
+    proc = run([figures, "--fig", "table1_config", "--smok"], cwd=tmp)
+    check("figures --smok exits 2", proc.returncode == 2,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+
+
+def test_figures_exit_codes(figures, tmp):
+    """lbsim_figures: 2 for a usage error, 1 for an artifact it cannot
+    write, 0 with a parseable artifact otherwise."""
+    proc = run([figures, "--fig", "fig99_nope"], cwd=tmp)
+    check("figures unknown id exits 2", proc.returncode == 2,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+    proc = run([figures, "--fig", "all", "--json", "x.json"], cwd=tmp)
+    check("figures --fig all --json <path> exits 2", proc.returncode == 2,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+    path = os.path.join(tmp, "t.json")
+    proc = run([figures, "--fig", "table1_config", "--json", path],
+               cwd=tmp)
+    check("figures table1_config exits 0", proc.returncode == 0,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+    try:
+        with open(path) as f:
+            bench = json.load(f).get("bench")
+        check("figures artifact names its bench", bench == "table1_config",
+              str(bench))
+    except (OSError, ValueError) as e:
+        check("figures artifact names its bench", False, str(e))
+    proc = run([figures, "--fig", "table1_config", "--json",
+                os.path.join(tmp, "missing", "t.json")], cwd=tmp)
+    check("figures unwritable artifact exits 1", proc.returncode == 1,
+          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+
+
 def test_submit_usage_and_connect_errors(submit, tmp):
     proc = run([submit, "--socket", os.path.join(tmp, "x.sock")])
     check("submit without --schemes exits 2", proc.returncode == 2,
@@ -141,6 +193,15 @@ def test_submit_shed_exit_code(daemon, submit, tmp):
         check("shed reason reaches the client",
               "queue-full" in shed.stderr + shed.stdout,
               (shed.stderr + shed.stdout)[-200:])
+        # Checked before connecting: the live daemon would shed it (4).
+        bad = run([
+            submit, "--socket", sock, "--priority", "abc",
+            "--schemes", "baseline", "--apps", "S2", "--smoke",
+        ])
+        check("submit --priority abc exits 2", bad.returncode == 2,
+              f"rc={bad.returncode} stderr={bad.stderr[-200:]}")
+        check("submit --priority abc is named on stderr",
+              "--priority" in bad.stderr, bad.stderr[-200:])
     finally:
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=30)
@@ -149,11 +210,12 @@ def test_submit_shed_exit_code(daemon, submit, tmp):
 
 
 def main():
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 5:
         print(__doc__)
         return 2
     # The daemon runs with cwd inside the sandbox: absolutize first.
-    cli, daemon, submit = (os.path.abspath(p) for p in sys.argv[1:4])
+    cli, daemon, submit, figures = (os.path.abspath(p)
+                                    for p in sys.argv[1:5])
     with tempfile.TemporaryDirectory(prefix="lbsim_cli_test_") as tmp:
         # Keep every artifact (and the memo cache) inside the sandbox.
         os.environ["LBSIM_CACHE_PATH"] = os.path.join(tmp, "cache.journal")
@@ -162,6 +224,9 @@ def main():
         test_cli_rejects_unknown_options(cli)
         test_bad_numeric_values(cli, submit)
         test_submit_usage_and_connect_errors(submit, tmp)
+        test_front_ends_refuse_unlisted_options(daemon, submit, figures,
+                                                tmp)
+        test_figures_exit_codes(figures, tmp)
         test_submit_shed_exit_code(daemon, submit, tmp)
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")

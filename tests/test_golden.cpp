@@ -3,9 +3,10 @@
  * Golden-metrics regression tests: simulated results that must match an
  * in-tree snapshot byte for byte.
  *
- *  - GoldenFig12 re-runs the Figure 12 smoke plan (the CI configuration
- *    of bench_fig12_performance) and diffs its machine-readable JSON
- *    artifact against tests/golden/fig12_smoke.json (2 SMs).
+ *  - GoldenFig12 re-runs the Figure 12 smoke plan (the registry's
+ *    fig12_performance entry, as `lbsim_figures --fig
+ *    fig12_performance --smoke` runs it) and diffs its machine-readable
+ *    JSON artifact against tests/golden/fig12_smoke.json (2 SMs).
  *  - GoldenMultiSm pins serializeStats() of short runs at 4 and 16 SMs
  *    — clean, fault-injected and watchdog-wedged — against
  *    tests/golden/multi_sm_stats.txt, so chip-level wiring changes (the
@@ -26,9 +27,10 @@
 #include <sstream>
 #include <string>
 
-#include "bench_common.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
+#include "harness/figures.hpp"
+#include "harness/report.hpp"
 #include "harness/sim_runner.hpp"
 #include "resilience/faultinject.hpp"
 
@@ -107,25 +109,22 @@ expectMatchesGolden(const std::string &name, const std::string &actual)
 
 TEST(GoldenFig12, SmokePlanMatchesSnapshot)
 {
-    using namespace lbsim::bench;
-
-    // Identical cells to `bench_fig12_performance --smoke --no-cache`:
-    // shared smoke config, six-app subset, baseline + Best-SWL oracle +
-    // the three evaluated schemes.
-    setenv("LBSIM_NO_CACHE", "1", 1);
-    BenchOptions opts;
-    opts.benchName = "fig12_performance";
-    opts.smoke = true;
-    const std::vector<AppProfile> apps = benchApps(opts);
-    ExperimentPlan plan = benchPlan(opts);
-    plan.withBaseline(apps, SchemeConfig::baseline())
-        .withBestSwl(apps)
-        .crossApps(apps, {SchemeConfig::pcal(), SchemeConfig::cerf(),
-                          SchemeConfig::linebacker()});
+    // Identical cells to `lbsim_figures --fig fig12_performance --smoke
+    // --no-cache`: the smoke regime's six apps, baseline + Best-SWL
+    // oracle + the three evaluated schemes.
+    const Figure *figure = nullptr;
+    for (const Figure &entry : figureRegistry()) {
+        if (entry.id == "fig12_performance")
+            figure = &entry;
+    }
+    ASSERT_NE(figure, nullptr);
+    Regime regime;
+    regime.smoke = true;
+    regime.memoCache = false;
+    const ExperimentPlan plan = figure->plan(regime);
 
     const std::vector<CellResult> results =
         ExperimentEngine(EngineOptions{}).run(plan);
-    unsetenv("LBSIM_NO_CACHE");
     ASSERT_EQ(results.size(), plan.size());
     for (const CellResult &result : results) {
         ASSERT_TRUE(result.ok)
@@ -133,7 +132,8 @@ TEST(GoldenFig12, SmokePlanMatchesSnapshot)
     }
 
     const std::string actual_path = "golden_fig12_actual.json";
-    writeExperimentJson(actual_path, opts.benchName, opts.smoke, results);
+    ASSERT_TRUE(writeExperimentJson(actual_path, figure->id, regime.smoke,
+                                    results));
     std::string actual;
     ASSERT_TRUE(readFile(actual_path, actual));
     std::remove(actual_path.c_str());

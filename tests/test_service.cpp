@@ -20,6 +20,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fs.hpp"
@@ -428,6 +429,31 @@ TEST(PlanRequestTest, SerializeParseRoundTrips)
     EXPECT_EQ(parsed.timeoutCycles, request.timeoutCycles);
     EXPECT_EQ(parsed.deadlineSec, request.deadlineSec);
     EXPECT_EQ(parsed.retryCap, request.retryCap);
+
+    // lbbench's mix plans: one SM, a short warm-up, a fixed warp limit.
+    ASSERT_TRUE(parseJson(R"({"schemes":["best-swl"],"sms":1,)"
+                          R"("warmup":500,"cycles":1500,"warpLimit":8})",
+                          plan, &error))
+        << error;
+    ASSERT_TRUE(parsePlanRequest(plan, parsed, error)) << error;
+    EXPECT_EQ(parsed.warpLimit, 8u);
+
+    // A number outside lbsim_submit's range for its field, or one that
+    // is not whole, is refused by name instead of being wrapped,
+    // truncated or cast out of range.
+    const std::pair<const char *, const char *> refused[] = {
+        {"sms", "100000"},       {"sms", "4294967297"},
+        {"sms", "2.7"},          {"warpLimit", "1e10"},
+        {"cycles", "1e300"},     {"retryCap", "-1"},
+        {"deadlineSec", "0.5"},  {"timeoutCycles", "18446744073709551616"},
+    };
+    for (const auto &[field, value] : refused) {
+        const std::string json = std::string(R"({"schemes":["x"],")") +
+                                 field + "\":" + value + "}";
+        ASSERT_TRUE(parseJson(json, plan, &error)) << json;
+        EXPECT_FALSE(parsePlanRequest(plan, parsed, error)) << json;
+        EXPECT_NE(error.find(field), std::string::npos) << error;
+    }
 }
 
 TEST(PlanRequestTest, BuildRejectsUnknownAppsAndSchemes)
@@ -632,6 +658,35 @@ TEST(SweepServerTest, ShedsBadPlanSynchronously)
     EXPECT_EQ(stats.plansShed, 1u);
     EXPECT_EQ(stats.plansAccepted, 0u);
     EXPECT_EQ(stats.cellsCompleted, 0u);
+    EXPECT_EQ(running.drain(), 0);
+}
+
+TEST(SweepServerTest, ShedsNonIntegerPriority)
+{
+    RunningServer running(testServerOptions("badpriority"));
+    ASSERT_TRUE(running.started());
+
+    // submitMessage() writes an int; a client may send anything.
+    const int fd = connectTo(running.server().options().socketPath);
+    ASSERT_GE(fd, 0);
+    std::string error;
+    ASSERT_TRUE(writeFrame(fd,
+                           R"({"type":"submit","priority":2.5,"plan":)" +
+                               serializePlanRequest(oneCellSmoke()) + "}",
+                           &error))
+        << error;
+    std::string payload;
+    bool eof = false;
+    ASSERT_TRUE(readFrame(fd, payload, eof, &error)) << error;
+    JsonValue reply;
+    ASSERT_TRUE(parseJson(payload, reply, &error)) << error;
+    EXPECT_EQ(reply.stringOr("type"), "shed");
+    EXPECT_EQ(reply.stringOr("reason"), "bad-plan");
+    EXPECT_NE(reply.stringOr("detail").find("priority"),
+              std::string::npos);
+    EXPECT_EQ(running.server().queuedCells(), 0u);
+    EXPECT_EQ(running.server().stats().plansAccepted, 0u);
+    ::close(fd);
     EXPECT_EQ(running.drain(), 0);
 }
 

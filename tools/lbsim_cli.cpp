@@ -6,7 +6,7 @@
  *
  * Runs are expressed as a one-or-more-cell ExperimentPlan and executed
  * by the ExperimentEngine, so --app all parallelizes across --threads
- * workers and shares the memo cache with the figure benches.
+ * workers and shares the memo cache with lbsim_figures.
  *
  * Examples:
  *   lbsim_cli --app KM --scheme linebacker
@@ -17,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -27,6 +26,7 @@
 #include "common/cli_args.hpp"
 #include "common/fs.hpp"
 #include "harness/experiment.hpp"
+#include "harness/figures.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_runner.hpp"
@@ -38,6 +38,27 @@ namespace
 
 using namespace lbsim;
 
+/** Every option lbsim_cli takes; usage() shows --app and --scheme. */
+constexpr CliOption kOptions[] = {
+    {"--app <id|all>", nullptr},
+    {"--scheme <name>", nullptr},
+    {"--list", "list the 20 Table-2 applications"},
+    {"--warp-limit <n>", "static warp limit for best-swl"},
+    {"--sms <n>", "SMs to simulate (default 2, scaled chip)"},
+    {"--cycles <n>", "measured cycles (default 400000)"},
+    {"--warmup <n>", "warm-up cycles (default 200000)"},
+    {"--l1-kb <n>", "L1 size in KB (default 48)"},
+    {"--threads <n>", "worker threads for --app all"},
+    {"--no-cache", "bypass the on-disk memo cache"},
+    {"--csv", "machine-readable one-line-per-run output"},
+    {"--json [path]", "write an experiment JSON artifact"},
+    {"--timeout-cycles <n>",
+     "forward-progress watchdog threshold; a trip exits 3"},
+    {"--fault-plan <file>", "inject the fault schedule in <file>"},
+    {"--hang-report <path>", "write the JSON hang report on a trip"},
+    {"--help", nullptr},
+};
+
 void
 usage()
 {
@@ -47,108 +68,8 @@ usage()
         "schemes: baseline, best-swl (oracle unless --warp-limit),\n"
         "         ccws, pcal, cerf, linebacker, vc, svc, pcal-svc,\n"
         "         pcal-cerf, cache-ext, lb-cache-ext\n"
-        "options:\n"
-        "  --list               list the 20 Table-2 applications\n"
-        "  --warp-limit <n>     static warp limit for best-swl\n"
-        "  --sms <n>            SMs to simulate (default 2, scaled chip)\n"
-        "  --cycles <n>         measured cycles (default 400000)\n"
-        "  --warmup <n>         warm-up cycles (default 200000)\n"
-        "  --l1-kb <n>          L1 size in KB (default 48)\n"
-        "  --threads <n>        worker threads for --app all\n"
-        "  --no-cache           bypass the on-disk memo cache\n"
-        "  --csv                machine-readable one-line-per-run output\n"
-        "  --json [path]        write an experiment JSON artifact\n"
-        "  --timeout-cycles <n> forward-progress watchdog threshold;\n"
-        "                       a tripped run exits 3 with a hang report\n"
-        "  --fault-plan <file>  inject the fault schedule in <file>\n"
-        "  --hang-report <path> write the JSON hang report on a trip");
-}
-
-/** How an option consumes the argument after it. */
-enum class Takes
-{
-    Nothing,
-    Value,
-    OptionalPath, ///< --json [path]: a following non-option argument.
-};
-
-struct CliOption
-{
-    const char *name;
-    Takes takes;
-};
-
-/** Every option usage() lists (plus --help). */
-constexpr CliOption kOptions[] = {
-    {"--app", Takes::Value},
-    {"--scheme", Takes::Value},
-    {"--list", Takes::Nothing},
-    {"--warp-limit", Takes::Value},
-    {"--sms", Takes::Value},
-    {"--cycles", Takes::Value},
-    {"--warmup", Takes::Value},
-    {"--l1-kb", Takes::Value},
-    {"--threads", Takes::Value},
-    {"--no-cache", Takes::Nothing},
-    {"--csv", Takes::Nothing},
-    {"--json", Takes::OptionalPath},
-    {"--timeout-cycles", Takes::Value},
-    {"--fault-plan", Takes::Value},
-    {"--hang-report", Takes::Value},
-    {"--help", Takes::Nothing},
-};
-
-/**
- * Reject anything usage() does not list, so a typo (or a retired
- * option) cannot silently fall back to a default. @return false after
- * naming the offending argument on stderr.
- */
-bool
-validArguments(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const CliOption *option = nullptr;
-        for (const CliOption &candidate : kOptions) {
-            if (std::strcmp(argv[i], candidate.name) == 0)
-                option = &candidate;
-        }
-        if (!option) {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            return false;
-        }
-        if (option->takes == Takes::Value) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "option '%s' needs a value\n",
-                             argv[i]);
-                return false;
-            }
-            ++i;
-        } else if (option->takes == Takes::OptionalPath && i + 1 < argc &&
-                   argv[i + 1][0] != '-') {
-            ++i;
-        }
-    }
-    return true;
-}
-
-const char *
-arg(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    }
-    return nullptr;
-}
-
-bool
-flag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    }
-    return false;
+        "options:");
+    printOptions(kOptions);
 }
 
 void
@@ -194,13 +115,10 @@ main(int argc, char **argv)
 {
     using namespace lbsim;
 
-    if (!validArguments(argc, argv)) {
+    const bool valid = validArguments(argc, argv, kOptions);
+    if (!valid || argc < 2 || flag(argc, argv, "--help")) {
         usage();
-        return 1;
-    }
-    if (flag(argc, argv, "--help") || argc < 2) {
-        usage();
-        return argc < 2 ? 1 : 0;
+        return valid && argc >= 2 ? 0 : 1;
     }
     if (flag(argc, argv, "--list")) {
         for (const AppProfile &app : benchmarkSuite()) {
@@ -218,29 +136,23 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Every numeric option goes through the one checked parser: a bad
-    // value is a usage error, never a silent default.
-    const auto number = [&](const char *name, auto &out,
-                            std::uint64_t min = 0,
-                            std::uint64_t max = UINT64_MAX) {
-        const char *v = arg(argc, argv, name);
-        return !v || parseUnsignedArg(v, name, out, min, max);
-    };
-    GpuConfig cfg;
-    cfg.warmupCycles = 200000;
-    RunnerOptions options;
-    options.simSms = 2;
-    options.maxCycles = 400000;
+    // The scaled-chip defaults; unlike a plan's zero, an explicit
+    // --warmup 0 here means no warm-up.
+    const Regime regime;
+    GpuConfig cfg = regime.gpuConfig();
+    RunnerOptions options = regime.runnerOptions();
     std::uint32_t l1_kb = cfg.l1.sizeBytes / 1024;
     std::uint32_t warp_limit = 0;
     unsigned threads = 0;
-    if (!number("--l1-kb", l1_kb, 1, 1024) ||
-        !number("--warmup", cfg.warmupCycles) ||
-        !number("--timeout-cycles", cfg.watchdogCycles) ||
-        !number("--sms", options.simSms, 1, 64) ||
-        !number("--cycles", options.maxCycles, 1) ||
-        !number("--warp-limit", warp_limit, 0, 64) ||
-        !number("--threads", threads))
+    // Every numeric option goes through the one checked parser: a bad
+    // value is a usage error, never a silent default.
+    if (!numberArg(argc, argv, "--l1-kb", l1_kb, 1, 1024) ||
+        !numberArg(argc, argv, "--warmup", cfg.warmupCycles) ||
+        !numberArg(argc, argv, "--timeout-cycles", cfg.watchdogCycles) ||
+        !numberArg(argc, argv, "--sms", options.simSms, 1, 64) ||
+        !numberArg(argc, argv, "--cycles", options.maxCycles, 1) ||
+        !numberArg(argc, argv, "--warp-limit", warp_limit, 0, 64) ||
+        !numberArg(argc, argv, "--threads", threads))
         return 1;
     cfg.l1.sizeBytes = l1_kb * 1024;
     options.useMemoCache = !flag(argc, argv, "--no-cache");

@@ -18,6 +18,8 @@
  * producing the reference artifact for daemon-vs-direct comparison.
  */
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,54 +49,36 @@ constexpr int kExitUsage = 2;
 constexpr int kExitHang = 3;
 constexpr int kExitShed = 4;
 
+constexpr CliOption kOptions[] = {
+    {"--socket <path>", "daemon socket (default lbsimd.sock)"},
+    {"--client <name>", "client id for fair queuing (default 'anon')"},
+    {"--priority <n>", "scheduling priority (higher first)"},
+    {"--name <label>", "plan label for artifacts"},
+    {"--apps <a,b|all>", "Table-2 app ids (default: all)"},
+    {"--schemes <a,b,...>", "scheme names (required)"},
+    {"--smoke", "reduced cycles"},
+    {"--sms <n>", "SMs to simulate (default 2)"},
+    {"--cycles <n>", "measured cycles"},
+    {"--warmup <n>", "warm-up cycles"},
+    {"--warp-limit <n>", "static warp limit for best-swl"},
+    {"--timeout-cycles <n>", "forward-progress watchdog threshold"},
+    {"--deadline-sec <n>", "per-cell wall-clock deadline"},
+    {"--retry-cap <n>", "crashed-cell retries per plan"},
+    {"--threads <n>", "workers for --direct (default: 1)"},
+    {"--json <path>", "write the experiment JSON artifact"},
+    {"--direct", "run in-process instead (reference mode)"},
+    {"--stats", "query daemon counters and exit"},
+    {"--help", nullptr},
+    {"-h", nullptr},
+};
+
 void
 usage()
 {
-    std::puts(
-        "usage: lbsim_submit [options]\n"
-        "  --socket <path>      daemon socket (default lbsimd.sock)\n"
-        "  --client <name>      client id for fair queuing (default\n"
-        "                       'anon')\n"
-        "  --priority <n>       scheduling priority (higher first)\n"
-        "  --name <label>       plan label for artifacts\n"
-        "  --apps <a,b|all>     Table-2 app ids (default: all)\n"
-        "  --schemes <a,b,...>  scheme names (required)\n"
-        "  --smoke              reduced cycles\n"
-        "  --sms <n>            SMs to simulate (default 2)\n"
-        "  --cycles <n>         measured cycles\n"
-        "  --warmup <n>         warm-up cycles\n"
-        "  --warp-limit <n>     static warp limit for best-swl\n"
-        "  --timeout-cycles <n> forward-progress watchdog threshold\n"
-        "  --deadline-sec <n>   per-cell wall-clock deadline\n"
-        "  --retry-cap <n>      crashed-cell retries per plan\n"
-        "  --threads <n>        workers for --direct (default: 1)\n"
-        "  --json <path>        write the experiment JSON artifact\n"
-        "  --direct             run in-process instead (reference "
-        "mode)\n"
-        "  --stats              query daemon counters and exit\n"
-        "\n"
-        "exit: 0 ok, 1 failed cells, 2 usage/connect, 3 hung cells,\n"
-        "      4 submission shed");
-}
-
-const char *
-arg(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    }
-    return nullptr;
-}
-
-bool
-flag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    }
-    return false;
+    std::puts("usage: lbsim_submit [options]");
+    printOptions(kOptions);
+    std::puts("\nexit: 0 ok, 1 failed cells, 2 usage/connect, 3 hung "
+              "cells,\n      4 submission shed");
 }
 
 std::vector<std::string>
@@ -325,9 +309,10 @@ queryStats(const std::string &)
 int
 main(int argc, char **argv)
 {
-    if (flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
+    const bool valid = validArguments(argc, argv, kOptions);
+    if (!valid || flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
         usage();
-        return kExitOk;
+        return valid ? kExitOk : kExitUsage;
     }
 #ifdef LBSIM_HAVE_POSIX_SUBMIT
     // A daemon that dies mid-stream must surface as an exit code, not
@@ -353,22 +338,30 @@ main(int argc, char **argv)
     request.smoke = flag(argc, argv, "--smoke");
     // Every numeric option goes through the one checked parser: a bad
     // value is a usage error, never a silent default.
-    const auto number = [&](const char *name, auto &out,
-                            std::uint64_t min = 0,
-                            std::uint64_t max = UINT64_MAX) {
-        const char *v = arg(argc, argv, name);
-        return !v || lbsim::parseUnsignedArg(v, name, out, min, max);
-    };
     unsigned threads = 0;
-    if (!number("--sms", request.sms, 1, 64) ||
-        !number("--cycles", request.cycles, 1) ||
-        !number("--warmup", request.warmup) ||
-        !number("--warp-limit", request.warpLimit, 0, 64) ||
-        !number("--timeout-cycles", request.timeoutCycles) ||
-        !number("--deadline-sec", request.deadlineSec) ||
-        !number("--retry-cap", request.retryCap) ||
-        !number("--threads", threads))
+    if (!numberArg(argc, argv, "--sms", request.sms, 1, 64) ||
+        !numberArg(argc, argv, "--cycles", request.cycles, 1) ||
+        !numberArg(argc, argv, "--warmup", request.warmup) ||
+        !numberArg(argc, argv, "--warp-limit", request.warpLimit, 0, 64) ||
+        !numberArg(argc, argv, "--timeout-cycles",
+                   request.timeoutCycles) ||
+        !numberArg(argc, argv, "--deadline-sec", request.deadlineSec) ||
+        !numberArg(argc, argv, "--retry-cap", request.retryCap) ||
+        !numberArg(argc, argv, "--threads", threads))
         return kExitUsage;
+    int priority = 0;
+    if (const char *v = arg(argc, argv, "--priority")) {
+        char *end = nullptr;
+        errno = 0;
+        const long value = std::strtol(v, &end, 10);
+        if (end == v || *end != '\0' || errno == ERANGE ||
+            value < INT_MIN || value > INT_MAX) {
+            std::fprintf(stderr, "--priority: expected a whole number "
+                         "in int range, got '%s'\n", v);
+            return kExitUsage;
+        }
+        priority = static_cast<int>(value);
+    }
     if (request.schemes.empty()) {
         std::fprintf(stderr, "lbsim_submit: --schemes is required\n");
         usage();
@@ -377,16 +370,12 @@ main(int argc, char **argv)
 
     const char *json_path = arg(argc, argv, "--json");
     if (flag(argc, argv, "--direct"))
-        return runDirect(request,
-                         lbsim::clampThreadArg(threads, "--threads"),
+        return runDirect(request, clampThreadArg(threads, "--threads"),
                          json_path);
 
     std::string client = "anon";
     if (const char *v = arg(argc, argv, "--client"))
         client = v;
-    int priority = 0;
-    if (const char *v = arg(argc, argv, "--priority"))
-        priority = static_cast<int>(std::strtol(v, nullptr, 10));
     return submitRemote(socket_path, client, priority, request,
-                       json_path);
+                        json_path);
 }

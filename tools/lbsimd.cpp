@@ -22,7 +22,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -42,46 +41,26 @@ onTermSignal(int)
         g_server->requestStop();
 }
 
+constexpr lbsim::CliOption kOptions[] = {
+    {"--socket <path>", "listen socket (default lbsimd.sock)"},
+    {"--workers <n>", "cell worker threads (default 1)"},
+    {"--queue <n>", "global queued-cell bound (default 1024)"},
+    {"--client-quota <n>", "per-client queued-cell bound (default 512)"},
+    {"--plans-journal <path>",
+     "queued-plan journal, 'none' disables (lbsimd_plans.journal)"},
+    {"--isolate", "fork-isolate every cell"},
+    {"--retry-backoff-ms <n>", "base crashed-cell backoff (default 50)"},
+    {"--help", nullptr},
+    {"-h", nullptr},
+};
+
 void
 usage()
 {
-    std::puts(
-        "usage: lbsimd [options]\n"
-        "  --socket <path>        listen socket (default lbsimd.sock)\n"
-        "  --workers <n>          cell worker threads (default 1)\n"
-        "  --queue <n>            global queued-cell bound (default "
-        "1024)\n"
-        "  --client-quota <n>     per-client queued-cell bound "
-        "(default 512)\n"
-        "  --plans-journal <path> queued-plan persistence (default\n"
-        "                         lbsimd_plans.journal; 'none' "
-        "disables)\n"
-        "  --isolate              fork-isolate every cell\n"
-        "  --retry-backoff-ms <n> base crashed-cell backoff (default "
-        "50)\n"
-        "\n"
-        "SIGTERM drains gracefully; results are durable across "
-        "SIGKILL.");
-}
-
-const char *
-arg(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    }
-    return nullptr;
-}
-
-bool
-flag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    }
-    return false;
+    std::puts("usage: lbsimd [options]");
+    lbsim::printOptions(kOptions);
+    std::puts("\nSIGTERM drains gracefully; results are durable across "
+              "SIGKILL.");
 }
 
 } // namespace
@@ -91,9 +70,10 @@ main(int argc, char **argv)
 {
     using namespace lbsim;
 
-    if (flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
+    const bool valid = validArguments(argc, argv, kOptions);
+    if (!valid || flag(argc, argv, "--help") || flag(argc, argv, "-h")) {
         usage();
-        return 0;
+        return valid ? 0 : 2;
     }
 
     ServerOptions options;
@@ -101,15 +81,12 @@ main(int argc, char **argv)
         options.socketPath = v;
     // Every numeric option goes through the one checked parser: a bad
     // value is a usage error (exit 2), never a silent default.
-    const auto number = [&](const char *name, auto &out,
-                            std::uint64_t min = 0) {
-        const char *v = arg(argc, argv, name);
-        return !v || parseUnsignedArg(v, name, out, min);
-    };
-    if (!number("--workers", options.workers, 1) ||
-        !number("--queue", options.maxQueuedCells) ||
-        !number("--client-quota", options.perClientQueuedCells) ||
-        !number("--retry-backoff-ms", options.retryBackoffMs))
+    if (!numberArg(argc, argv, "--workers", options.workers, 1) ||
+        !numberArg(argc, argv, "--queue", options.maxQueuedCells) ||
+        !numberArg(argc, argv, "--client-quota",
+                   options.perClientQueuedCells) ||
+        !numberArg(argc, argv, "--retry-backoff-ms",
+                   options.retryBackoffMs))
         return 2;
     options.workers = clampThreadArg(options.workers, "--workers");
     if (const char *v = arg(argc, argv, "--plans-journal"))
