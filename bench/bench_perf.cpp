@@ -12,9 +12,9 @@
  *
  * The relative gate --vs requires this run's total cycles/sec to beat
  * the point in another run's BENCH_perf.json by --min-ratio. CI runs
- * the naive reference (--naive: the plain per-cycle loop, event-driven
- * tick skipping off) first, then gates the optimized kernel against it
- * — runner-speed independent, unlike an absolute floor.
+ * the naive reference (the same sweep built at -O0 without LTO) first,
+ * then gates the optimized build against it — runner-speed
+ * independent, unlike an absolute floor.
  *
  * Exit status: 0 ok, 1 below the --vs floor, 2 on a usage error or an
  * unusable reference. The reference is read and checked before the
@@ -55,7 +55,6 @@ constexpr CliOption kOptions[] = {
     {"--sms <n>", "SMs to simulate (default 2, scaled chip)"},
     {"--json [path]", "JSON path (default BENCH_perf.json)"},
     {"--no-json", "skip the JSON artifact"},
-    {"--naive", "naive reference: tick skipping off"},
     {"--vs <artifact>", "gate on another run's BENCH_perf.json"},
     {"--min-ratio <f>", "ratio --vs requires (default 2.0)"},
     {"--help", nullptr},
@@ -96,7 +95,6 @@ main(int argc, char **argv)
         usage();
         return valid ? 0 : 2;
     }
-    const bool naive = flag(argc, argv, "--naive");
     const char *vs_path = arg(argc, argv, "--vs");
     double min_ratio = 2.0;
     if (const char *v = arg(argc, argv, "--min-ratio")) {
@@ -134,15 +132,10 @@ main(int argc, char **argv)
         }
     }
 
-    printFigureBanner("Perf", naive
-                          ? "Simulation throughput per scheme "
-                            "(cycles/sec, uncached, NAIVE reference)"
-                          : "Simulation throughput per scheme "
-                            "(cycles/sec, uncached)");
+    printFigureBanner("Perf", "Simulation throughput per scheme "
+                              "(cycles/sec, uncached)");
 
-    GpuConfig gpu = regime.gpuConfig();
-    if (naive)
-        gpu.tickSkip = false;
+    const GpuConfig gpu = regime.gpuConfig();
     const RunnerOptions options = regime.runnerOptions();
     const std::vector<AppProfile> apps = regime.apps();
 
@@ -152,7 +145,7 @@ main(int argc, char **argv)
         SchemeConfig::linebacker()};
 
     PerfPoint point;
-    point.label = naive ? "naive" : "run";
+    point.label = "run";
     point.smoke = regime.smoke;
     point.sms = options.simSms;
 

@@ -40,23 +40,6 @@ class Ccws : public SmControllerIf, public VictimCacheIf
     void onCycle(Sm &sm, Cycle now) override;
     bool warpMayIssue(const Sm &sm, const Warp &warp) const override;
 
-    /** onCycle() is a no-op until the next score-update boundary. */
-    Cycle
-    nextEventCycle(const Sm &sm, Cycle now) const override
-    {
-        (void)sm;
-        (void)now;
-        return nextUpdate_;
-    }
-
-    /** No CTA-slot hooks: the issue-rank cutoff ignores launches. */
-    bool
-    wantsSchedulingOpportunity(const Sm &sm) const override
-    {
-        (void)sm;
-        return false;
-    }
-
     // --- VictimCacheIf (used as an eviction/miss observation tap) ---------
     VictimProbeResult probeVictim(Addr line_addr, Cycle now) override;
     void notifyEviction(Addr line_addr, std::uint8_t hpc,

@@ -34,23 +34,6 @@ class Pcal : public SmControllerIf
     bool warpMayIssue(const Sm &sm, const Warp &warp) const override;
     bool warpBypassesL1(const Sm &sm, const Warp &warp) const override;
 
-    /** onCycle() is a no-op until the hill-climb window closes. */
-    Cycle
-    nextEventCycle(const Sm &sm, Cycle now) const override
-    {
-        (void)sm;
-        (void)now;
-        return nextWindowEnd_;
-    }
-
-    /** No CTA-slot hooks: the token cutoff ignores launches. */
-    bool
-    wantsSchedulingOpportunity(const Sm &sm) const override
-    {
-        (void)sm;
-        return false;
-    }
-
     std::uint32_t activeLimit() const { return activeLimit_; }
     std::uint32_t tokenWarps() const { return tokens_; }
 

@@ -33,23 +33,6 @@ class StaticWarpLimiter : public SmControllerIf
         return limit_ == 0 || warp.smWarpId < limit_;
     }
 
-    /** Stateless gate: never needs a cycle of its own. */
-    Cycle
-    nextEventCycle(const Sm &sm, Cycle now) const override
-    {
-        (void)sm;
-        (void)now;
-        return kNoCycle;
-    }
-
-    /** Stateless gate: launches need no controller involvement. */
-    bool
-    wantsSchedulingOpportunity(const Sm &sm) const override
-    {
-        (void)sm;
-        return false;
-    }
-
     std::uint32_t limit() const { return limit_; }
 
   private:

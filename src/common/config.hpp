@@ -111,19 +111,6 @@ struct GpuConfig
      */
     Cycle watchdogCycles = 0;
 
-    /**
-     * Event-driven tick skipping: when every subsystem can prove its
-     * next effectful cycle is in the future (warps stalled on memory,
-     * DRAM commands not yet serviceable, crossbar traffic in flight),
-     * the engine fast-forwards to the earliest such cycle and replays
-     * the per-cycle accumulators for the jumped distance. Results are
-     * bit-identical with the knob on or off (the TickSkip tests enforce
-     * it), so like auditStride it is excluded from the memo-cache key.
-     * Automatically disabled for runs with an armed fault injector:
-     * fault hooks must observe every real cycle.
-     */
-    bool tickSkip = true;
-
     /** Warp registers (128 B each) in the register file. */
     std::uint32_t
     totalWarpRegisters() const

@@ -26,8 +26,6 @@ Gpu::Gpu(const GpuConfig &cfg, const GpuBuildOptions &options)
     }
     controllers_.resize(sms_.size(), nullptr);
     smProgress_.resize(sms_.size(), 0);
-
-    tickSkipEnabled_ = cfg_.tickSkip && !injector_.armed();
 }
 
 Gpu::~Gpu() = default;
@@ -43,94 +41,9 @@ Gpu::setControllers(std::vector<SmControllerIf *> controllers)
         dispatcher_->setControllers(controllers_);
 }
 
-Cycle
-Gpu::skipTarget() const
-{
-    // Dispatcher gate: an open CTA slot keeps the chip live when the
-    // dispatcher still has CTAs, or when the SM's controller would act
-    // on the scheduling opportunity (Linebacker reactivation).
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-        if (!sms_[s]->canLaunchCta())
-            continue;
-        if (dispatcher_ && !dispatcher_->drained())
-            return now_;
-        if (controllers_[s] &&
-            controllers_[s]->wantsSchedulingOpportunity(*sms_[s]))
-            return now_;
-    }
-
-    Cycle bound = skipLimit_;
-    for (const auto &partition : partitions_) {
-        const Cycle at = partition->nextEventCycle(now_);
-        if (at < bound)
-            bound = at;
-    }
-    if (bound <= now_)
-        return now_;
-    {
-        const Cycle at = icnt_->nextEventCycle(now_);
-        if (at < bound)
-            bound = at;
-    }
-    if (bound <= now_)
-        return now_;
-    for (const auto &sm : sms_) {
-        if (bound <= now_)
-            break;
-        const Cycle at = sm->nextEventCycle(now_);
-        if (at < bound)
-            bound = at;
-    }
-    if (bound <= now_)
-        return now_;
-
-    if (watchdog_) {
-        // Never jump before the first observe set the baseline, and
-        // never jump past the cycle the flat-progress trip would fire:
-        // both would shift the (deterministic) trip cycle. Observes in
-        // between are no-ops — progress is frozen below the threshold.
-        if (!watchdog_->primed())
-            return now_;
-        const Cycle trip =
-            watchdog_->lastProgressCycle() + watchdog_->threshold();
-        if (trip < bound)
-            bound = trip;
-    }
-
-    if constexpr (checksEnabled(CheckLevel::Full)) {
-        // Land on every audit-stride boundary so the periodic audits
-        // observe the same cycles they would without skipping.
-        if (cfg_.auditStride != 0) {
-            const Cycle next_audit =
-                (now_ / cfg_.auditStride + 1) * cfg_.auditStride;
-            if (next_audit < bound)
-                bound = next_audit;
-        }
-    }
-
-    return bound <= now_ ? now_ : bound;
-}
-
 void
 Gpu::tick()
 {
-    if (tickSkipEnabled_ && quiet_ && now_ < skipLimit_) {
-        const Cycle target = skipTarget();
-        if (target > now_) {
-            // Replay the per-cycle integrations for the jumped span,
-            // then either land on the boundary (the loop's exit check
-            // would have stopped there) or simulate the target cycle —
-            // the first one that can have an effect — for real.
-            const Cycle skipped = target - now_;
-            for (auto &sm : sms_)
-                sm->applySkippedCycles(skipped);
-            icnt_->applySkippedCycles(skipped);
-            now_ = target;
-            if (now_ >= skipLimit_)
-                return;
-        }
-    }
-
     // Memory side first: partitions, then crossbar delivery (which calls
     // back into SMs for fills and restores). Then every SM in index
     // order — the order that fixes the crossbar's request FIFO — then
@@ -147,16 +60,13 @@ Gpu::tick()
         if (cfg_.auditStride != 0 && now_ % cfg_.auditStride == 0)
             audit();
     }
-    // Global progress doubles as the skip probe's quiet gate: only
-    // probe after a do-nothing tick.
-    for (std::size_t s = 0; s < sms_.size(); ++s)
-        smProgress_[s] = sms_[s]->instructionsIssued();
-    const std::uint64_t progress =
-        stats_.instructionsIssued + icnt_->ledger().totalRetired();
-    if (watchdog_)
-        watchdog_->observe(now_, progress, smProgress_);
-    quiet_ = progress == prevProgress_;
-    prevProgress_ = progress;
+    if (watchdog_) {
+        for (std::size_t s = 0; s < sms_.size(); ++s)
+            smProgress_[s] = sms_[s]->instructionsIssued();
+        watchdog_->observe(
+            now_, stats_.instructionsIssued + icnt_->ledger().totalRetired(),
+            smProgress_);
+    }
     ++now_;
 }
 
@@ -208,7 +118,6 @@ Gpu::runKernel(const KernelInfo &kernel)
     // reported window reflects warm-state behaviour for every scheme.
     if (cfg_.warmupCycles > 0) {
         const Cycle warm_end = now_ + cfg_.warmupCycles;
-        skipLimit_ = warm_end;
         while (now_ < warm_end && !done() && !watchdogTripped())
             tick();
         stats_ = SimStats{};
@@ -222,7 +131,6 @@ Gpu::runKernel(const KernelInfo &kernel)
     }
 
     const Cycle deadline = now_ + cfg_.maxCycles;
-    skipLimit_ = deadline; // Also covers the drain loop below.
     while (now_ < deadline && !done() && !watchdogTripped())
         tick();
 
@@ -247,7 +155,6 @@ Gpu::runKernel(const KernelInfo &kernel)
         icnt_->auditDrained();
     }
 
-    skipLimit_ = 0; // Bare tick() calls (tests) never skip.
     finalizeStats();
     return stats_;
 }

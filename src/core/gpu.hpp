@@ -54,12 +54,7 @@ class Gpu
      */
     const SimStats &runKernel(const KernelInfo &kernel);
 
-    /**
-     * Advance one cycle (exposed for fine-grained tests). Inside
-     * runKernel()'s loops the tick may first fast-forward over cycles
-     * every subsystem proved effect-free (GpuConfig::tickSkip); bare
-     * calls from tests never skip (skipLimit_ is 0 outside the loops).
-     */
+    /** Advance one cycle (exposed for fine-grained tests). */
     void tick();
 
     Cycle now() const { return now_; }
@@ -124,16 +119,6 @@ class Gpu
   private:
     HangReport buildHangReport() const;
 
-    /**
-     * Earliest cycle (<= skipLimit_) at which ticking could have any
-     * effect. Returns now_ when some subsystem must run this cycle —
-     * the dispatcher could launch or a controller wants the scheduling
-     * opportunity, a partition/crossbar/SM event is due, or the
-     * watchdog is not primed yet. Capped at the watchdog's trip cycle
-     * and, in full-check builds, at the next audit-stride boundary.
-     */
-    Cycle skipTarget() const;
-
     GpuConfig cfg_;
     SimStats stats_;
     FaultInjector injector_;
@@ -144,32 +129,10 @@ class Gpu
     std::vector<SmControllerIf *> controllers_;
     std::unique_ptr<Watchdog> watchdog_;
     HangReport hangReport_;
-    /** Per-SM progress scratch fed to the watchdog each cycle. */
+    /** Per-SM progress scratch fed to an armed watchdog each cycle. */
     std::vector<std::uint64_t> smProgress_;
     Cycle now_ = 0;
     Cycle measureStart_ = 0;
-    /**
-     * Exclusive upper bound for tick skipping: runKernel() sets it to
-     * the active loop's boundary (warm-up end, then deadline) and
-     * clears it to 0 on exit, so a bare tick() never skips. A skip that
-     * reaches the limit returns without simulating the boundary cycle —
-     * exactly what the real loop's exit check would have done.
-     */
-    Cycle skipLimit_ = 0;
-    /** cfg.tickSkip, forced off when a fault plan is armed (fault
-     *  hooks must observe every real cycle). */
-    bool tickSkipEnabled_;
-    /**
-     * Quiet gate for the skip probe: skipTarget() only runs after a
-     * tick in which the instruction-progress proxy (instructions
-     * issued + crossbar retirements) did not move. While warps are
-     * issuing, probing every cycle costs more than the skips recover;
-     * a stall episode pays one extra real tick before the probe fires.
-     * Purely a when-to-probe heuristic — skips themselves stay
-     * bit-invisible, so this cannot affect simulated results.
-     */
-    bool quiet_ = false;
-    std::uint64_t prevProgress_ = ~0ull;
 };
 
 } // namespace lbsim

@@ -65,22 +65,6 @@ class LdstUnit
     /** Outstanding queued accesses (structural-hazard visibility). */
     std::size_t queued() const { return queue_.size(); }
 
-    /**
-     * True if the queued head access would be accepted by the L1 this
-     * cycle. While this is false the unit's tick is a pure retry with
-     * no side effects, so the tick-skip engine may idle past it. The
-     * stall decision is bypass-independent (bypassed misses follow the
-     * same MSHR/credit path), so the head's bypass flag is irrelevant.
-     */
-    bool
-    headWouldProgress() const
-    {
-        if (queue_.empty())
-            return false;
-        const QueuedAccess &head = queue_.front();
-        return !l1_->wouldStall(head.lineAddr, head.isWrite);
-    }
-
     /** In-flight load accesses awaiting data. */
     std::size_t inFlight() const { return pending_.size(); }
 

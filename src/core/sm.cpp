@@ -45,8 +45,8 @@ bool
 Sm::canLaunchCta() const
 {
     // O(1) via the incrementally maintained mirrors: this runs every
-    // cycle from the dispatcher and the tick-skip probe, and the slot
-    // scans it replaced were one of the largest profile lines.
+    // cycle from the dispatcher, and the slot scans it replaced were
+    // one of the largest profile lines.
     if (!kernel_)
         return false;
     if (freeWarpSlots_ < kernel_->warpsPerCta)
@@ -345,100 +345,6 @@ Sm::tick(Cycle now)
     activeRegAccum_ += occActiveRegs_;
     durRegAccum_ += occDurRegs_;
     surRegAccum_ += rf_.totalRegs() - rf_.allocatedRegs();
-}
-
-Cycle
-Sm::nextEventCycle(Cycle now) const
-{
-    // Mirrors tick() stage by stage: controller, LDST/L1, issue,
-    // retirement. Any stage that could act this cycle returns now.
-    Cycle bound = kNoCycle;
-
-    if (controller_) {
-        const Cycle at = controller_->nextEventCycle(*this, now);
-        if (at <= now)
-            return now;
-        if (at < bound)
-            bound = at;
-    }
-
-    // LDST completions drain from the L1's min-ordered queue.
-    const Cycle completion = l1_->nextCompletionCycle();
-    if (completion <= now)
-        return now;
-    if (completion < bound)
-        bound = completion;
-
-    // A queued head the L1 would accept makes the LDST tick effectful;
-    // a stalled head is a pure retry (no side effects, inputs frozen
-    // while the chip idles), so it imposes no bound of its own.
-    if (ldst_.headWouldProgress())
-        return now;
-
-    // CTA retirement acts as soon as a finished CTA's loads drained.
-    if (finishedCtas_ != 0) {
-        for (const Cta &cta : ctas_) {
-            if (!cta.valid || !cta.finished())
-                continue;
-            bool drained = true;
-            for (std::uint32_t warp_slot : cta.warpSlots) {
-                if (warps_[warp_slot].outstandingLoads != 0) {
-                    drained = false;
-                    break;
-                }
-            }
-            if (drained)
-                return now; // retireFinishedCtas() would fire.
-            // Not drained: wakes via a load completion (bounded above).
-        }
-    }
-
-    // Issue stage: a ready candidate the gate allows would issue now.
-    // Every live warp's readyAt bounds the skip, load-blocked ones
-    // included. Warps whose block only lifts via a memory event (load
-    // completion, queue drain) or a controller action need no bound of
-    // their own — those events are bounded above or arrive from the
-    // crossbar.
-    const std::uint64_t candidates = issueCandidates(~std::uint64_t{0});
-    for (const Warp &warp : warps_) {
-        if (!warp.live())
-            continue;
-        if (warp.readyAt > now) {
-            if (warp.readyAt < bound)
-                bound = warp.readyAt;
-            continue;
-        }
-        if (!(candidates >> warp.smWarpId & 1))
-            continue;
-        if (controller_ && !controller_->warpMayIssue(*this, warp))
-            continue; // Gate state only moves at the controller bound.
-        return now; // A scheduler would issue this warp.
-    }
-
-    return bound;
-}
-
-void
-Sm::applySkippedCycles(Cycle cycles)
-{
-    // Every skipped tick would have reset the register-file bank-use
-    // counters (rf_.beginCycle). The reset is visible across phases:
-    // CERF's fill-path bank charges run in the interconnect phase and
-    // read the residue of the previous cycle's operand accesses, so a
-    // fill landing at the wake cycle must see the same clean state the
-    // per-cycle resets would have left (one reset equals many).
-    rf_.beginCycle(0);
-
-    // Mirror of tick()'s occupancy accounting, multiplied out. Every
-    // accumulator holds integer-valued doubles far below 2^53, so the
-    // multiply-add is bit-identical to `cycles` repeated additions.
-    activeRegAccum_ += static_cast<double>(occActiveRegs_) * cycles;
-    durRegAccum_ += static_cast<double>(occDurRegs_) * cycles;
-    surRegAccum_ +=
-        static_cast<double>(rf_.totalRegs() - rf_.allocatedRegs()) *
-        cycles;
-    if (controller_)
-        controller_->onCyclesSkipped(*this, cycles);
 }
 
 void

@@ -97,14 +97,12 @@ class SmControllerIf
         (void)now;
     }
 
-    // --- Tick-skip contract (see GpuConfig::tickSkip) -------------------
+    // --- Unused hooks ---------------------------------------------------
 
     /**
-     * Earliest future cycle at which this controller's onCycle() could
-     * do anything, or @p now if it must run every cycle. The default is
-     * the conservative @p now — unknown controllers never allow a skip.
-     * Implementations must return a bound that holds while the SM's
-     * state is otherwise frozen (no issue, no memory event).
+     * The chip ticks every cycle, so nothing in src/ calls or overrides
+     * these three. They keep their defaults because lbbench's
+     * TimedController (lbbench/src/trace.hpp) overrides them.
      */
     virtual Cycle
     nextEventCycle(const Sm &sm, Cycle now) const
@@ -112,25 +110,11 @@ class SmControllerIf
         (void)sm;
         return now;
     }
-
-    /**
-     * Replay the per-cycle accumulator effects of @p cycles skipped
-     * onCycle() calls (called only for cycles nextEventCycle() proved
-     * effect-free, so most controllers have nothing to do).
-     */
     virtual void onCyclesSkipped(Sm &sm, Cycle cycles)
     {
         (void)sm;
         (void)cycles;
     }
-
-    /**
-     * True if the dispatcher calling onSchedulingOpportunity() for this
-     * SM could have an effect right now. Gates tick-skip across cycles
-     * where a CTA slot is open but the dispatcher is drained: the
-     * opportunity callback may still act (e.g.\ Linebacker reactivating
-     * a throttled CTA). Conservative default: assume it would.
-     */
     virtual bool
     wantsSchedulingOpportunity(const Sm &sm) const
     {
@@ -186,25 +170,6 @@ class Sm : public ResponseSinkIf
 
     /** Advance one core cycle. */
     void tick(Cycle now);
-
-    /**
-     * Earliest future cycle at which ticking this SM could have any
-     * effect — an instruction issue, a memory event, a CTA retirement,
-     * or a controller action — or kNoCycle when only an external event
-     * (a response from the crossbar, a dispatcher launch) can wake it.
-     * Returns @p now when the SM must be ticked for real. Used by the
-     * tick-skip engine; must stay in lockstep with tick().
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Replay the per-cycle occupancy accounting for @p cycles skipped
-     * ticks (the accumulators integrate over every cycle, effectful or
-     * not) and forward to the controller's onCyclesSkipped(). All
-     * accumulators hold integer-valued doubles far below 2^53, so the
-     * multiply-add is bit-identical to @p cycles repeated additions.
-     */
-    void applySkippedCycles(Cycle cycles);
 
     /** ResponseSinkIf: route fills and restore data. */
     void onResponse(const MemResponse &response, Cycle now) override;
@@ -310,11 +275,11 @@ class Sm : public ResponseSinkIf
     std::uint64_t memNext_ = 0;
 
     // Incrementally maintained mirrors of the CTA/warp tables, so the
-    // per-cycle paths (canLaunchCta from the dispatcher and the skip
-    // probe, occupancy accounting, retirement) are O(1) instead of
-    // rescanning every slot. Updated only in launchCta /
-    // retireFinishedCtas / setCtaActive / issueWarp — the only
-    // mutation points of the mirrored state.
+    // per-cycle paths (canLaunchCta from the dispatcher, occupancy
+    // accounting, retirement) are O(1) instead of rescanning every
+    // slot. Updated only in launchCta / retireFinishedCtas /
+    // setCtaActive / issueWarp — the only mutation points of the
+    // mirrored state.
     std::uint32_t freeWarpSlots_ = 0;
     std::uint32_t residentCtas_ = 0;
     std::uint32_t finishedCtas_ = 0;

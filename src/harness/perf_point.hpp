@@ -45,7 +45,7 @@ struct SchemePerfPoint
 struct PerfPoint
 {
     int version = kPerfPointVersion;
-    std::string label;          ///< e.g. "naive", "run".
+    std::string label;          ///< e.g. "run".
     bool smoke = true;          ///< Smoke-sized sweep (CI) or full.
     std::uint32_t sms = 0;      ///< Simulated SM count.
     double totalCyclesPerSec = 0.0;

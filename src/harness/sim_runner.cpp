@@ -71,9 +71,7 @@ describeApp(const AppProfile &app)
  * appear here: a sweep that mutates a non-keyed field would silently
  * return stale cache hits. The only deliberate exclusions are
  * GpuConfig::auditStride (debugging knob with no architectural effect),
- * GpuConfig::tickSkip (execution-engine knob — results are
- * bit-identical with skipping on or off, which the TickSkip tests
- * enforce), RunnerOptions::useMemoCache (meta) and the ignored
+ * RunnerOptions::useMemoCache (meta) and the ignored
  * GpuConfig::smThreads / RunnerOptions::smThreads.
  */
 std::string

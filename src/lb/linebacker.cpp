@@ -419,48 +419,6 @@ Linebacker::onSchedulingOpportunity(Sm &sm, Cycle now)
     return reactivateOne(sm, now);
 }
 
-Cycle
-Linebacker::nextEventCycle(const Sm &sm, Cycle now) const
-{
-    // Transfers in flight (or their completion gates) need every cycle:
-    // the backup engine's tick moves data, and the completion checks at
-    // the top of onCycle() fire the moment a job finishes.
-    if (backupWaitCta_ >= 0 || restoreWaitCta_ >= 0 || engine_->busy())
-        return now;
-    // Otherwise onCycle() only acts at the window boundary (the
-    // victimRegAccum_ integration is replayed by onCyclesSkipped).
-    Cycle bound = nextWindowEnd_;
-    if (inner_) {
-        const Cycle inner_bound = inner_->nextEventCycle(sm, now);
-        if (inner_bound < bound)
-            bound = inner_bound;
-    }
-    return bound;
-}
-
-void
-Linebacker::onCyclesSkipped(Sm &sm, Cycle cycles)
-{
-    // Mirror of onCycle()'s per-cycle integration; capacityLines() is
-    // frozen while the SM idles (it only changes on CTA events and
-    // window boundaries, which end any skip).
-    if (!vtt_.tagOnlyMode()) {
-        victimRegAccum_ +=
-            static_cast<double>(vtt_.capacityLines()) * cycles;
-    }
-    if (inner_)
-        inner_->onCyclesSkipped(sm, cycles);
-}
-
-bool
-Linebacker::wantsSchedulingOpportunity(const Sm &sm) const
-{
-    // Matches onSchedulingOpportunity()'s early-out: with no throttled
-    // CTA to re-activate (or a restore already streaming) the callback
-    // is a guaranteed no-op.
-    return sm.lowestInactiveCta() >= 0 && restoreWaitCta_ < 0;
-}
-
 void
 Linebacker::onMeasurementReset(Sm &sm, Cycle now)
 {

@@ -62,9 +62,6 @@ class Linebacker : public SmControllerIf, public VictimCacheIf
     void onCtaCompleted(Sm &sm, Cta &cta, Cycle now) override;
     bool onSchedulingOpportunity(Sm &sm, Cycle now) override;
     void onMeasurementReset(Sm &sm, Cycle now) override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
-    void onCyclesSkipped(Sm &sm, Cycle cycles) override;
-    bool wantsSchedulingOpportunity(const Sm &sm) const override;
     std::string statusString() const override;
 
     // --- VictimCacheIf ------------------------------------------------------

@@ -203,22 +203,4 @@ DramChannel::drainCompleted(Cycle now, std::vector<DramCompletion> &out)
     minDone_ = min_done;
 }
 
-Cycle
-DramChannel::nextEventCycle(Cycle now) const
-{
-    Cycle bound = kNoCycle;
-    // A queued command acts at max(issueReadyAt_, now) — provided a
-    // scheduled_ slot is free. issueReadyAt_ is a conservative lower
-    // bound on window availability (stale-low at worst), so the result
-    // never overshoots the real event. When every slot is taken the
-    // queue can only move after a completion drains, which the
-    // completion bound below covers (the freed slot is visible to the
-    // next tick).
-    if (scheduled_ < kMaxScheduled && !queue_.empty())
-        bound = issueReadyAt_ > now ? issueReadyAt_ : now;
-    if (minDone_ < bound)
-        bound = minDone_;
-    return bound;
-}
-
 } // namespace lbsim

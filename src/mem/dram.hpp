@@ -76,18 +76,6 @@ class DramChannel
         return static_cast<std::uint32_t>(queue_.size());
     }
 
-    /**
-     * Earliest future cycle at which ticking this channel could have an
-     * effect, or kNoCycle if it is fully idle. Two event sources exist:
-     * a queued command becoming serviceable (issueOne() only considers
-     * entries with available <= now and, once picked, always issues —
-     * bank/bus timing shapes the completion time, not eligibility), and
-     * a scheduled command completing (drainCompleted / the scheduled_
-     * slot it frees). Used by the tick-skip engine; must stay in
-     * lockstep with tick()'s actual behaviour.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
   private:
     static constexpr std::uint32_t kBanks = 8;
     static constexpr std::uint32_t kRowLines = 16; ///< 2 KB rows.
@@ -129,9 +117,9 @@ class DramChannel
     Cycle issueReadyAt_ = 0;
     /**
      * Exact minimum `done` cycle over completed_ (kNoCycle when
-     * empty): drainCompleted() is a no-op before it, and
-     * nextEventCycle() reads it instead of walking the deque. Kept
-     * exact: min-updated on push, recomputed during every drain scan.
+     * empty): drainCompleted() returns at once before it instead of
+     * walking the deque. Kept exact: min-updated on push, recomputed
+     * during every drain scan.
      */
     Cycle minDone_ = kNoCycle;
 };

@@ -218,31 +218,6 @@ Interconnect::stepParked(Cursor &cursor, Cycle now)
            (cursor.l2Left != 0 || partition->dramCanAccept());
 }
 
-Cycle
-Interconnect::nextEventCycle(Cycle now) const
-{
-    if (!retrySkip_)
-        return now; // Armed injector: every attempt must really happen.
-    // The arrival FIFO's front bounds every request not yet presented.
-    // Parked requests impose no bound of their own (see the header);
-    // their per-cycle L2 stall charge is replayed by
-    // applySkippedCycles.
-    Cycle bound = arrivals_.empty() ? kNoCycle : arrivals_.front().arrival;
-    if (!responses_.empty() && responses_.front().arrival < bound)
-        bound = responses_.front().arrival;
-    return bound <= now ? now : bound;
-}
-
-void
-Interconnect::applySkippedCycles(std::uint64_t cycles)
-{
-    for (std::size_t p = 0; p < queues_.size(); ++p) {
-        if (queues_[p].l2 != 0 && partitions_[p]->dramCanAccept())
-            partitions_[p]->chargeSkippedReadRetries(queues_[p].l2 *
-                                                     cycles);
-    }
-}
-
 void
 Interconnect::audit(Cycle now) const
 {

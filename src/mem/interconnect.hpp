@@ -89,32 +89,6 @@ class Interconnect
         return arrivals_.empty() && parkedTotal_ == 0 && responses_.empty();
     }
 
-    /**
-     * Earliest future cycle at which ticking the crossbar could have an
-     * effect, or kNoCycle when nothing is in flight. Traffic still
-     * crossing bounds at its arrival cycle (the arrival FIFO's front).
-     * A parked request has no intrinsic bound: it only moves when its
-     * partition does, which the partition's own bound covers.
-     * Responses bound at the front's arrival: only the front is ever
-     * popped, so later (possibly earlier-stamped) entries cannot act
-     * before it. Returns @p now (no skip) when retry-skip is disabled,
-     * because the armed fault injector must observe every real
-     * delivery attempt.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Replay the per-cycle side effects of @p cycles skipped crossbar
-     * ticks. The only per-cycle effect while every bound is in the
-     * future is the L2-stalled read retry charge: one read id and one
-     * L2 access per cycle for each L2-stalled request whose DRAM queue
-     * has room, read from the per-partition park counts. When the
-     * queue is full a real tick would re-file those requests as
-     * DRAM-full bounces and charge nothing; both states converge at
-     * the partition's wake cycle, which ends the skip anyway.
-     */
-    void applySkippedCycles(std::uint64_t cycles);
-
     /** Request-lifetime ledger (fed at every check level). */
     RequestLedger &ledger() { return ledger_; }
     const RequestLedger &ledger() const { return ledger_; }

@@ -45,23 +45,6 @@ L1Cache::access(const L1Access &access, Cycle now)
     return outcome;
 }
 
-bool
-L1Cache::wouldStall(Addr line_addr, bool is_write) const
-{
-    // Keep in lockstep with accessImpl()/handleStore()/handleLoadMiss():
-    // every early return below mirrors one of their accept/stall exits,
-    // in the same order.
-    if (is_write)
-        return !icnt_->canAcceptRequest(smId_);
-    if (tags_.probe(line_addr))
-        return false; // Hit: accepted.
-    if (mshrs_.pending(line_addr))
-        return !mshrs_.canMerge(line_addr); // Merged or StallNoMshr.
-    if (mshrs_.inUse() >= mshrs_.capacity())
-        return true; // StallNoMshr.
-    return !icnt_->canAcceptRequest(smId_); // StallQueue or accepted miss.
-}
-
 L1Outcome
 L1Cache::accessImpl(const L1Access &access, Cycle now)
 {

@@ -162,27 +162,6 @@ class L1Cache
     /** Pop access ids whose data became available by @p now. */
     void drainCompleted(Cycle now, std::vector<std::uint64_t> &out);
 
-    /**
-     * Earliest ready cycle in the completion queue (kNoCycle if empty).
-     * The queue is kept ordered by ready cycle, so this is the front.
-     */
-    Cycle
-    nextCompletionCycle() const
-    {
-        return completed_.empty() ? kNoCycle : completed_.front().first;
-    }
-
-    /**
-     * Const mirror of accessImpl()'s stall decision: would presenting
-     * an access to @p line_addr stall this cycle? Follows the accepted/
-     * stalled split exactly (hit -> accepted; pending line -> merge
-     * unless the merge list is full; otherwise MSHR capacity, then
-     * downstream credit). The tick-skip engine uses it to prove a
-     * queued LDST head stays parked; stalled accesses have no side
-     * effects, so the skipped retries are invisible.
-     */
-    bool wouldStall(Addr line_addr, bool is_write) const;
-
     /** Tag-array geometry actually in use (after extensions). */
     const TagArray &tags() const { return tags_; }
 

@@ -107,17 +107,6 @@ class MemoryPartition
     void chargeSkippedReadRetries(std::uint64_t count);
 
     /**
-     * Earliest future cycle at which ticking this partition could have
-     * an effect, or kNoCycle when idle. The partition's tick is entirely
-     * DRAM-driven (advance the channel, drain its completions), so the
-     * bound is the channel's. Used by the tick-skip engine.
-     */
-    Cycle nextEventCycle(Cycle now) const
-    {
-        return dram_.nextEventCycle(now);
-    }
-
-    /**
      * Consistency auditor: every pending read belongs to this partition,
      * is of a kind that produces a response, and is addressed to a real
      * line.

@@ -51,13 +51,6 @@ MshrFile::pending(Addr line_addr) const
 }
 
 bool
-MshrFile::canMerge(Addr line_addr) const
-{
-    const auto it = entries_.find(line_addr);
-    return it != entries_.end() && it->second.waiters.size() < maxMerges_;
-}
-
-bool
 MshrFile::completeFill(Addr line_addr,
                        std::vector<std::uint64_t> &waiters_out)
 {

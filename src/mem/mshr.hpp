@@ -47,15 +47,6 @@ class MshrFile
     bool pending(Addr line_addr) const;
 
     /**
-     * True if a miss on @p line_addr would merge into its in-flight
-     * entry (the merge list has room). False when no entry exists or
-     * the list is full — the exact condition registerMiss() uses, so
-     * the tick-skip engine can predict a retry's outcome without
-     * mutating anything.
-     */
-    bool canMerge(Addr line_addr) const;
-
-    /**
      * Complete the fill for @p line_addr.
      * @param waiters_out Receives the merged access ids (appended).
      * @return true if any waiter had allocate-on-fill semantics (the line

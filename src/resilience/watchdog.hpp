@@ -97,13 +97,6 @@ class Watchdog
     bool tripped() const { return tripped_; }
     Cycle threshold() const { return threshold_; }
 
-    /**
-     * True once the first observation set the progress baseline. The
-     * tick-skip engine must not jump cycles before priming: the baseline
-     * cycle would shift and with it the (deterministic) trip cycle.
-     */
-    bool primed() const { return primed_; }
-
     /** Last cycle the global signal moved. */
     Cycle lastProgressCycle() const { return lastGlobalCycle_; }
 

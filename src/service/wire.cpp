@@ -381,6 +381,17 @@ doneMessage(const std::string &plan_id, std::size_t completed,
 }
 
 bool
+parseAcceptedCells(const JsonValue &message, std::size_t max_cells,
+                   std::size_t &cells, std::string &error)
+{
+    if (!message.member("cells")) {
+        error = "accepted message lacks a cell count";
+        return false;
+    }
+    return wholeField(message, "cells", cells, error, 0, max_cells);
+}
+
+bool
 parseCellMessage(const JsonValue &message, CellResult &result,
                  std::string &error)
 {
@@ -389,12 +400,12 @@ parseCellMessage(const JsonValue &message, CellResult &result,
         error = "cell message is not an object";
         return false;
     }
-    const JsonValue *index = message.member("index");
-    if (!index || !index->isNumber() || index->number < 0) {
-        error = "cell message lacks a valid index";
+    if (!message.member("index")) {
+        error = "cell message lacks an index";
         return false;
     }
-    result.index = static_cast<std::size_t>(index->number);
+    if (!wholeField(message, "index", result.index, error))
+        return false;
     result.app = message.stringOr("app", "");
     result.scheme = message.stringOr("scheme", "");
     result.variant = message.stringOr("variant", "");

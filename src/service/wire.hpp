@@ -132,8 +132,18 @@ std::string doneMessage(const std::string &plan_id, std::size_t completed,
                         std::size_t failed);
 
 /**
+ * Read a server "accepted" frame's cell count into @p cells: a whole
+ * number no larger than @p max_cells, the count the submitted plan
+ * expands to. @return false, with @p error naming the field, for a
+ * missing count or any other value.
+ */
+bool parseAcceptedCells(const JsonValue &message, std::size_t max_cells,
+                        std::size_t &cells, std::string &error);
+
+/**
  * Parse a server "cell" frame back into a CellResult (the inverse of
- * cellMessage, metrics included). @return false on malformed input.
+ * cellMessage, metrics included). @return false on malformed input,
+ * including an index that is not a whole number.
  */
 bool parseCellMessage(const JsonValue &message, CellResult &result,
                       std::string &error);

@@ -7,7 +7,8 @@ pinned here end-to-end against the real binaries.
   lbsim_cli:     0 ok, 1 usage error (unknown option or a bad numeric
                  value), 3 watchdog trip (with a parseable JSON hang
                  report next to it)
-  lbsim_submit:  0 ok, 2 usage/connect errors, 4 shed by the daemon
+  lbsim_submit:  0 ok, 2 usage/connect/protocol errors, 4 shed by the
+                 daemon
   lbsimd:        2 usage error
   lbsim_figures: 0 ok, 1 artifact not written, 2 usage error (unknown
                  option or id, --json <path> with --fig all)
@@ -18,9 +19,12 @@ Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit> <lbsim_figures>
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 FAILURES = []
@@ -209,6 +213,56 @@ def test_submit_shed_exit_code(daemon, submit, tmp):
         check("daemon drains to exit 0 on SIGTERM", rc == 0, f"rc={rc}")
 
 
+def serve_frames(server, frames):
+    """Fake lbsimd: take one submission, answer with @p frames."""
+    conn, _ = server.accept()
+    with conn:
+        length = struct.unpack("<I", conn.recv(4, socket.MSG_WAITALL))[0]
+        conn.recv(length, socket.MSG_WAITALL)
+        for frame in frames:
+            data = frame.encode()
+            try:
+                conn.sendall(struct.pack("<I", len(data)) + data)
+            except OSError:
+                return  # The client already gave up on the stream.
+
+
+def test_submit_refuses_bad_frame_counts(submit, tmp):
+    """A count from the daemon that is not a whole number in range is a
+    protocol error (exit 2). The client once sized its result table
+    from these values unchecked, aborting on std::bad_alloc or
+    inventing failed cells."""
+    cell = ('{"type":"cell","index":%s,"app":"S2","scheme":"baseline",'
+            '"variant":"","ok":true,"outcome":"ok","error":"",'
+            '"metrics":"","hangReport":""}')
+    accepted = '{"type":"accepted","planId":"p1","cells":%s}'
+    done = '{"type":"done","planId":"p1","completed":1,"failed":0}'
+    cases = {
+        "accepted cells 1e12": [accepted % "1e12", done],
+        "cell index 1e15": [accepted % "1", cell % "1e15", done],
+        "cell index 2.5": [accepted % "1", cell % "2.5", done],
+    }
+    for label, frames in cases.items():
+        sock = os.path.join(tmp, "fake.sock")
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server.bind(sock)
+        server.listen(1)
+        server.settimeout(20)
+        thread = threading.Thread(target=serve_frames,
+                                  args=(server, frames), daemon=True)
+        thread.start()
+        try:
+            proc = run([submit, "--socket", sock, "--schemes", "baseline",
+                        "--apps", "S2", "--smoke"], timeout=20)
+            check(f"submit {label} exits 2", proc.returncode == 2,
+                  f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
+        except subprocess.TimeoutExpired:
+            check(f"submit {label} exits 2", False, "client hung")
+        thread.join(timeout=20)
+        server.close()
+        os.unlink(sock)
+
+
 def main():
     if len(sys.argv) != 5:
         print(__doc__)
@@ -228,6 +282,7 @@ def main():
                                                 tmp)
         test_figures_exit_codes(figures, tmp)
         test_submit_shed_exit_code(daemon, submit, tmp)
+        test_submit_refuses_bad_frame_counts(submit, tmp)
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1

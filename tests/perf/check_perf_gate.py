@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Exit-code contract of bench_perf's relative gate (--vs).
 
-CI's perf-smoke job runs the naive reference first
-(`bench_perf --smoke --naive --json N`), then gates the optimized build
-against it (`bench_perf --smoke --vs N --min-ratio 2.0`). That second
-command's exit code is the gate:
+CI's perf-smoke job runs the naive reference first (the same sweep,
+`bench_perf --smoke --json N`, from a build at -O0 without LTO), then
+gates the optimized build against it
+(`bench_perf --smoke --vs N --min-ratio 2.0`). That second command's
+exit code is the gate:
 
   0  this run's total cycles/sec >= min-ratio x the reference's
   1  below the floor

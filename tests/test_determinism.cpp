@@ -7,6 +7,8 @@
  * (config, workload, seed): the same seed must reproduce every counter
  * bit-for-bit, and the seed must actually matter for stochastic
  * workloads. serializeStats() is the byte-exact witness for both.
+ * The inert-plan suite applies the same witness to the crossbar's
+ * parking, which an armed fault injector turns off.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +168,53 @@ TEST(Determinism, WedgedRunReplaysItsHangReport)
         << "first difference: "
         << firstStatDifference(a.stats, b.stats);
 }
+
+/**
+ * Crossbar parking vs every-tick retry on the whole chip. An armed
+ * fault injector whose only event lies beyond the run never fires,
+ * but arming it turns off the crossbar's retry-skip: every parked
+ * request is presented again on every tick. The stats must equal the
+ * unarmed run's, which parks and charges L2 stalls without presenting
+ * them.
+ */
+class InertPlanAtSmCount : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    static std::string
+    statsFor(const char *app, const SchemeConfig &scheme, bool armed)
+    {
+        LbConfig lb;
+        lb.monitorPeriod = 4000;
+        RunnerOptions opts = fastOptions();
+        opts.simSms = GetParam();
+        opts.maxCycles = 20000;
+        if (armed) {
+            opts.faultPlan.events.push_back(
+                {FaultKind::IcntDelay, Cycle{1} << 40, 1, 1});
+        }
+        SimRunner runner(GpuConfig{}, lb, opts);
+        const RunMetrics m = runner.run(appById(app), scheme);
+        EXPECT_EQ(m.faultsInjected, 0u);
+        return serializeStats(m.stats);
+    }
+};
+
+TEST_P(InertPlanAtSmCount, StatsMatchUnarmedRun)
+{
+    for (const char *app : {"KM", "S2", "CF"}) {
+        for (const SchemeConfig &scheme :
+             {SchemeConfig::baseline(), SchemeConfig::cerf(),
+              SchemeConfig::linebacker()}) {
+            EXPECT_EQ(statsFor(app, scheme, false),
+                      statsFor(app, scheme, true))
+                << "an inert armed plan changed " << app << " under "
+                << scheme.name << " at " << GetParam() << " SMs";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(SmCounts, InertPlanAtSmCount,
+                         ::testing::Values(4u, 16u));
 
 TEST(Determinism, SerializeStatsCoversEveryCounter)
 {

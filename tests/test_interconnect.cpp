@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -251,16 +250,6 @@ struct Crossbar
         icnt.tick(now);
     }
 
-    /** Earliest cycle the crossbar or a partition could act. */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        Cycle bound = icnt.nextEventCycle(now);
-        for (const auto &partition : partitions)
-            bound = std::min(bound, partition->nextEventCycle(now));
-        return bound;
-    }
-
     std::string
     partitionState() const
     {
@@ -357,9 +346,9 @@ TEST(CrossbarOrder, SameTickUnblocksDeliverInSendOrder)
  * Parking vs every-tick retry. The reference crossbar carries an armed
  * fault injector whose only event lies beyond the run: armed, it turns
  * retry-skip off (every parked request is presented again each tick),
- * yet it never fires. The subject parks, charges L2 stalls without
- * presenting them, and fast-forwards its quiet stretches the way
- * Gpu::tick does. Both must deliver the same responses at the same
+ * yet it never fires. The subject parks and charges L2 stalls without
+ * presenting them. Both tick every cycle, through quiet stretches with
+ * no new traffic too, and must deliver the same responses at the same
  * cycles and end with the same counters and partition state.
  */
 TEST(CrossbarDifferential, ParkingMatchesEveryTickRetry)
@@ -377,7 +366,6 @@ TEST(CrossbarDifferential, ParkingMatchesEveryTickRetry)
         RequestKind::DataWrite, RequestKind::DataWrite,
         RequestKind::RegBackup, RequestKind::RegRestore,
     };
-    std::uint64_t skipped = 0;
     for (std::uint64_t seed = 1; seed <= 240; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed * 0x9e3779b97f4a7c15ull);
@@ -406,22 +394,6 @@ TEST(CrossbarDifferential, ParkingMatchesEveryTickRetry)
                (now < traffic_end || !sub.icnt.quiescent() ||
                 !ref.icnt.quiescent())) {
             const bool quiet = now < quiet_until || now >= traffic_end;
-            if (quiet) {
-                // The subject fast-forwards to its next event; the
-                // reference ticks every cycle in between.
-                Cycle target = sub.nextEventCycle(now);
-                if (now < traffic_end)
-                    target = std::min(target, quiet_until);
-                target = std::min(target, traffic_end + 20000);
-                if (target > now) {
-                    for (Cycle c = now; c < target; ++c)
-                        ref.tick(c);
-                    sub.icnt.applySkippedCycles(target - now);
-                    skipped += target - now;
-                    now = target;
-                    continue;
-                }
-            }
             ref.tick(now);
             sub.tick(now);
             if (now % 16 == 0)
@@ -460,8 +432,6 @@ TEST(CrossbarDifferential, ParkingMatchesEveryTickRetry)
     }
     setCheckFailureHandler(previous);
     EXPECT_TRUE(failures.empty()) << failures.front().message;
-    // The subject must really have fast-forwarded.
-    EXPECT_GT(skipped, 0u);
 }
 
 } // namespace

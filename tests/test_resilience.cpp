@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "harness/experiment.hpp"
 #include "harness/memo_cache.hpp"
 #include "harness/report.hpp"
@@ -447,7 +448,64 @@ TEST(ResilienceSimTest, WatchdogStaysQuietOnHealthyRun)
     EXPECT_EQ(m.outcome, RunOutcome::Ok);
     EXPECT_EQ(m.faultsInjected, 0u);
     EXPECT_TRUE(m.hangReport.empty());
+
+    // The tick feeds progress to the watchdog only when one is armed;
+    // arming it must not change a single counter of a healthy run.
+    GpuConfig unarmed = cfg;
+    unarmed.watchdogCycles = 0;
+    const RunMetrics reference =
+        SimRunner(unarmed, LbConfig{}, resilienceOptions())
+            .run(appById("GA"), SchemeConfig::linebacker());
+    EXPECT_EQ(serializeStats(m.stats), serializeStats(reference.stats))
+        << "first difference: "
+        << firstStatDifference(m.stats, reference.stats);
 }
+
+/**
+ * The same stats check on the multi-SM chips, where the per-SM
+ * progress sum spans every SM: Baseline and Linebacker at 2 and 16
+ * SMs, armed against unarmed.
+ */
+class ArmedWatchdogAtSmCount : public ::testing::TestWithParam<std::uint32_t>
+{
+  protected:
+    static void
+    expectStatsMatchUnarmedRun(const SchemeConfig &scheme)
+    {
+        GpuConfig armed;
+        armed.warmupCycles = 5000;
+        armed.watchdogCycles = 8000;
+        GpuConfig unarmed = armed;
+        unarmed.watchdogCycles = 0;
+        RunnerOptions options = resilienceOptions();
+        options.simSms = GetParam();
+        const RunMetrics armed_run =
+            SimRunner(armed, LbConfig{}, options).run(appById("GA"), scheme);
+        const RunMetrics unarmed_run =
+            SimRunner(unarmed, LbConfig{}, options)
+                .run(appById("GA"), scheme);
+        EXPECT_EQ(armed_run.outcome, RunOutcome::Ok);
+        EXPECT_TRUE(armed_run.hangReport.empty());
+        EXPECT_EQ(serializeStats(armed_run.stats),
+                  serializeStats(unarmed_run.stats))
+            << scheme.name << " at " << GetParam()
+            << " SMs, first difference: "
+            << firstStatDifference(armed_run.stats, unarmed_run.stats);
+    }
+};
+
+TEST_P(ArmedWatchdogAtSmCount, BaselineStatsMatchUnarmedRun)
+{
+    expectStatsMatchUnarmedRun(SchemeConfig::baseline());
+}
+
+TEST_P(ArmedWatchdogAtSmCount, LinebackerStatsMatchUnarmedRun)
+{
+    expectStatsMatchUnarmedRun(SchemeConfig::linebacker());
+}
+
+INSTANTIATE_TEST_SUITE_P(SmCounts, ArmedWatchdogAtSmCount,
+                         ::testing::Values(2u, 16u));
 
 // --- Fault-mode fuzz cases -------------------------------------------------
 

@@ -535,6 +535,77 @@ TEST(PlanRequestTest, CellMessageRoundTripsMetricsExactly)
     EXPECT_EQ(parsed.metrics.stats.cycles, result.metrics.stats.cycles);
 }
 
+// A daemon's cell index and accepted count size the client's result
+// table: a fraction, a negative or a huge value is refused by name
+// instead of being truncated or cast out of range.
+
+/** Overwrite the number held by @p message's member @p key. */
+void
+setNumber(JsonValue &message, const std::string &key, double value)
+{
+    for (auto &[name, member] : message.members) {
+        if (name == key)
+            member.number = value;
+    }
+}
+
+class CellIndexOutOfRange : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(CellIndexOutOfRange, ParseCellMessageRefusesIt)
+{
+    CellResult result;
+    result.index = 3;
+    JsonValue message;
+    std::string error;
+    ASSERT_TRUE(parseJson(cellMessage(result), message, &error)) << error;
+    setNumber(message, "index", GetParam());
+    CellResult parsed;
+    EXPECT_FALSE(parseCellMessage(message, parsed, error));
+    EXPECT_NE(error.find("index"), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(BadIndices, CellIndexOutOfRange,
+                         ::testing::Values(-1.0, 2.5, 1e300));
+
+class AcceptedCellsOutOfRange : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(AcceptedCellsOutOfRange, ParseAcceptedCellsRefusesIt)
+{
+    // The plan expands to 4 cells; 5 is one past it.
+    JsonValue message;
+    std::string error;
+    ASSERT_TRUE(parseJson(acceptedMessage("p1", 4), message, &error))
+        << error;
+    setNumber(message, "cells", GetParam());
+    std::size_t cells = 0;
+    EXPECT_FALSE(parseAcceptedCells(message, 4, cells, error));
+    EXPECT_NE(error.find("cells"), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(BadCounts, AcceptedCellsOutOfRange,
+                         ::testing::Values(5.0, 1e12, 2.5, -1.0));
+
+TEST(PlanRequestTest, AcceptedFrameCarriesItsCellCount)
+{
+    JsonValue message;
+    std::string error;
+    std::size_t cells = 0;
+    ASSERT_TRUE(parseJson(acceptedMessage("p1", 4), message, &error));
+    EXPECT_TRUE(parseAcceptedCells(message, 4, cells, error)) << error;
+    EXPECT_EQ(cells, 4u);
+
+    ASSERT_TRUE(parseJson(R"({"type":"accepted","planId":"p1","cells":"4"})",
+                          message, &error));
+    EXPECT_FALSE(parseAcceptedCells(message, 4, cells, error));
+    EXPECT_NE(error.find("cells"), std::string::npos) << error;
+    ASSERT_TRUE(parseJson(R"({"type":"accepted"})", message, &error));
+    EXPECT_FALSE(parseAcceptedCells(message, 4, cells, error));
+}
+
 // --- SweepServer admission control and lifecycle ----------------------------
 
 #if LBSIM_HAVE_SOCKETS

@@ -195,8 +195,15 @@ submitRemote(const std::string &socket_path, const std::string &client,
         return kExitUsage;
     }
 
+    // The daemon expands the plan as buildExperimentPlan does, so that
+    // count bounds its "accepted" frame. A plan that does not build is
+    // shed by the daemon, which this loop reports.
+    ExperimentPlan plan;
+    std::string why;
+    const std::size_t plan_cells =
+        buildExperimentPlan(request, plan, why) ? plan.size() : 0;
+
     std::vector<CellResult> results;
-    std::size_t expected = 0;
     bool done = false;
     while (!done) {
         std::string payload;
@@ -226,13 +233,17 @@ submitRemote(const std::string &socket_path, const std::string &client,
             return kExitShed;
         }
         if (type == "accepted") {
-            expected =
-                static_cast<std::size_t>(message.numberOr("cells", 0));
-            results.resize(expected);
+            std::size_t cells = 0;
+            if (!parseAcceptedCells(message, plan_cells, cells, error)) {
+                std::fprintf(stderr, "lbsim_submit: bad accepted "
+                             "frame: %s\n", error.c_str());
+                ::close(fd);
+                return kExitUsage;
+            }
+            results.resize(cells);
             std::fprintf(stderr,
                          "lbsim_submit: accepted as %s (%zu cells)\n",
-                         message.stringOr("planId", "?").c_str(),
-                         expected);
+                         message.stringOr("planId", "?").c_str(), cells);
             continue;
         }
         if (type == "cell") {
@@ -243,8 +254,13 @@ submitRemote(const std::string &socket_path, const std::string &client,
                 ::close(fd);
                 return kExitUsage;
             }
-            if (result.index >= results.size())
-                results.resize(result.index + 1);
+            if (result.index >= results.size()) {
+                std::fprintf(stderr, "lbsim_submit: cell index %zu is "
+                             "past the %zu accepted cells\n",
+                             result.index, results.size());
+                ::close(fd);
+                return kExitUsage;
+            }
             printCell(result);
             results[result.index] = std::move(result);
             continue;
