@@ -56,6 +56,9 @@ checksEnabled(CheckLevel level)
     return LBSIM_CHECKS_LEVEL >= static_cast<int>(level);
 }
 
+/** Cycle stride between the periodic structural audits at level full. */
+inline constexpr Cycle kAuditStride = 8192;
+
 /** Sentinel for "no SM / warp in scope". */
 inline constexpr std::uint32_t kNoId =
     std::numeric_limits<std::uint32_t>::max();

@@ -1,8 +1,7 @@
 #include "common/cli_args.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -68,18 +67,25 @@ flag(int argc, char **argv, const char *name)
 }
 
 bool
+parseUnsigned(std::string_view text, std::uint64_t &out)
+{
+    // strtoull would skip spaces and negate a sign; from_chars takes
+    // neither, so all that is left to refuse is trailing text.
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end)
+        return false;
+    out = value;
+    return true;
+}
+
+bool
 parseUnsignedArg(const char *text, const char *name, std::uint64_t &out,
                  std::uint64_t min, std::uint64_t max)
 {
-    // strtoull alone would skip spaces, accept a sign (negating it) and
-    // stop at the first non-digit, so check the whole text first.
-    bool digits = *text != '\0';
-    for (const char *c = text; *c != '\0'; ++c)
-        digits = digits && *c >= '0' && *c <= '9';
-    errno = 0;
-    const unsigned long long value =
-        digits ? std::strtoull(text, nullptr, 10) : 0;
-    if (!digits || errno == ERANGE || value < min || value > max) {
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text, value) || value < min || value > max) {
         std::fprintf(stderr,
                      "%s: expected a whole number in [%llu, %llu], got "
                      "'%s'\n",

@@ -2,8 +2,9 @@
  * @file
  * Command-line arguments shared by the tools and benches: each front
  * end's option table and the check that argv uses only what it lists,
- * one checked parser for whole unsigned numbers, and the thread-count
- * clamp for the cell-level worker pools (--threads, --workers).
+ * one checked parser for whole unsigned numbers (whose silent core the
+ * fault-plan and fuzz-case parsers share), and the thread-count clamp
+ * for the cell-level worker pools (--threads, --workers).
  */
 
 #pragma once
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <type_traits>
 
 namespace lbsim
@@ -48,11 +50,19 @@ const char *arg(int argc, char **argv, const char *name);
 bool flag(int argc, char **argv, const char *name);
 
 /**
- * Parse @p text, the value given to option @p name, into @p out as a
- * whole unsigned decimal number in [@p min, @p max]. Empty text,
- * anything but digits (a sign, spaces, trailing text), overflow and
- * values out of range are refused with a message naming the option on
- * stderr; the caller then exits with its usage-error code.
+ * Parse @p text into @p out as a whole unsigned decimal number that
+ * fits in 64 bits. Empty text, anything but digits (a sign, spaces,
+ * trailing text) and overflow are refused, silently: file parsers
+ * (fault plans, fuzz cases) report their own errors.
+ * @return false when refused, leaving @p out untouched.
+ */
+bool parseUnsigned(std::string_view text, std::uint64_t &out);
+
+/**
+ * parseUnsigned() of @p text, the value given to option @p name, into
+ * @p out, further bounded to [@p min, @p max]. A refusal is reported
+ * with a message naming the option on stderr; the caller then exits
+ * with its usage-error code.
  * @return false when refused, leaving @p out untouched.
  */
 bool parseUnsignedArg(const char *text, const char *name,

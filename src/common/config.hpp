@@ -89,13 +89,6 @@ struct GpuConfig
     Cycle warmupCycles = 0;
 
     /**
-     * Cycle stride between structural audits when full checks are
-     * compiled in (LBSIM_CHECKS=full); 0 disables the periodic audits.
-     * Purely a debugging knob — no architectural effect.
-     */
-    Cycle auditStride = 8192;
-
-    /**
      * Ignored: the SMs of one simulation tick serially (DESIGN.md §13).
      * Still declared so that older callers which set it keep compiling;
      * nothing in the simulator reads it.

@@ -6,11 +6,8 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
-#define LBSIM_HAVE_POSIX_FS 1
-#endif
 
 namespace lbsim
 {
@@ -36,8 +33,6 @@ dirnameOf(const std::string &path)
         return "/";
     return path.substr(0, slash);
 }
-
-#ifdef LBSIM_HAVE_POSIX_FS
 
 bool
 atomicWriteFile(const std::string &path, const std::string &content,
@@ -81,26 +76,6 @@ atomicWriteFile(const std::string &path, const std::string &content,
     }
     return true;
 }
-
-#else // !LBSIM_HAVE_POSIX_FS
-
-bool
-atomicWriteFile(const std::string &path, const std::string &content,
-                std::string *error)
-{
-    // Portability fallback: not atomic, but still a single trunc+write.
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    if (!out) {
-        if (error)
-            *error = "cannot open " + path;
-        return false;
-    }
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    return static_cast<bool>(out);
-}
-
-#endif
 
 bool
 readFileToString(const std::string &path, std::string &out,

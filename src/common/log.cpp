@@ -10,23 +10,6 @@
 namespace lbsim
 {
 
-namespace
-{
-bool g_verbose = false;
-} // namespace
-
-void
-setLogVerbose(bool verbose)
-{
-    g_verbose = verbose;
-}
-
-bool
-logVerbose()
-{
-    return g_verbose;
-}
-
 bool
 envFlag(const char *name)
 {
@@ -48,8 +31,6 @@ envFlag(const char *name)
 void
 logMessage(LogLevel level, const char *fmt, ...)
 {
-    if (level == LogLevel::Inform && !g_verbose)
-        return;
     std::fputs(level == LogLevel::Warn ? "warn: " : "info: ", stderr);
     va_list args;
     va_start(args, fmt);

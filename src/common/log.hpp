@@ -5,7 +5,7 @@
  *
  * panic(): a simulator bug; aborts.
  * fatal(): a user/configuration error; exits cleanly with an error code.
- * warn()/inform(): status messages on stderr, never fatal.
+ * logMessage(): "info:"/"warn:" status lines on stderr, never fatal.
  */
 
 #pragma once
@@ -23,11 +23,7 @@ enum class LogLevel
     Warn,
 };
 
-/** Global verbosity switch; benches silence Inform messages. */
-void setLogVerbose(bool verbose);
-bool logVerbose();
-
-/** printf-style message at @p level (stderr). */
+/** printf-style message at @p level (stderr, always printed). */
 void logMessage(LogLevel level, const char *fmt, ...);
 
 /** Report a simulator bug and abort(). */
@@ -44,11 +40,5 @@ void logMessage(LogLevel level, const char *fmt, ...);
  * make replay diverge from the recorded run.
  */
 bool envFlag(const char *name);
-
-/** Convenience wrappers. */
-#define LBSIM_INFORM(...) \
-    ::lbsim::logMessage(::lbsim::LogLevel::Inform, __VA_ARGS__)
-#define LBSIM_WARN(...) \
-    ::lbsim::logMessage(::lbsim::LogLevel::Warn, __VA_ARGS__)
 
 } // namespace lbsim

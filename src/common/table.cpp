@@ -59,25 +59,6 @@ TextTable::render() const
 }
 
 std::string
-TextTable::renderCsv() const
-{
-    std::ostringstream out;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                out << ',';
-            out << row[i];
-        }
-        out << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return out.str();
-}
-
-std::string
 format(const char *fmt, ...)
 {
     va_list args;

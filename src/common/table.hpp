@@ -1,6 +1,7 @@
 /**
  * @file
- * Text-table and CSV rendering used by benches to print paper-style rows.
+ * Text-table rendering used by the figure drivers to print paper-style
+ * rows.
  */
 
 #pragma once
@@ -13,7 +14,7 @@ namespace lbsim
 
 /**
  * Accumulates rows of string cells and renders them as an aligned text
- * table (for the console) or CSV (for downstream plotting).
+ * table for the console.
  */
 class TextTable
 {
@@ -26,9 +27,6 @@ class TextTable
 
     /** Render as an aligned, pipe-separated text table. */
     std::string render() const;
-
-    /** Render as CSV. */
-    std::string renderCsv() const;
 
     std::size_t rowCount() const { return rows_.size(); }
 

@@ -57,7 +57,7 @@ Gpu::tick()
     if (dispatcher_)
         dispatcher_->tick(now_);
     if constexpr (checksEnabled(CheckLevel::Full)) {
-        if (cfg_.auditStride != 0 && now_ % cfg_.auditStride == 0)
+        if (now_ % kAuditStride == 0)
             audit();
     }
     if (watchdog_) {

@@ -92,7 +92,7 @@ class Gpu
 
     /**
      * Run every subsystem auditor (SMs, interconnect, memory
-     * partitions). Called on cfg.auditStride in full-check builds;
+     * partitions). Called every kAuditStride cycles in full-check builds;
      * callable directly from tests at any check level.
      */
     void audit() const;

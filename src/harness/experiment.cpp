@@ -267,9 +267,6 @@ executeCellIsolated(const ExperimentCell &cell, CellResult &result,
         result.error = iso.payload;
         result.outcome = RunOutcome::Crashed;
         return;
-      case IsolationStatus::Unsupported:
-        executeCellInProcess(cell, result);
-        return;
     }
 }
 

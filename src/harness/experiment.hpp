@@ -175,8 +175,8 @@ struct EngineOptions
     /**
      * Run every cell in a forked child so a crash (or runaway hang)
      * poisons only that cell: surviving cells still land, the crashed
-     * one records outcome Crashed with the child's verdict. Falls back
-     * to in-process execution where fork() is unavailable.
+     * one records outcome Crashed with the child's verdict, and one that
+     * outlives cellTimeoutSec records outcome Hang.
      */
     bool isolateCells = false;
     /** Wall-clock guard per isolated cell in seconds; 0 disables. */

@@ -7,6 +7,8 @@
 #include <memory>
 #include <vector>
 
+#include "common/log.hpp"
+
 namespace lbsim
 {
 
@@ -35,8 +37,6 @@ MemoCache::schemaHeader()
 MemoCache::MemoCache(std::string path)
     : path_(std::move(path)), journal_(path_)
 {
-    const char *disable = std::getenv("LBSIM_NO_CACHE");
-    enabled_ = !(disable && disable[0] == '1');
     load();
 }
 
@@ -67,19 +67,21 @@ MemoCache::shared()
 void
 MemoCache::load()
 {
-    if (!enabled_)
-        return;
     // Called from the constructor only, but the guarded members it
     // fills demand the capability regardless of call site.
     MutexLock lock(mutex_);
     std::vector<std::string> records;
-    if (!journal_.recover(records, recovery_)) {
+    JournalRecovery recovery;
+    if (!journal_.recover(records, recovery)) {
         // Unreadable store: behave as empty but never append into a
         // file we could not make sense of.
         rewriteOnStore_ = true;
         return;
     }
-    if (recovery_.freshStart) {
+    if (recovery.quarantined || recovery.truncatedBytes)
+        logMessage(LogLevel::Warn, "memo cache %s: %s", path_.c_str(),
+                   recovery.summary().c_str());
+    if (recovery.freshStart) {
         // Missing file starts clean; an existing foreign / pre-journal
         // file (e.g. a schema-3 CSV) must be rewritten before first use.
         rewriteOnStore_ = std::ifstream(path_).good();
@@ -110,8 +112,6 @@ MemoCache::load()
 std::optional<std::string>
 MemoCache::lookup(const std::string &key) const
 {
-    if (!enabled_)
-        return std::nullopt;
     MutexLock lock(mutex_);
     const auto it = entries_.find(key);
     if (it == entries_.end())
@@ -167,8 +167,6 @@ MemoCache::append(const std::string &key, const std::string &value)
 void
 MemoCache::store(const std::string &key, const std::string &value)
 {
-    if (!enabled_)
-        return;
     MutexLock lock(mutex_);
     entries_[key] = value;
     append(key, value);
@@ -177,8 +175,6 @@ MemoCache::store(const std::string &key, const std::string &value)
 void
 MemoCache::compact()
 {
-    if (!enabled_)
-        return;
     MutexLock lock(mutex_);
     checkpointLocked();
 }
@@ -186,28 +182,14 @@ MemoCache::compact()
 std::size_t
 MemoCache::size() const
 {
-    if (!enabled_)
-        return 0;
     MutexLock lock(mutex_);
     return entries_.size();
-}
-
-std::string
-MemoCache::getOrCompute(const std::string &key,
-                        const std::function<std::string()> &compute)
-{
-    return getOrComputeIf(key, [&compute]() {
-        return ComputeResult{compute(), true};
-    });
 }
 
 std::string
 MemoCache::getOrComputeIf(const std::string &key,
                           const std::function<ComputeResult()> &compute)
 {
-    if (!enabled_)
-        return compute().value;
-
     std::shared_future<std::string> waiter;
     std::promise<std::string> promise;
     {

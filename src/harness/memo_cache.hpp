@@ -20,12 +20,13 @@
  * The store is thread-safe with single-writer semantics: the whole file
  * is loaded into memory once, lookups are in-memory map reads, and all
  * mutations (map insert + journal append) happen under one mutex. In
- * addition, getOrCompute() deduplicates in-flight computations, so when
- * several experiment-engine workers race toward the same cell (e.g. the
- * shared Best-SWL oracle sweep) the simulation is paid exactly once and
- * the losers block on the winner's result.
+ * addition, getOrComputeIf() deduplicates in-flight computations, so
+ * when several experiment-engine workers race toward the same cell (e.g.
+ * the shared Best-SWL oracle sweep) the simulation is paid exactly once
+ * and the losers block on the winner's result.
  *
- * Set environment variable LBSIM_NO_CACHE=1 to bypass.
+ * Callers that must not touch the store (--no-cache) bypass it through
+ * RunnerOptions::useMemoCache.
  */
 
 #pragma once
@@ -56,15 +57,6 @@ class MemoCache
     /** Store @p value under @p key (appends a journal record). */
     void store(const std::string &key, const std::string &value);
 
-    /**
-     * Return the cached value for @p key, computing and storing it via
-     * @p compute on a miss. Concurrent callers with the same key share
-     * one computation (single-flight); if it throws, every waiter sees
-     * the exception and the key stays uncached.
-     */
-    std::string getOrCompute(const std::string &key,
-                             const std::function<std::string()> &compute);
-
     /** What a conditional computation produced. */
     struct ComputeResult
     {
@@ -79,9 +71,12 @@ class MemoCache
     };
 
     /**
-     * Like getOrCompute(), but @p compute decides whether its result may
-     * be persisted. Waiters sharing the single-flight slot still receive
-     * a non-persisted value; only the store is skipped.
+     * Return the cached value for @p key, computing it via @p compute on
+     * a miss; @p compute decides whether its result may be persisted.
+     * Concurrent callers with the same key share one computation
+     * (single-flight) and receive its value even when it is not
+     * persisted; if it throws, every waiter sees the exception and the
+     * key stays uncached.
      */
     std::string
     getOrComputeIf(const std::string &key,
@@ -94,14 +89,8 @@ class MemoCache
      */
     void compact();
 
-    /** Live entry count (0 when disabled). */
+    /** Live entry count. */
     std::size_t size() const;
-
-    /** What journal recovery found when this cache loaded its file. */
-    const JournalRecovery &recovery() const { return recovery_; }
-
-    /** True if the cache is usable (not disabled via LBSIM_NO_CACHE). */
-    bool enabled() const { return enabled_; }
 
     /** Default cache location (next to the running binary). */
     static std::string defaultPath();
@@ -117,14 +106,13 @@ class MemoCache
     static const char *schemaHeader();
 
   private:
+    /** Load the journal; logs its recovery when it repaired the file. */
     void load();
     void append(const std::string &key, const std::string &value)
         LB_REQUIRES(mutex_);
     void checkpointLocked() LB_REQUIRES(mutex_);
 
     std::string path_;
-    bool enabled_;
-    JournalRecovery recovery_;
 
     mutable Mutex mutex_;
     Journal journal_ LB_GUARDED_BY(mutex_);

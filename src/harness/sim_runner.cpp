@@ -70,7 +70,6 @@ describeApp(const AppProfile &app)
  * Every configuration field that can change simulation results must
  * appear here: a sweep that mutates a non-keyed field would silently
  * return stale cache hits. The only deliberate exclusions are
- * GpuConfig::auditStride (debugging knob with no architectural effect),
  * RunnerOptions::useMemoCache (meta) and the ignored
  * GpuConfig::smThreads / RunnerOptions::smThreads.
  */
@@ -235,7 +234,7 @@ SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
     // One shared, thread-safe store per process: the file is parsed
     // once, lookups are in-memory, and concurrent identical runs (e.g.
     // oracle sweeps reached from several experiment cells) are paid
-    // once via the single-flight getOrCompute.
+    // once via the single-flight getOrComputeIf.
     MemoCache &cache = MemoCache::shared();
     std::ostringstream key_src;
     key_src << kCacheVersion << '#' << describeApp(app) << '#'

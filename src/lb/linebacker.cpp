@@ -25,7 +25,7 @@ Linebacker::Linebacker(const GpuConfig &gpu, const LbConfig &lb,
                        const SchemeConfig &scheme, Sm *sm,
                        SimStats *stats, SmControllerIf *inner)
     : gpu_(gpu), lb_(lb), scheme_(scheme), sm_(sm), stats_(stats),
-      inner_(inner), lm_(lb_), vtt_(gpu, lb_, stats), ipc_(lb_),
+      inner_(inner), lm_(lb_), vtt_(gpu, lb_, stats),
       ctaMgr_(gpu.maxCtasPerSm),
       engine_(std::make_unique<BackupEngine>(gpu, lb_, sm, stats)),
       nextWindowEnd_(lb.monitorPeriod)
@@ -147,7 +147,7 @@ Linebacker::onCycle(Sm &sm, Cycle now)
         victimRegAccum_ += vtt_.capacityLines();
 
     if constexpr (checksEnabled(CheckLevel::Full)) {
-        if (gpu_.auditStride != 0 && now % gpu_.auditStride == 0)
+        if (now % kAuditStride == 0)
             audit(sm, now);
     }
 }

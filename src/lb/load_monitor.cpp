@@ -97,12 +97,4 @@ LoadMonitor::selectedCount() const
     return count;
 }
 
-double
-LoadMonitor::hitRatio(std::uint8_t hpc) const
-{
-    const Entry &entry = entries_[hpc % kEntries];
-    const std::uint32_t total = entry.hits + entry.misses;
-    return total ? static_cast<double>(entry.hits) / total : 0.0;
-}
-
 } // namespace lbsim

@@ -56,9 +56,6 @@ class LoadMonitor
     /** Windows consumed until selection/disable (Fig 9 annotation). */
     std::uint32_t windowsUsed() const { return windows_; }
 
-    /** Hit ratio of entry @p hpc in the current window. */
-    double hitRatio(std::uint8_t hpc) const;
-
     /** Introspection snapshot of one entry's previous window. */
     struct WindowEntry
     {

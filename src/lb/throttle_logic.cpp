@@ -8,38 +8,12 @@
 namespace lbsim
 {
 
-IpcMonitor::IpcMonitor(const LbConfig &cfg) : cfg_(cfg)
-{
-}
-
 void
 IpcMonitor::endWindow(std::uint64_t instructions_issued, Cycle period)
 {
     const std::uint64_t delta = instructions_issued - lastIssued_;
     lastIssued_ = instructions_issued;
-    previousIpc_ = currentIpc_;
     currentIpc_ = period ? static_cast<double>(delta) / period : 0.0;
-    ++windows_;
-}
-
-double
-IpcMonitor::ipcVariation()
- const
-{
-    if (previousIpc_ <= 0.0)
-        return 0.0;
-    return (currentIpc_ - previousIpc_) / previousIpc_;
-}
-
-ThrottleDecision
-IpcMonitor::decide() const
-{
-    const double var = ipcVariation();
-    if (var > cfg_.ipcVarUpper)
-        return ThrottleDecision::ThrottleOne;
-    if (var < cfg_.ipcVarLower)
-        return ThrottleDecision::ActivateOne;
-    return ThrottleDecision::Hold;
 }
 
 CtaManager::CtaManager(std::uint32_t max_ctas) : table_(max_ctas)

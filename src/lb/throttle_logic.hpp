@@ -2,11 +2,12 @@
  * @file
  * CTA Throttling Logic (CTL): IPC monitor plus CTA manager bookkeeping.
  *
- * The IPC monitor measures per-window IPC and its fractional variation
- * (Eq. 1); the CTA manager tracks, per resident CTA, the active bit, the
- * first register number (FRN), the backup address (BA) and the backup-
- * completed bit (C), together with the common backup pointer (BP) and
- * largest register number (LRN) of Fig 8.
+ * The IPC monitor measures per-window IPC; Linebacker::endWindow applies
+ * Eq. 1 to it against the last settled window (DESIGN.md §6). The CTA
+ * manager tracks, per resident CTA, the active bit, the first register
+ * number (FRN), the backup address (BA) and the backup-completed bit
+ * (C), together with the common backup pointer (BP) and largest
+ * register number (LRN) of Fig 8.
  */
 
 #pragma once
@@ -15,45 +16,23 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace lbsim
 {
 
-/** Decision produced at a window boundary. */
-enum class ThrottleDecision
-{
-    Hold,        ///< IPC variation inside the bounds; keep CTA count.
-    ThrottleOne, ///< IPC improved enough; try throttling one more CTA.
-    ActivateOne, ///< IPC dropped; re-activate a throttled CTA.
-};
-
 /** IPC monitor of Fig 8. */
 class IpcMonitor
 {
   public:
-    explicit IpcMonitor(const LbConfig &cfg);
-
     /** Close the window: compute IPC over @p period from @p issued. */
     void endWindow(std::uint64_t instructions_issued, Cycle period);
 
-    /** Fractional IPC variation (Eq. 1) between the last two windows. */
-    double ipcVariation() const;
-
-    /** Decision per the upper/lower variation bounds. */
-    ThrottleDecision decide() const;
-
     double currentIpc() const { return currentIpc_; }
-    double previousIpc() const { return previousIpc_; }
-    std::uint32_t windows() const { return windows_; }
 
   private:
-    LbConfig cfg_;
-    double previousIpc_ = 0.0;
     double currentIpc_ = 0.0;
     std::uint64_t lastIssued_ = 0;
-    std::uint32_t windows_ = 0;
 };
 
 /** Per-CTA info entry (Fig 8). */

@@ -1,8 +1,10 @@
 #include "resilience/faultinject.hpp"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include "common/cli_args.hpp"
 
 namespace lbsim
 {
@@ -79,17 +81,15 @@ parseFaultEvent(const std::string &value, FaultEvent &out)
     FaultEvent parsed;
     if (!parseFaultKind(parts[0], parsed.kind))
         return false;
-    const auto parseU64 = [](const std::string &text,
-                             std::uint64_t &field_out) {
-        char *end = nullptr;
-        field_out = std::strtoull(text.c_str(), &end, 10);
-        return end && *end == '\0' && !text.empty();
-    };
-    if (!parseU64(parts[1], parsed.start) ||
-        !parseU64(parts[2], parsed.duration) ||
-        !parseU64(parts[3], parsed.magnitude)) {
+    if (!parseUnsigned(parts[1], parsed.start) ||
+        !parseUnsigned(parts[2], parsed.duration) ||
+        !parseUnsigned(parts[3], parsed.magnitude)) {
         return false;
     }
+    // The window is [start, start + duration); an end past 2^64 - 1
+    // would wrap and leave the window active on no cycle at all.
+    if (parsed.duration > UINT64_MAX - parsed.start)
+        return false;
     out = parsed;
     return true;
 }

@@ -110,7 +110,9 @@ bool parseFaultPlan(const std::string &text, FaultPlan &out,
 
 /**
  * Parse one "kind,start,duration,magnitude" event value (the part after
- * "fault=" in plan files and fuzz cases).
+ * "fault=" in plan files and fuzz cases). The numbers are whole
+ * unsigned decimals (parseUnsigned), and an event whose window end,
+ * start + duration, overflows 64 bits is refused.
  */
 bool parseFaultEvent(const std::string &value, FaultEvent &out);
 

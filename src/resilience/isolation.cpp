@@ -1,17 +1,12 @@
 #include "resilience/isolation.hpp"
 
+#include <csignal>
 #include <cstdio>
 #include <exception>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define LBSIM_HAS_FORK 1
-#include <csignal>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define LBSIM_HAS_FORK 0
-#endif
 
 namespace lbsim
 {
@@ -23,14 +18,6 @@ namespace
 constexpr int kTaskFailedExit = 10;
 
 } // namespace
-
-bool
-isolationSupported()
-{
-    return LBSIM_HAS_FORK != 0;
-}
-
-#if LBSIM_HAS_FORK
 
 IsolationResult
 runIsolatedTask(const std::function<std::pair<bool, std::string>()> &work,
@@ -118,21 +105,5 @@ runIsolatedTask(const std::function<std::pair<bool, std::string>()> &work,
     }
     return result;
 }
-
-#else
-
-IsolationResult
-runIsolatedTask(const std::function<std::pair<bool, std::string>()> &work,
-                unsigned timeout_sec)
-{
-    (void)work;
-    (void)timeout_sec;
-    IsolationResult result;
-    result.status = IsolationStatus::Unsupported;
-    result.payload = "fork() unavailable on this platform";
-    return result;
-}
-
-#endif
 
 } // namespace lbsim

@@ -8,9 +8,6 @@
  * process that cannot take the parent down: a crash becomes a signal
  * verdict, a hang becomes a SIGALRM timeout, and a clean result travels
  * back over a pipe as an opaque payload string.
- *
- * On platforms without fork() the helper reports Unsupported and the
- * caller falls back to in-process execution.
  */
 
 #pragma once
@@ -29,21 +26,17 @@ enum class IsolationStatus
     TaskFailed,   ///< Task reported failure; payload is its description.
     Crashed,      ///< Child died on a signal (see termSignal).
     Timeout,      ///< Child exceeded the wall-clock guard.
-    Unsupported,  ///< No fork() on this platform; nothing ran.
 };
 
 /** Verdict + payload of one isolated execution. */
 struct IsolationResult
 {
-    IsolationStatus status = IsolationStatus::Unsupported;
+    IsolationStatus status = IsolationStatus::TaskFailed;
     /** Terminating signal when status == Crashed. */
     int termSignal = 0;
     /** Task result (Ok) or failure description (TaskFailed). */
     std::string payload;
 };
-
-/** True when runIsolatedTask() can actually fork. */
-bool isolationSupported();
 
 /**
  * Run @p work in a forked child with a @p timeout_sec wall-clock guard

@@ -9,13 +9,10 @@
 #include "common/crc32.hpp"
 #include "common/fs.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define LBSIM_HAVE_POSIX_JOURNAL 1
-#endif
 
 namespace lbsim
 {
@@ -182,22 +179,14 @@ Journal::recover(std::vector<std::string> &records,
     // cut out in place); a torn tail alone only needs a truncate.
     if (report.quarantined > 0)
         return checkpoint(records, error);
-    if (torn) {
-#ifdef LBSIM_HAVE_POSIX_JOURNAL
-        if (::truncate(path_.c_str(),
-                       static_cast<off_t>(good_end)) != 0) {
-            setError(error, "truncate " + path_ + ": " +
-                                std::strerror(errno));
-            return false;
-        }
-#else
-        return checkpoint(records, error);
-#endif
+    if (torn &&
+        ::truncate(path_.c_str(), static_cast<off_t>(good_end)) != 0) {
+        setError(error,
+                 "truncate " + path_ + ": " + std::strerror(errno));
+        return false;
     }
     return true;
 }
-
-#ifdef LBSIM_HAVE_POSIX_JOURNAL
 
 bool
 Journal::append(const std::string &payload, std::string *error)
@@ -255,33 +244,6 @@ Journal::append(const std::string &payload, std::string *error)
     ::close(fd);
     return ok;
 }
-
-#else // !LBSIM_HAVE_POSIX_JOURNAL
-
-bool
-Journal::append(const std::string &payload, std::string *error)
-{
-    if (payload.size() > kMaxRecordBytes) {
-        setError(error, "record exceeds kMaxRecordBytes");
-        return false;
-    }
-    std::string out;
-    {
-        std::ifstream probe(path_, std::ios::binary | std::ios::ate);
-        if (!probe || probe.tellg() == std::streampos(0))
-            out = std::string(magicLine()) + "\n";
-    }
-    out += frameRecord(payload);
-    std::ofstream file(path_, std::ios::app | std::ios::binary);
-    if (!file) {
-        setError(error, "cannot open " + path_);
-        return false;
-    }
-    file.write(out.data(), static_cast<std::streamsize>(out.size()));
-    return static_cast<bool>(file);
-}
-
-#endif
 
 bool
 Journal::checkpoint(const std::vector<std::string> &records,

@@ -11,13 +11,10 @@
 #include "common/log.hpp"
 #include "harness/memo_cache.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define LBSIM_HAVE_POSIX_SERVER 1
-#endif
 
 namespace lbsim
 {
@@ -113,7 +110,6 @@ SweepServer::~SweepServer()
         if (worker.joinable())
             worker.join();
     }
-#ifdef LBSIM_HAVE_POSIX_SERVER
     reapConnections(true); // Empty unless run() exited by an exception.
     if (listenFd_ >= 0)
         ::close(listenFd_);
@@ -121,7 +117,6 @@ SweepServer::~SweepServer()
         if (fd >= 0)
             ::close(fd);
     }
-#endif
 }
 
 ServerStats
@@ -248,8 +243,6 @@ SweepServer::recoverPlans(std::string *error)
     }
     return true;
 }
-
-#ifdef LBSIM_HAVE_POSIX_SERVER
 
 bool
 SweepServer::start(std::string *error)
@@ -667,66 +660,5 @@ SweepServer::persistQueuedPlans()
     // simply are not in livePlans_ anymore.
     plansJournal_.checkpoint(records);
 }
-
-#else // !LBSIM_HAVE_POSIX_SERVER
-
-bool
-SweepServer::start(std::string *error)
-{
-    if (error)
-        *error = "lbsimd requires Unix domain sockets";
-    return false;
-}
-
-int
-SweepServer::run()
-{
-    return 1;
-}
-
-void
-SweepServer::requestStop()
-{
-    stopping_.store(true, std::memory_order_release);
-}
-
-void
-SweepServer::connectionLoop(std::shared_ptr<ClientConn>)
-{
-}
-
-void
-SweepServer::handleSubmit(const std::shared_ptr<ClientConn> &,
-                          const JsonValue &)
-{
-}
-
-bool
-SweepServer::popTask(CellTask &)
-{
-    return false;
-}
-
-void
-SweepServer::workerLoop()
-{
-}
-
-void
-SweepServer::executeTask(const CellTask &)
-{
-}
-
-void
-SweepServer::deliverResult(const CellTask &, const CellResult &)
-{
-}
-
-void
-SweepServer::persistQueuedPlans()
-{
-}
-
-#endif
 
 } // namespace lbsim

@@ -9,10 +9,7 @@
 #include "harness/figures.hpp"
 #include "workload/suite.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#define LBSIM_HAVE_POSIX_WIRE 1
-#endif
 
 namespace lbsim
 {
@@ -212,8 +209,6 @@ buildExperimentPlan(const PlanRequest &request, ExperimentPlan &plan,
 
 // --- Framing ---------------------------------------------------------------
 
-#ifdef LBSIM_HAVE_POSIX_WIRE
-
 bool
 writeFrame(int fd, const std::string &payload, std::string *error)
 {
@@ -304,24 +299,6 @@ readFrame(int fd, std::string &payload, bool &eof, std::string *error)
     return length == 0 ||
            readExact(fd, payload.data(), length, eof, error);
 }
-
-#else // !LBSIM_HAVE_POSIX_WIRE
-
-bool
-writeFrame(int, const std::string &, std::string *error)
-{
-    setError(error, "sockets unsupported on this platform");
-    return false;
-}
-
-bool
-readFrame(int, std::string &, bool &, std::string *error)
-{
-    setError(error, "sockets unsupported on this platform");
-    return false;
-}
-
-#endif
 
 // --- Message builders ------------------------------------------------------
 

@@ -1,9 +1,9 @@
 #include "testing/fuzz.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/cli_args.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "harness/sim_runner.hpp"
@@ -564,24 +565,25 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
     parsed.app.cacheSensitive = true;
     parsed.app.description = "replayed fuzz case";
 
-    const auto parseU64 = [](const std::string &value,
-                             std::uint64_t &field) {
-        char *end = nullptr;
-        field = std::strtoull(value.c_str(), &end, 10);
-        return end && *end == '\0';
-    };
-    const auto parseU32 = [&parseU64](const std::string &value,
-                                      std::uint32_t &field) {
+    const auto parseU32 = [](const std::string &value,
+                             std::uint32_t &field) {
         std::uint64_t wide = 0;
-        if (!parseU64(value, wide) || wide > 0xffffffffull)
+        if (!parseUnsigned(value, wide) || wide > UINT32_MAX)
             return false;
         field = static_cast<std::uint32_t>(wide);
         return true;
     };
+    // from_chars, unlike strtod, skips no spaces and takes no '+'; nan
+    // and inf still parse, so finiteness is checked on top.
     const auto parseF64 = [](const std::string &value, double &field) {
-        char *end = nullptr;
-        field = std::strtod(value.c_str(), &end);
-        return end && *end == '\0';
+        double parsed = 0.0;
+        const char *end = value.data() + value.size();
+        const auto [stop, error] =
+            std::from_chars(value.data(), end, parsed);
+        if (error != std::errc{} || stop != end || !std::isfinite(parsed))
+            return false;
+        field = parsed;
+        return true;
     };
 
     int line_no = 1;
@@ -599,7 +601,7 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
         const std::string value = line.substr(eq + 1);
         bool ok = true;
         if (key == "seed") {
-            ok = parseU64(value, parsed.seed);
+            ok = parseUnsigned(value, parsed.seed);
         } else if (key == "scheme") {
             parsed.scheme = value;
         } else if (key == "gpu.l1SizeBytes") {
@@ -623,13 +625,13 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
         } else if (key == "gpu.dramBandwidthGBs") {
             ok = parseF64(value, parsed.gpu.dramBandwidthGBs);
         } else if (key == "gpu.maxCycles") {
-            ok = parseU64(value, parsed.gpu.maxCycles);
+            ok = parseUnsigned(value, parsed.gpu.maxCycles);
         } else if (key == "gpu.warmupCycles") {
-            ok = parseU64(value, parsed.gpu.warmupCycles);
+            ok = parseUnsigned(value, parsed.gpu.warmupCycles);
         } else if (key == "gpu.watchdogCycles") {
-            ok = parseU64(value, parsed.gpu.watchdogCycles);
+            ok = parseUnsigned(value, parsed.gpu.watchdogCycles);
         } else if (key == "lb.monitorPeriod") {
-            ok = parseU64(value, parsed.lb.monitorPeriod);
+            ok = parseUnsigned(value, parsed.lb.monitorPeriod);
         } else if (key == "lb.hitRatioThreshold") {
             ok = parseF64(value, parsed.lb.hitRatioThreshold);
         } else if (key == "lb.vttWays") {
@@ -665,7 +667,7 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
         } else if (key == "app.ctasPerSmOfGrid") {
             ok = parseU32(value, parsed.app.ctasPerSmOfGrid);
         } else if (key == "app.seed") {
-            ok = parseU64(value, parsed.app.seed);
+            ok = parseUnsigned(value, parsed.app.seed);
         } else if (key == "load") {
             LoadSpec load;
             std::istringstream fields(value);
@@ -676,10 +678,10 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
             std::uint32_t scope_raw = 0;
             ok = parts.size() == 7 &&
                  parseLoadClass(parts[0], load.cls) &&
-                 parseU64(parts[1], load.lines) &&
+                 parseUnsigned(parts[1], load.lines) &&
                  parseU32(parts[2], scope_raw) && scope_raw <= 3 &&
                  parseU32(parts[3], load.fanout) &&
-                 parseU64(parts[4], load.hotLines) &&
+                 parseUnsigned(parts[4], load.hotLines) &&
                  parseF64(parts[5], load.hotProbability) &&
                  parseU32(parts[6], load.everyN);
             load.scope = static_cast<TileScope>(scope_raw);

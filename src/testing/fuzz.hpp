@@ -99,7 +99,9 @@ FuzzCaseResult runFuzzCase(const FuzzCase &fuzz_case);
 std::string serializeFuzzCase(const FuzzCase &fuzz_case);
 
 /**
- * Parse @p text produced by serializeFuzzCase.
+ * Parse @p text produced by serializeFuzzCase. Whole numbers are
+ * unsigned decimals (parseUnsigned) in their field's range; reals must
+ * be finite.
  * @param error_out Receives a description on failure.
  * @return true on success.
  */

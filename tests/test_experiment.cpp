@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -207,16 +208,41 @@ TEST(MemoCache, GetOrComputeSkipsRecomputation)
     int computed = 0;
     const auto compute = [&computed] {
         ++computed;
-        return std::string("value");
+        return MemoCache::ComputeResult{"value"};
     };
-    EXPECT_EQ(cache.getOrCompute("key", compute), "value");
-    EXPECT_EQ(cache.getOrCompute("key", compute), "value");
+    EXPECT_EQ(cache.getOrComputeIf("key", compute), "value");
+    EXPECT_EQ(cache.getOrComputeIf("key", compute), "value");
     EXPECT_EQ(computed, 1);
 
     // A fresh instance reads the persisted entry instead of computing.
     MemoCache reloaded(path);
-    EXPECT_EQ(reloaded.getOrCompute("key", compute), "value");
+    EXPECT_EQ(reloaded.getOrComputeIf("key", compute), "value");
     EXPECT_EQ(computed, 1);
+    std::remove(path.c_str());
+}
+
+TEST(MemoCache, LoadLogsATornTailRepair)
+{
+    const std::string path =
+        testing::TempDir() + "lbsim_experiment_memo_torn.journal";
+    std::remove(path.c_str());
+    MemoCache(path).store("key", "value");
+    std::ofstream(path, std::ios::app | std::ios::binary) << "abc";
+
+    ::testing::internal::CaptureStderr();
+    const MemoCache reloaded(path);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("memo cache " + path +
+                       ": 2 record(s) recovered, 3 torn tail byte(s) "
+                       "truncated"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(reloaded.lookup("key"), "value");
+
+    // The repaired journal loads silently.
+    ::testing::internal::CaptureStderr();
+    const MemoCache clean(path);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
     std::remove(path.c_str());
 }
 
@@ -232,11 +258,11 @@ TEST(MemoCache, ConcurrentIdenticalKeysComputeOnce)
     std::vector<std::string> values(8);
     for (std::size_t t = 0; t < values.size(); ++t) {
         pool.emplace_back([&, t] {
-            values[t] = cache.getOrCompute("shared-key", [&computed] {
+            values[t] = cache.getOrComputeIf("shared-key", [&computed] {
                 ++computed;
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(20));
-                return std::string("once");
+                return MemoCache::ComputeResult{"once"};
             });
         });
     }

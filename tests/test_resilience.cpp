@@ -31,7 +31,6 @@
 #include "harness/sim_runner.hpp"
 #include "mem/request_ledger.hpp"
 #include "resilience/faultinject.hpp"
-#include "resilience/isolation.hpp"
 #include "resilience/watchdog.hpp"
 #include "testing/fuzz.hpp"
 #include "workload/suite.hpp"
@@ -85,6 +84,12 @@ TEST(FaultPlanTest, ParseAcceptsCommentsAndBareEvents)
     EXPECT_EQ(parsed.events[0].start, 10u);
     EXPECT_EQ(parsed.events[0].duration, 20u);
     EXPECT_EQ(parsed.events[0].magnitude, 30u);
+
+    // A window may end on the last representable cycle.
+    FaultEvent event;
+    EXPECT_TRUE(parseFaultEvent("icnt-delay,1,18446744073709551614,5",
+                                event));
+    EXPECT_EQ(event.start + event.duration, UINT64_MAX);
 }
 
 TEST(FaultPlanTest, ParseRejectsMalformedEvents)
@@ -100,6 +105,51 @@ TEST(FaultPlanTest, ParseRejectsMalformedEvents)
     EXPECT_FALSE(parseFaultPlan("not an event line\n", parsed, error));
     EXPECT_FALSE(error.empty());
 }
+
+class FaultEventRefused : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(FaultEventRefused, ParseFaultEventRefusesIt)
+{
+    FaultEvent event;
+    event.start = 42;
+    EXPECT_FALSE(parseFaultEvent(GetParam(), event)) << GetParam();
+    EXPECT_EQ(event.start, 42u);
+}
+
+// A sign, a space, and a window whose end wraps past 2^64 - 1 (it would
+// be active on no cycle).
+INSTANTIATE_TEST_SUITE_P(
+    BadNumbers, FaultEventRefused,
+    ::testing::Values("icnt-delay,-1,10,5", "icnt-delay, 7,10,5",
+                      "icnt-delay,+7,10,5",
+                      "icnt-delay,100,18446744073709551615,5"));
+
+class FuzzCaseLineRefused : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(FuzzCaseLineRefused, ParseFuzzCaseRefusesIt)
+{
+    const std::string valid = serializeFuzzCase(generateFuzzCase(7));
+    FuzzCase parsed;
+    std::string error;
+    EXPECT_FALSE(parseFuzzCase(valid + GetParam() + "\n", parsed, error))
+        << GetParam();
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+}
+
+// Signs, spaces and empty numbers, reals that are not finite, and a
+// fault window whose end wraps.
+INSTANTIATE_TEST_SUITE_P(
+    BadNumbers, FuzzCaseLineRefused,
+    ::testing::Values("gpu.maxCycles=-1", "gpu.maxCycles=+7",
+                      "gpu.maxCycles= 7", "gpu.maxCycles=",
+                      "gpu.dramBandwidthGBs=nan",
+                      "gpu.dramBandwidthGBs=inf",
+                      "gpu.dramBandwidthGBs= 1.5",
+                      "fault=icnt-delay,100,18446744073709551615,5"));
 
 TEST(FaultPlanTest, DescriptionIsCompactAndStable)
 {
@@ -643,9 +693,6 @@ sweepOptions()
 
 TEST(IsolatedSweepTest, CrashingCellDoesNotPoisonSurvivors)
 {
-    if (!isolationSupported())
-        GTEST_SKIP() << "fork() unavailable";
-
     GpuConfig cfg;
     cfg.warmupCycles = 5000;
     ExperimentPlan plan(cfg, LbConfig{}, sweepOptions());
@@ -687,9 +734,6 @@ TEST(IsolatedSweepTest, CrashingCellDoesNotPoisonSurvivors)
 
 TEST(IsolatedSweepTest, IsolatedCellsMatchInProcessResults)
 {
-    if (!isolationSupported())
-        GTEST_SKIP() << "fork() unavailable";
-
     GpuConfig cfg;
     cfg.warmupCycles = 5000;
     ExperimentPlan plan(cfg, LbConfig{}, sweepOptions());
@@ -771,9 +815,6 @@ flakyCell(const std::string &counter_path, const std::string &cache_path,
 
 TEST(IsolatedRetryTest, BackoffScheduleIsExponentialAndRecovers)
 {
-    if (!isolationSupported())
-        GTEST_SKIP() << "fork() unavailable";
-
     const std::string counter = testing::TempDir() + "lbsim_retry_n.txt";
     const std::string cache =
         testing::TempDir() + "lbsim_retry_cache.journal";
@@ -815,9 +856,6 @@ TEST(IsolatedRetryTest, BackoffScheduleIsExponentialAndRecovers)
 
 TEST(IsolatedRetryTest, RetryCapGivesUpAndPersistsNothing)
 {
-    if (!isolationSupported())
-        GTEST_SKIP() << "fork() unavailable";
-
     const std::string counter =
         testing::TempDir() + "lbsim_retry_cap_n.txt";
     const std::string cache =
@@ -855,9 +893,6 @@ TEST(IsolatedRetryTest, RetryCapGivesUpAndPersistsNothing)
 
 TEST(IsolatedSweepTest, TimedOutCellReportsHang)
 {
-    if (!isolationSupported())
-        GTEST_SKIP() << "fork() unavailable";
-
     ExperimentPlan plan(GpuConfig{}, LbConfig{}, sweepOptions());
     plan.addCustom("GA", "Sleeper", {}, [](SimRunner &) -> RunMetrics {
         std::this_thread::sleep_for(std::chrono::seconds(30));

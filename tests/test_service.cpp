@@ -30,15 +30,10 @@
 #include "service/server.hpp"
 #include "service/wire.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define LBSIM_HAVE_SOCKETS 1
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define LBSIM_HAVE_SOCKETS 0
-#endif
 
 namespace lbsim
 {
@@ -336,8 +331,6 @@ TEST(AtomicWriteFileTest, FailureLeavesTargetUntouched)
 
 // --- Wire framing ----------------------------------------------------------
 
-#if LBSIM_HAVE_SOCKETS
-
 TEST(WireFramingTest, RoundTripsOverSocketpair)
 {
     int fds[2];
@@ -392,8 +385,6 @@ TEST(WireFramingTest, OversizedLengthIsRejectedBeforeBuffering)
     ::close(fds[0]);
     ::close(fds[1]);
 }
-
-#endif  // LBSIM_HAVE_SOCKETS
 
 // --- PlanRequest vocabulary ------------------------------------------------
 
@@ -608,8 +599,6 @@ TEST(PlanRequestTest, AcceptedFrameCarriesItsCellCount)
 
 // --- SweepServer admission control and lifecycle ----------------------------
 
-#if LBSIM_HAVE_SOCKETS
-
 /** start() + run() on a private thread, drained on destruction. */
 class RunningServer
 {
@@ -706,6 +695,23 @@ oneCellSmoke()
     request.schemes = {"baseline"};
     request.smoke = true;
     return request;
+}
+
+TEST(SweepServerTest, LogsPlansJournalRecovery)
+{
+    ServerOptions options = testServerOptions("recovery_log");
+    options.plansJournalPath = tempPath("lbsimd_recovery_log.journal");
+    writeRaw(options.plansJournalPath, journalBytes({}) + "abc");
+
+    ::testing::internal::CaptureStderr();
+    RunningServer running(options);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("plans journal: 0 record(s) recovered, 3 torn "
+                       "tail byte(s) truncated"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(running.drain(), 0);
+    std::remove(options.plansJournalPath.c_str());
 }
 
 TEST(SweepServerTest, ShedsBadPlanSynchronously)
@@ -951,8 +957,6 @@ TEST(SweepServerTest, ReapsFinishedConnectionThreads)
     EXPECT_LE(held, 1u);
     EXPECT_EQ(running.drain(), 0);
 }
-
-#endif  // LBSIM_HAVE_SOCKETS
 
 } // namespace
 } // namespace lbsim

@@ -39,10 +39,7 @@
 #include "testing/fuzz.hpp"
 #include "testing/minimize.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
-#include <sys/types.h>
-#endif
 
 namespace
 {
@@ -106,9 +103,8 @@ runIsolated(const FuzzCase &fuzz_case)
         kChildTimeoutSec);
 
     CaseVerdict verdict;
-    switch (iso.status) {
-      case IsolationStatus::Ok:
-      case IsolationStatus::TaskFailed: {
+    if (iso.status == IsolationStatus::Ok ||
+        iso.status == IsolationStatus::TaskFailed) {
         std::istringstream in(iso.payload);
         std::getline(in, verdict.property);
         std::string checks;
@@ -121,30 +117,20 @@ runIsolated(const FuzzCase &fuzz_case)
         verdict.detail = rest.str();
         verdict.ok = iso.status == IsolationStatus::Ok;
         return verdict;
-      }
-      case IsolationStatus::Timeout:
-        verdict.ok = false;
-        verdict.crashed = true;
-        verdict.property = "crash";
-        verdict.detail = "child timed out after " +
-                         std::to_string(kChildTimeoutSec) + "s";
-        return verdict;
-      case IsolationStatus::Crashed:
-        verdict.ok = false;
-        verdict.crashed = true;
-        verdict.property = "crash";
-        verdict.detail = iso.payload;
-        return verdict;
-      case IsolationStatus::Unsupported:
-        break;
     }
-    return fromResult(lbsim::runFuzzCase(fuzz_case));
+    verdict.ok = false;
+    verdict.crashed = true;
+    verdict.property = "crash";
+    verdict.detail = iso.status == IsolationStatus::Timeout
+        ? "child timed out after " + std::to_string(kChildTimeoutSec) + "s"
+        : iso.payload;
+    return verdict;
 }
 
 CaseVerdict
 runCase(const FuzzCase &fuzz_case, const ToolOptions &options)
 {
-    if (options.useFork && lbsim::isolationSupported())
+    if (options.useFork)
         return runIsolated(fuzz_case);
     return fromResult(lbsim::runFuzzCase(fuzz_case));
 }
@@ -194,9 +180,7 @@ replay(const std::string &path)
 int
 fuzz(const ToolOptions &options)
 {
-#if defined(__unix__) || defined(__APPLE__)
     mkdir(options.outDir.c_str(), 0755);
-#endif
 
     std::uint64_t failures = 0;
     std::uint64_t total_checks = 0;

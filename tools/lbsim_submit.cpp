@@ -20,6 +20,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,13 +31,9 @@
 #include "harness/report.hpp"
 #include "service/wire.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#define LBSIM_HAVE_POSIX_SUBMIT 1
-#endif
 
 namespace
 {
@@ -150,8 +147,6 @@ runDirect(const PlanRequest &request, unsigned threads,
                             results);
     return exitCodeFor(results);
 }
-
-#ifdef LBSIM_HAVE_POSIX_SUBMIT
 
 int
 connectTo(const std::string &socket_path)
@@ -299,27 +294,6 @@ queryStats(const std::string &socket_path)
     return kExitOk;
 }
 
-#else // !LBSIM_HAVE_POSIX_SUBMIT
-
-int
-submitRemote(const std::string &, const std::string &, int,
-             const PlanRequest &, const char *)
-{
-    std::fprintf(stderr,
-                 "lbsim_submit requires Unix domain sockets\n");
-    return kExitUsage;
-}
-
-int
-queryStats(const std::string &)
-{
-    std::fprintf(stderr,
-                 "lbsim_submit requires Unix domain sockets\n");
-    return kExitUsage;
-}
-
-#endif
-
 } // namespace
 
 int
@@ -330,11 +304,9 @@ main(int argc, char **argv)
         usage();
         return valid ? kExitOk : kExitUsage;
     }
-#ifdef LBSIM_HAVE_POSIX_SUBMIT
     // A daemon that dies mid-stream must surface as an exit code, not
     // as SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
-#endif
 
     std::string socket_path = "lbsimd.sock";
     if (const char *v = arg(argc, argv, "--socket"))

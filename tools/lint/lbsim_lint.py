@@ -92,7 +92,7 @@ MUTATION_RES = (
         r"clear|resize)\s*\("),
     re.compile(
         r"\b(printf|fprintf|snprintf|sprintf|puts|fputs|logMessage|panic|"
-        r"fatal|LB_AUDIT|LB_ASSERT|LB_INVARIANT|LBSIM_WARN|LBSIM_INFORM)"
+        r"fatal|LB_AUDIT|LB_ASSERT|LB_INVARIANT)"
         r"\s*\("),
 )
 

@@ -10,7 +10,8 @@
 #   3. Restart it: the plans journal re-enqueues every admitted-but-
 #      unfinished plan and the memo journal replays completed cells —
 #      nothing is lost, nothing is computed twice (the memo journal
-#      must contain zero duplicate keys).
+#      must contain zero duplicate keys). The daemon log must report
+#      the plans journal's recovery.
 #   4. Re-submit the reference sweep through the daemon and require
 #      its JSON artifact to be BYTE-IDENTICAL to the --direct one.
 #   5. SIGTERM must drain gracefully to exit 0, leaving no quarantine
@@ -128,6 +129,8 @@ check_no_duplicate_compute
 # --- 3. Restart: resume and finish what was admitted -----------------------
 say "restarting daemon (pass 2, journal recovery)"
 start_daemon
+grep -Eq 'plans journal: [0-9]+ record\(s\) recovered' "$WORK/daemon.log" ||
+    fail "daemon log lacks the plans journal's recovery line"
 wait_idle
 
 STATS=$("$SUBMIT" --socket "$SOCK" --stats)
