@@ -9,10 +9,10 @@
  * doubles deterministically (non-finite values become null, which
  * JSON lacks).
  *
- * The reader (JsonValue + parseJson) is the inverse half, shared by
- * bench_perf's --vs reference and the lbsimd wire protocol: a strict
- * recursive-descent parser into a small value tree. Strict means no
- * trailing garbage, no non-finite numbers, and a one-line reason for
+ * The reader (JsonValue + parseJson) is the inverse half, used by the
+ * lbsimd wire protocol and by the tests that read artifacts back: a
+ * strict recursive-descent parser into a small value tree. Strict means
+ * no trailing garbage, no non-finite numbers, and a one-line reason for
  * every rejection — wire frames and committed artifacts are either
  * well-formed or refused, never half-read.
  */

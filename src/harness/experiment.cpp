@@ -300,66 +300,31 @@ ExperimentEngine::hardwareThreads()
     return hw ? hw : 1;
 }
 
-unsigned
-ExperimentEngine::effectiveThreads(std::size_t cells) const
-{
-    unsigned threads =
-        options_.threads ? options_.threads : hardwareThreads();
-    threads = std::max(1u, threads);
-    return static_cast<unsigned>(
-        std::min<std::size_t>(threads, std::max<std::size_t>(1, cells)));
-}
-
 std::vector<CellResult>
 ExperimentEngine::run(const ExperimentPlan &plan) const
 {
     const std::size_t total = plan.size();
-    std::vector<CellResult> results(total);
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
     // Serializes onCellDone callbacks and progress lines across the
-    // worker pool; results[] itself needs no lock (each worker owns
-    // disjoint plan indices via the atomic cursor).
+    // worker pool, and counts completions in callback order.
     Mutex report_mutex;
+    std::size_t completed = 0;
 
-    auto work = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= total)
-                return;
-            const ExperimentCell &cell = plan.cells()[i];
-            CellResult &result = results[i];
-            result = runExperimentCell(cell, options_, i);
-
-            const std::size_t done = completed.fetch_add(1) + 1;
-            MutexLock lock(report_mutex);
-            if (options_.onCellDone)
-                options_.onCellDone(result, done, total);
-            if (options_.printProgress) {
-                std::fprintf(stderr, "[%zu/%zu] %s / %s%s%s%s%s\n", done,
-                             total, result.app.c_str(),
-                             result.scheme.c_str(),
-                             result.variant.empty() ? "" : " @ ",
-                             result.variant.c_str(),
-                             result.ok ? "" : "  FAILED: ",
-                             result.ok ? "" : result.error.c_str());
-            }
+    return parallelMap(total, options_.threads, [&](std::size_t i) {
+        CellResult result = runExperimentCell(plan.cells()[i], options_, i);
+        MutexLock lock(report_mutex);
+        const std::size_t done = ++completed;
+        if (options_.onCellDone)
+            options_.onCellDone(result, done, total);
+        if (options_.printProgress) {
+            std::fprintf(stderr, "[%zu/%zu] %s / %s%s%s%s%s\n", done, total,
+                         result.app.c_str(), result.scheme.c_str(),
+                         result.variant.empty() ? "" : " @ ",
+                         result.variant.c_str(),
+                         result.ok ? "" : "  FAILED: ",
+                         result.ok ? "" : result.error.c_str());
         }
-    };
-
-    const unsigned threads = effectiveThreads(total);
-    if (threads <= 1) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(work);
-        for (std::thread &worker : pool)
-            worker.join();
-    }
-    return results;
+        return result;
+    });
 }
 
 const RunMetrics *

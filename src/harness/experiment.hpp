@@ -210,11 +210,8 @@ class ExperimentEngine
   public:
     explicit ExperimentEngine(EngineOptions options = {});
 
-    /** Run every cell; results are in plan order. */
+    /** Run every cell on parallelMap's pool; results are in plan order. */
     std::vector<CellResult> run(const ExperimentPlan &plan) const;
-
-    /** Threads that run(plan) would use for @p cells cells. */
-    unsigned effectiveThreads(std::size_t cells) const;
 
     static unsigned hardwareThreads();
 
@@ -232,10 +229,11 @@ const RunMetrics *findMetrics(const std::vector<CellResult> &results,
                               const std::string &variant = {});
 
 /**
- * Run @p fn(0..count-1) on up to @p threads workers and return results
- * in index order. Utility for non-SimRunner parallel work (e.g. the
- * per-app characterization of Figs 2-3). The first exception, if any,
- * is rethrown after all workers finish.
+ * Run @p fn(0..count-1) on up to @p threads workers (0 picks hardware
+ * concurrency) and return results in index order. The harness's one
+ * worker pool: ExperimentEngine::run drives its cells through it, and
+ * the per-app characterization of Figs 2-3 calls it directly. The
+ * first exception, if any, is rethrown after all workers finish.
  */
 template <typename Fn>
 auto

@@ -7,8 +7,8 @@
  *
  * An entry builds an ExperimentPlan for a Regime and renders the text
  * and the BENCH_<id>.json artifact from the plan's results. Regime is
- * also the one owner of the scaled-chip defaults that lbsim_cli,
- * bench_perf and the sweep service (buildExperimentPlan) start from.
+ * also the one owner of the scaled-chip defaults that lbsim_cli and
+ * the sweep service (buildExperimentPlan) start from.
  */
 
 #pragma once

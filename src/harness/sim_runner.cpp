@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "baselines/cerf.hpp"
 #include "baselines/ccws.hpp"
@@ -185,21 +186,29 @@ serializeRunMetrics(const RunMetrics &m)
 bool
 deserializeRunMetrics(const std::string &text, RunMetrics &m)
 {
+    // Every field must be present, separated by exactly one ',' with no
+    // whitespace, and nothing may follow the last one: this text
+    // arrives from other processes (lbsimd cell frames, the
+    // crash-isolation pipe), and a cut or padded record must not read
+    // as a run whose missing counters are zero.
     std::istringstream in(text);
-    bool ok = true;
-    char sep;
-    int outcome = 0;
-    in >> outcome >> sep >> m.faultsInjected >> sep;
-    ok = static_cast<bool>(in) && outcome >= 0 &&
+    in >> std::noskipws;
+    int outcome = -1;
+    in >> outcome;
+    bool ok = !in.fail() && outcome >= 0 &&
         outcome <= static_cast<int>(RunOutcome::Crashed);
+    const auto field = [&in, &ok](auto &value) {
+        using Field = std::remove_reference_t<decltype(value)>;
+        // Extracting "-1" into a counter wraps to its maximum, not fails.
+        ok = ok && in.get() == ',' &&
+            (!std::is_unsigned_v<Field> || in.peek() != '-') &&
+            !(in >> value).fail();
+    };
+    field(m.faultsInjected);
+    visitMetricFields(m, field);
+    ok = ok && in.peek() == std::istringstream::traits_type::eof();
     if (ok)
         m.outcome = static_cast<RunOutcome>(outcome);
-    visitMetricFields(m, [&in, &ok](auto &field) {
-        char field_sep;
-        in >> field;
-        ok = ok && (static_cast<bool>(in) || in.eof());
-        in >> field_sep;
-    });
     return ok;
 }
 

@@ -365,6 +365,22 @@ TEST(RunMetricsSerializationTest, RejectsMalformedText)
     EXPECT_FALSE(deserializeRunMetrics("", parsed));
     EXPECT_FALSE(deserializeRunMetrics("banana", parsed));
     EXPECT_FALSE(deserializeRunMetrics("99,0,1", parsed));
+
+    // A real record cut in half, padded with extra fields, or one field
+    // short is refused, not read with zeros for the missing counters.
+    RunMetrics m;
+    m.ipc = 1.25;
+    m.stats.cycles = 12345;
+    const std::string good = serializeRunMetrics(m);
+    ASSERT_TRUE(deserializeRunMetrics(good, parsed));
+    EXPECT_FALSE(
+        deserializeRunMetrics(good.substr(0, good.size() / 2), parsed));
+    EXPECT_FALSE(deserializeRunMetrics(good + ",42,43", parsed));
+    EXPECT_FALSE(
+        deserializeRunMetrics(good.substr(0, good.rfind(',')), parsed));
+    // A sign on a counter would wrap to 2^64-1 rather than fail.
+    ASSERT_EQ(good.rfind("0,0,", 0), 0u) << good;
+    EXPECT_FALSE(deserializeRunMetrics("0,-1" + good.substr(3), parsed));
 }
 
 TEST(RunMetricsSerializationTest, OutcomeNamesRoundTrip)

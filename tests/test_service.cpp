@@ -25,6 +25,7 @@
 
 #include "common/fs.hpp"
 #include "common/json.hpp"
+#include "harness/memo_cache.hpp"
 #include "harness/sim_runner.hpp"
 #include "service/journal.hpp"
 #include "service/server.hpp"
@@ -524,6 +525,17 @@ TEST(PlanRequestTest, CellMessageRoundTripsMetricsExactly)
     EXPECT_EQ(parsed.metrics.ipc, result.metrics.ipc);
     EXPECT_EQ(parsed.metrics.energyJ, result.metrics.energyJ);
     EXPECT_EQ(parsed.metrics.stats.cycles, result.metrics.stats.cycles);
+
+    // A frame whose metrics were cut short is refused, not read as a
+    // run whose missing counters are zero.
+    const std::string metrics = serializeRunMetrics(result.metrics);
+    std::string frame = cellMessage(result);
+    const std::size_t at = frame.find(metrics);
+    ASSERT_NE(at, std::string::npos);
+    frame.replace(at, metrics.size(), metrics.substr(0, metrics.size() / 2));
+    ASSERT_TRUE(parseJson(frame, message, &error)) << error;
+    EXPECT_FALSE(parseCellMessage(message, parsed, error));
+    EXPECT_NE(error.find("metrics"), std::string::npos) << error;
 }
 
 // A daemon's cell index and accepted count size the client's result
@@ -599,13 +611,26 @@ TEST(PlanRequestTest, AcceptedFrameCarriesItsCellCount)
 
 // --- SweepServer admission control and lifecycle ----------------------------
 
-/** start() + run() on a private thread, drained on destruction. */
+/**
+ * start() + run() on a private thread, drained on destruction. Each
+ * server memoizes into a fresh journal of its own, which is removed
+ * after the drain, so no test is served cells that another run (or the
+ * working directory's store) memoized.
+ */
 class RunningServer
 {
   public:
     explicit RunningServer(ServerOptions options)
         : server_(std::move(options))
     {
+        // Set while no server thread runs; MemoCache::shared() keeps
+        // one store per path for the life of the process, so a path is
+        // never reused.
+        static unsigned serial = 0;
+        memoPath_ = tempPath("lbsimd_memo_" + std::to_string(::getpid()) +
+                             "_" + std::to_string(++serial) + ".journal");
+        std::remove(memoPath_.c_str());
+        setenv("LBSIM_CACHE_PATH", memoPath_.c_str(), 1);
         std::string error;
         started_ = server_.start(&error);
         EXPECT_TRUE(started_) << error;
@@ -613,7 +638,12 @@ class RunningServer
             runner_ = std::thread([this] { rc_ = server_.run(); });
     }
 
-    ~RunningServer() { drain(); }
+    ~RunningServer()
+    {
+        drain();
+        std::remove(memoPath_.c_str());
+        unsetenv("LBSIM_CACHE_PATH");
+    }
 
     int drain()
     {
@@ -629,6 +659,7 @@ class RunningServer
 
   private:
     SweepServer server_;
+    std::string memoPath_;
     bool started_ = false;
     std::thread runner_;
     int rc_ = -1;
@@ -854,6 +885,53 @@ TEST(SweepServerTest, AcceptsExecutesAndStreamsResults)
     ::close(stats_fd);
 
     EXPECT_EQ(running.drain(), 0);
+}
+
+TEST(SweepServerTest, MemoizesIntoAJournalOfItsOwn)
+{
+    // Where a server left on the default path would memoize.
+    const std::string workdir_store = "lbsim_simcache.journal";
+    const bool had_store = fileExists(workdir_store);
+    const std::string store_before = readRaw(workdir_store);
+
+    std::string memo_path;
+    {
+        RunningServer running(testServerOptions("own_memo"));
+        ASSERT_TRUE(running.started());
+        memo_path = MemoCache::defaultPath();
+        EXPECT_NE(memo_path, workdir_store);
+
+        int fd = -1;
+        const JsonValue accepted = submitAndReadReply(
+            running.server().options().socketPath, oneCellSmoke(), &fd);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(accepted.stringOr("type"), "accepted");
+        std::string payload, error;
+        bool eof = false;
+        ASSERT_TRUE(readFrame(fd, payload, eof, &error)) << error;
+        JsonValue cell;
+        ASSERT_TRUE(parseJson(payload, cell, &error)) << error;
+        ASSERT_EQ(cell.stringOr("type"), "cell");
+        ASSERT_TRUE(cell.boolOr("ok", false)) << payload;
+        ::close(fd);
+        EXPECT_EQ(running.drain(), 0);
+
+        // The drain compacted the server's journal to the schema record
+        // and the one cell it ran, stored as the metrics it streamed.
+        std::vector<std::string> records;
+        JournalRecovery recovery;
+        ASSERT_TRUE(Journal(memo_path).recover(records, recovery));
+        ASSERT_EQ(records.size(), 2u);
+        EXPECT_EQ(records[0], MemoCache::schemaHeader());
+        EXPECT_EQ(records[1].rfind("S2:Baseline:", 0), 0u) << records[1];
+        EXPECT_EQ(records[1].substr(records[1].find('|') + 1),
+                  cell.stringOr("metrics"));
+    }
+    // The journal went with its server, and the working directory's
+    // store was not written.
+    EXPECT_FALSE(fileExists(memo_path));
+    EXPECT_EQ(fileExists(workdir_store), had_store);
+    EXPECT_EQ(readRaw(workdir_store), store_before);
 }
 
 TEST(SweepServerTest, MalformedFrameIsShedAsBadRequest)

@@ -195,8 +195,7 @@ main(int argc, char **argv)
                 const SwlOracleResult oracle = findBestSwl(runner, app);
                 std::fprintf(stderr, "%s oracle warp limit: %u\n",
                              app.id.c_str(), oracle.bestLimit);
-                return runner.run(
-                    app, SchemeConfig::bestSwl(oracle.bestLimit));
+                return oracle.bestMetrics;
             });
         } else {
             plan.add(app, scheme, {}, name);

@@ -19,8 +19,7 @@
  * degradation (no deadlock, auditors clean, deterministic replay).
  *
  * Usage:
- *   lbsim_fuzz [--iters N] [--seed-base S] [--out DIR] [--no-fork]
- *              [--faults]
+ *   lbsim_fuzz [--iters N] [--seed-base S] [--out DIR] [--faults]
  *   lbsim_fuzz --replay FILE
  *   lbsim_fuzz --dump SEED FILE
  */
@@ -58,12 +57,11 @@ struct ToolOptions
     std::uint64_t seedBase = 1;
     std::string outDir = "fuzz-out";
     std::string replayFile;
-    bool useFork = true;
     /** Generate fault-injection cases (generateFaultFuzzCase). */
     bool faults = false;
 };
 
-/** Verdict of one (possibly isolated) case execution. */
+/** Verdict of one isolated case execution. */
 struct CaseVerdict
 {
     bool ok = true;
@@ -72,17 +70,6 @@ struct CaseVerdict
     std::string detail;
     std::uint64_t lockstepChecks = 0;
 };
-
-CaseVerdict
-fromResult(const FuzzCaseResult &result)
-{
-    CaseVerdict verdict;
-    verdict.ok = result.ok;
-    verdict.property = result.property;
-    verdict.detail = result.detail;
-    verdict.lockstepChecks = result.lockstepChecks;
-    return verdict;
-}
 
 /** Run the case in a forked child; survives crashes and hangs. */
 CaseVerdict
@@ -125,14 +112,6 @@ runIsolated(const FuzzCase &fuzz_case)
         ? "child timed out after " + std::to_string(kChildTimeoutSec) + "s"
         : iso.payload;
     return verdict;
-}
-
-CaseVerdict
-runCase(const FuzzCase &fuzz_case, const ToolOptions &options)
-{
-    if (options.useFork)
-        return runIsolated(fuzz_case);
-    return fromResult(lbsim::runFuzzCase(fuzz_case));
 }
 
 bool
@@ -205,7 +184,7 @@ fuzz(const ToolOptions &options)
             continue;
         }
 
-        const CaseVerdict verdict = runCase(fuzz_case, options);
+        const CaseVerdict verdict = runIsolated(fuzz_case);
         total_checks += verdict.lockstepChecks;
         if (verdict.ok) {
             if ((i + 1) % 10 == 0 || i + 1 == options.iters) {
@@ -227,8 +206,8 @@ fuzz(const ToolOptions &options)
         // smallest repro. Crashes shrink too: the predicate re-runs
         // isolated, so a crashing candidate just reports !ok.
         const lbsim::FuzzPredicate still_fails =
-            [&options, &verdict](const FuzzCase &candidate) {
-                const CaseVerdict v = runCase(candidate, options);
+            [&verdict](const FuzzCase &candidate) {
+                const CaseVerdict v = runIsolated(candidate);
                 return !v.ok && v.property == verdict.property;
             };
         const lbsim::MinimizeResult minimized =
@@ -262,7 +241,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--iters N] [--seed-base S] [--out DIR] "
-                 "[--no-fork] [--faults]\n"
+                 "[--faults]\n"
                  "       %s --replay FILE\n"
                  "       %s [--faults] --dump SEED FILE\n",
                  argv0, argv0, argv0);
@@ -311,8 +290,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(seed),
                         path.c_str());
             return 0;
-        } else if (arg == "--no-fork") {
-            options.useFork = false;
         } else if (arg == "--faults") {
             options.faults = true;
         } else if (arg == "--help" || arg == "-h") {
