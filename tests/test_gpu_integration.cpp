@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "common/stats.hpp"
 #include "core/gpu.hpp"
@@ -52,19 +54,20 @@ checkInvariants(const RunMetrics &metrics)
     EXPECT_TRUE(std::isfinite(metrics.energyJ));
 }
 
+// std::string rather than const char * parameters: gtest prints a
+// pointer inside a tuple by its address, which ASLR moves, so the test
+// names would differ from one run to the next.
 class SchemeInvariants
-    : public ::testing::TestWithParam<std::tuple<const char *,
-                                                 const char *>>
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
 {
 };
 
 TEST_P(SchemeInvariants, HoldOnRealWorkloads)
 {
-    const auto [app_id, scheme_name] = GetParam();
+    const auto &[app_id, name] = GetParam();
     SimRunner runner({}, {}, fastOptions());
     const AppProfile &app = appById(app_id);
     SchemeConfig scheme;
-    const std::string name = scheme_name;
     if (name == "baseline")
         scheme = SchemeConfig::baseline();
     else if (name == "swl")
