@@ -33,14 +33,4 @@ sortedKeys(const Map &map)
     return keys;
 }
 
-/** Elements of @p set in ascending order (deterministic walk order). */
-template <typename Set>
-std::vector<typename Set::key_type>
-sortedElements(const Set &set)
-{
-    std::vector<typename Set::key_type> elems(set.begin(), set.end());
-    std::sort(elems.begin(), elems.end());
-    return elems;
-}
-
 } // namespace lbsim

@@ -1,26 +1,31 @@
 /**
  * @file
- * Open-addressing hash containers for the cycle kernel's hot paths.
+ * Open-addressing hash map for the cycle kernel's hot paths.
  *
- * The simulator's per-cycle bookkeeping (MSHR entries, pending L1
- * fills, in-flight partition reads, LDST pending loads) is keyed by
- * small integers and churns on every memory event. std::unordered_map
- * pays a heap allocation per node and a pointer chase per probe; at
- * tens of millions of cycles per run that is a measurable slice of the
- * profile. FlatMap/FlatSet replace it with a single contiguous slot
- * array (linear probing, power-of-two capacity, tombstone deletion) in
- * the spirit of SNIPPETS.md's dense cache-set layout: one cache line
- * per probe in the common case, zero allocation off the resize path.
+ * The simulator's per-cycle bookkeeping (the MSHR line index, pending
+ * L1 fills, the L1's fetched-line bitmap, in-flight partition reads,
+ * LDST pending loads) is keyed by integers and, apart from the bitmap,
+ * churns on every memory event. std::unordered_map pays a heap
+ * allocation per node and a pointer chase per probe; FlatMap keeps one
+ * contiguous slot array instead (linear probing, power-of-two
+ * capacity, tombstone deletion), in the spirit of SNIPPETS.md's dense
+ * cache-set layout.
+ *
+ * Load policy: live entries plus tombstones stay at or below half the
+ * slots, and a rehash sizes the table to at least 4x the live count, so
+ * no lookup walks a long tombstone run and churn at a steady live size
+ * stays at a bounded capacity. Once a map has reached its working size
+ * (or was reserve()d for it), inserting and erasing allocate nothing.
  *
  * Determinism contract: iteration order depends only on the sequence
  * of insertions and erasures (no pointers, no library-dependent hash),
  * so identical operation histories iterate identically. Audit and
- * debug walks still go through common/det.hpp sortedKeys()/
- * sortedElements() like every other unordered container in the tree.
+ * debug walks still go through common/det.hpp sortedKeys() like every
+ * other unordered container in the tree.
  *
  * Keys must be integral (Addr, request ids). The API is the subset of
- * std::unordered_map/set the call sites use; erasing invalidates no
- * other slot, inserting may rehash and invalidate all iterators.
+ * std::unordered_map the call sites use; erasing invalidates no other
+ * slot, inserting may rehash and invalidate all iterators.
  */
 
 #pragma once
@@ -102,11 +107,6 @@ class FlatMap
         {
             return index_ == other.index_;
         }
-        bool
-        operator!=(const Iter &other) const
-        {
-            return index_ != other.index_;
-        }
 
       private:
         friend class FlatMap;
@@ -129,8 +129,10 @@ class FlatMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    /** Allocated slot count (lets tests pin the growth policy). */
+    /** Allocated slot count (lets tests pin the load policy). */
     std::size_t capacity() const { return state_.size(); }
+    /** Erased slots not yet swept by a rehash (ditto). */
+    std::size_t tombstones() const { return tombstones_; }
 
     iterator begin() { return iterator(this, 0); }
     iterator end() { return iterator(this, state_.size()); }
@@ -145,10 +147,11 @@ class FlatMap
         tombstones_ = 0;
     }
 
-    /** Grow so @p n entries fit without rehashing. */
+    /** Room for @p n live entries: churn at up to @p n never allocates. */
     void
     reserve(std::size_t n)
     {
+        spill_.reserve(n);
         const std::size_t needed = slotsFor(n);
         if (needed > state_.size())
             rehash(needed);
@@ -172,14 +175,6 @@ class FlatMap
 
     const V &
     at(K key) const
-    {
-        const std::size_t index = findIndex(key);
-        if (index == state_.size())
-            throw std::out_of_range("FlatMap::at: missing key");
-        return slots_[index].second;
-    }
-    V &
-    at(K key)
     {
         const std::size_t index = findIndex(key);
         if (index == state_.size())
@@ -220,12 +215,12 @@ class FlatMap
     }
 
   private:
-    /** Smallest power-of-two slot count holding @p n at <= 7/8 load. */
+    /** Smallest power-of-two slot count holding @p n at <= 1/4 load. */
     static std::size_t
     slotsFor(std::size_t n)
     {
         std::size_t slots = kMinSlots;
-        while (slots * 7 < n * 8)
+        while (slots < n * 4)
             slots *= 2;
         return slots;
     }
@@ -259,11 +254,12 @@ class FlatMap
     std::pair<value_type *, bool>
     insertSlot(K key, ValueArg &&value)
     {
-        // Rehash sizes to the live count only: under steady-state churn
-        // (insert/erase at constant size) this periodically sweeps the
-        // tombstones at unchanged capacity instead of doubling forever.
+        // Tombstones count against the 1/2 load bound, but the rehash
+        // sizes to the live count only: steady-state churn (insert/erase
+        // at constant size) sweeps the tombstones at unchanged capacity
+        // instead of doubling forever.
         if (state_.empty() ||
-            (size_ + tombstones_ + 1) * 8 > state_.size() * 7)
+            (size_ + tombstones_ + 1) * 2 > state_.size())
             rehash(slotsFor(size_ + 1));
         const std::size_t mask = state_.size() - 1;
         std::size_t index =
@@ -308,16 +304,18 @@ class FlatMap
     {
         if (new_slots < kMinSlots)
             new_slots = kMinSlots;
-        std::vector<value_type> old_slots = std::move(slots_);
-        std::vector<detail::SlotState> old_state = std::move(state_);
+        // Live entries wait in spill_ and the slot arrays are reassigned
+        // in place, so a sweep at a size held before allocates nothing.
+        spill_.clear();
+        for (std::size_t i = 0; i < state_.size(); ++i)
+            if (state_[i] == detail::SlotState::Full)
+                spill_.push_back(std::move(slots_[i]));
         slots_.assign(new_slots, value_type{});
         state_.assign(new_slots, detail::SlotState::Empty);
         size_ = 0;
         tombstones_ = 0;
-        for (std::size_t i = 0; i < old_state.size(); ++i)
-            if (old_state[i] == detail::SlotState::Full)
-                insertSlot(old_slots[i].first,
-                           std::move(old_slots[i].second));
+        for (value_type &entry : spill_)
+            insertSlot(entry.first, std::move(entry.second));
     }
 
     static constexpr std::size_t kMinSlots = 16;
@@ -326,78 +324,8 @@ class FlatMap
     std::vector<detail::SlotState> state_;
     std::size_t size_ = 0;
     std::size_t tombstones_ = 0;
-};
-
-/** Open-addressing hash set over integral keys (see file comment). */
-template <typename K>
-class FlatSet
-{
-    static_assert(std::is_integral<K>::value,
-                  "FlatSet keys must be integral");
-
-    struct Unit
-    {
-    };
-    using Map = FlatMap<K, Unit>;
-
-  public:
-    using key_type = K;
-
-    /** Forward iterator yielding keys (wraps the map's iterator). */
-    class const_iterator
-    {
-      public:
-        // std::iterator_traits contract (range constructors, algorithms).
-        using iterator_category = std::forward_iterator_tag;
-        using value_type = K;
-        using difference_type = std::ptrdiff_t;
-        using pointer = const K *;
-        using reference = const K &;
-
-        const_iterator() = default;
-        explicit const_iterator(typename Map::const_iterator it) : it_(it) {}
-
-        const K &operator*() const { return it_->first; }
-
-        const_iterator &
-        operator++()
-        {
-            ++it_;
-            return *this;
-        }
-
-        bool
-        operator==(const const_iterator &other) const
-        {
-            return it_ == other.it_;
-        }
-        bool
-        operator!=(const const_iterator &other) const
-        {
-            return it_ != other.it_;
-        }
-
-      private:
-        typename Map::const_iterator it_;
-    };
-
-    std::size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-    void clear() { map_.clear(); }
-    void reserve(std::size_t n) { map_.reserve(n); }
-
-    std::size_t count(K key) const { return map_.count(key); }
-
-    /** @return true if @p key was newly inserted. */
-    bool insert(K key) { return map_.emplace(key, Unit{}).second; }
-
-    std::size_t erase(K key) { return map_.erase(key); }
-
-    const_iterator begin() const { return const_iterator(map_.begin()); }
-    const_iterator end() const { return const_iterator(map_.end()); }
-
-  private:
-    Map map_;
+    /** Live entries in transit during rehash() (keeps its capacity). */
+    std::vector<value_type> spill_;
 };
 
 } // namespace lbsim

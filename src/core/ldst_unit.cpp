@@ -1,5 +1,6 @@
 #include "core/ldst_unit.hpp"
 
+#include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace lbsim
@@ -38,6 +39,7 @@ LdstUnit::issue(Warp &warp, const StaticInst &inst,
         access.hpc = hashedPc(inst.pc);
         access.warpSlot = warp.smWarpId;
         queue_.push_back(access);
+        ++queued_;
         if (!is_write) {
             ++warp.outstandingLoads;
             pending_.emplace(access.accessId,
@@ -87,6 +89,7 @@ LdstUnit::tick(std::vector<Warp> &warps, Cycle now)
         if (!l1Accepted(outcome))
             break;
         queue_.pop_front();
+        --queued_;
     }
     return drained;
 }
@@ -95,7 +98,16 @@ void
 LdstUnit::reset()
 {
     queue_.clear();
+    queued_ = 0;
     pending_.clear();
+}
+
+void
+LdstUnit::audit() const
+{
+    LB_AUDIT(queued_ == queue_.size(),
+             "LDST queue mirror %zu but the queue holds %zu accesses",
+             queued_, queue_.size());
 }
 
 } // namespace lbsim

@@ -37,7 +37,7 @@ class LdstUnit
     LdstUnit(const GpuConfig &cfg, L1Cache *l1, SimStats *stats);
 
     /** True if a new memory instruction can be accepted this cycle. */
-    bool canAccept() const { return queue_.size() < maxQueued_; }
+    bool canAccept() const { return queued_ < maxQueued_; }
 
     /**
      * Accept a memory instruction from warp @p warp.
@@ -63,13 +63,16 @@ class LdstUnit
     std::uint64_t tick(std::vector<Warp> &warps, Cycle now);
 
     /** Outstanding queued accesses (structural-hazard visibility). */
-    std::size_t queued() const { return queue_.size(); }
+    std::size_t queued() const { return queued_; }
 
     /** In-flight load accesses awaiting data. */
     std::size_t inFlight() const { return pending_.size(); }
 
     /** Drop state at kernel boundaries. */
     void reset();
+
+    /** Mirror auditor: queued() matches the queue it summarizes. */
+    void audit() const;
 
   private:
     struct QueuedAccess
@@ -90,6 +93,7 @@ class LdstUnit
     std::uint32_t accessesPerCycle_;
     std::uint64_t nextAccessId_ = 1;
     std::deque<QueuedAccess> queue_;
+    std::size_t queued_ = 0; ///< queue_.size(), for canAccept()'s O(1).
     struct PendingLoad
     {
         std::uint32_t warpSlot;

@@ -406,6 +406,7 @@ Sm::audit(Cycle now) const
     // Generous fill-latency bound: two interconnect hops, the L2 lookup,
     // and heavily congested DRAM queues stay well inside it.
     l1_->audit(now, 4 * (2 * cfg_.icntLatency + cfg_.l2Latency + 25000));
+    ldst_.audit();
 
     StateDumpScope dump([this] { return debugString(); });
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace lbsim
@@ -20,35 +21,24 @@ DramChannel::DramChannel(const GpuConfig &cfg, std::uint32_t channel_id,
     busCyclesPerLine_ = kLineBytes / per_channel_bytes_per_cycle;
 }
 
-std::uint32_t
-DramChannel::bankOf(Addr line_addr) const
-{
-    // XOR-hashed bank index: consecutive rows spread pseudo-randomly
-    // across banks (real controllers fold upper address bits into the
-    // bank bits to avoid hot banks under strided streams).
-    return static_cast<std::uint32_t>(
-        hashMix(lineIndex(line_addr) / kRowLines) % kBanks);
-}
-
-std::uint64_t
-DramChannel::rowOf(Addr line_addr) const
-{
-    // One 2 KB row chunk per row id; the bank's open row tracks it.
-    return lineIndex(line_addr) / kRowLines;
-}
-
 void
 DramChannel::enqueue(const DramCommand &cmd, Cycle now, Cycle available)
 {
-    DramCommand queued = cmd;
-    queued.enqueued = now;
-    queued.available = std::max(now, available);
+    Queued queued{cmd};
+    queued.cmd.enqueued = now;
+    queued.cmd.available = std::max(now, available);
+    // One 2 KB row chunk per row id; the bank's open row tracks it. The
+    // bank index is XOR-hashed: consecutive rows spread pseudo-randomly
+    // across banks (real controllers fold upper address bits into the
+    // bank bits to avoid hot banks under strided streams).
+    queued.row = lineIndex(cmd.lineAddr) / kRowLines;
+    queued.bank = static_cast<std::uint32_t>(hashMix(queued.row) % kBanks);
     queue_.push_back(queued);
     // A new command may beat the cached idle bound (even conservatively
     // when it lands beyond the lookahead window — that only costs a
     // scan).
-    if (queued.available < issueReadyAt_)
-        issueReadyAt_ = queued.available;
+    if (queued.cmd.available < issueReadyAt_)
+        issueReadyAt_ = queued.cmd.available;
 }
 
 void
@@ -77,27 +67,26 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
     // FR-FCFS-lite among available commands: prefer a row-hit within the
     // lookahead window (or, in the activation slot, the oldest row
     // miss), else the oldest available command.
-    std::size_t pick = queue_.size();
-    const std::size_t window = std::min<std::size_t>(kLookahead,
-                                                     queue_.size());
+    const std::size_t depth = queue_.size();
+    const std::size_t window = std::min<std::size_t>(kLookahead, depth);
+    std::size_t pick = depth;
     Cycle window_ready = kNoCycle;
-    for (std::size_t i = 0; i < window; ++i) {
-        if (queue_[i].available > now) {
-            if (queue_[i].available < window_ready)
-                window_ready = queue_[i].available;
+    auto q = queue_.cbegin();
+    for (std::size_t i = 0; i < window; ++i, ++q) {
+        if (q->cmd.available > now) {
+            if (q->cmd.available < window_ready)
+                window_ready = q->cmd.available;
             continue;
         }
-        if (pick == queue_.size())
+        if (pick == depth)
             pick = i; // Oldest available fallback.
-        const std::uint32_t bank = bankOf(queue_[i].lineAddr);
-        const bool hit = rowValid_[bank] &&
-            openRow_[bank] == rowOf(queue_[i].lineAddr);
+        const bool hit = rowValid_[q->bank] && openRow_[q->bank] == q->row;
         if (hit != prefer_miss) {
             pick = i;
             break;
         }
     }
-    if (pick == queue_.size()) {
+    if (pick == depth) {
         // Nothing available yet; the window can only change through a
         // future availability (its exact min, computed above) or an
         // enqueue (which lowers the bound again).
@@ -105,13 +94,13 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
         return false;
     }
 
-    const DramCommand cmd = queue_[pick];
+    const DramCommand cmd = queue_[pick].cmd;
+    const std::uint32_t bank = queue_[pick].bank;
+    const std::uint64_t row = queue_[pick].row;
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
     issueReadyAt_ = 0; // The erase shifted the lookahead window.
 
-    const std::uint32_t bank = bankOf(cmd.lineAddr);
-    const bool row_hit = rowValid_[bank] && openRow_[bank] ==
-        rowOf(cmd.lineAddr);
+    const bool row_hit = rowValid_[bank] && openRow_[bank] == row;
 
     const DramTiming &t = cfg_.dramTiming;
     // Row miss pays precharge + activate in its bank; banks overlap
@@ -149,7 +138,7 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
     }
 
     rowValid_[bank] = true;
-    openRow_[bank] = rowOf(cmd.lineAddr);
+    openRow_[bank] = row;
 
     if (row_hit)
         ++stats_->dramRowHits;
@@ -171,9 +160,11 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
         break;
     }
 
+    LB_ASSERT(completed_.empty() || completed_.back().done <= done,
+              "DRAM completion at %llu issued after one due at %llu",
+              static_cast<unsigned long long>(done),
+              static_cast<unsigned long long>(completed_.back().done));
     completed_.push_back({cmd, done});
-    if (done < minDone_)
-        minDone_ = done;
     ++scheduled_;
     return true;
 }
@@ -181,26 +172,11 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
 void
 DramChannel::drainCompleted(Cycle now, std::vector<DramCompletion> &out)
 {
-    if (now < minDone_)
-        return; // Exact min: nothing can have finished yet.
-    // Completions were issued in service order but may finish out of
-    // order only when latencies differ; the skew is small, so a stable
-    // scan keeps things simple. The scan doubles as the minDone_
-    // recomputation over the retained entries.
-    Cycle min_done = kNoCycle;
-    auto it = completed_.begin();
-    while (it != completed_.end()) {
-        if (it->done <= now) {
-            out.push_back(*it);
-            it = completed_.erase(it);
-            --scheduled_;
-        } else {
-            if (it->done < min_done)
-                min_done = it->done;
-            ++it;
-        }
+    while (!completed_.empty() && completed_.front().done <= now) {
+        out.push_back(completed_.front());
+        completed_.pop_front();
+        --scheduled_;
     }
-    minDone_ = min_done;
 }
 
 } // namespace lbsim

@@ -64,17 +64,14 @@ class DramChannel
     void enqueue(const DramCommand &cmd, Cycle now,
                  Cycle available = 0);
 
-    /** Advance the channel; services at most one command per call window. */
+    /**
+     * Advance the channel one cycle: issue up to kIssuesPerCycle
+     * commands, FR-FCFS-lite over the lookahead window.
+     */
     void tick(Cycle now);
 
-    /** Pop completions that finished by @p now. */
+    /** Pop completions that finished by @p now, in issue order. */
     void drainCompleted(Cycle now, std::vector<DramCompletion> &out);
-
-    std::uint32_t
-    queueDepth() const
-    {
-        return static_cast<std::uint32_t>(queue_.size());
-    }
 
   private:
     static constexpr std::uint32_t kBanks = 8;
@@ -83,14 +80,25 @@ class DramChannel
     static constexpr std::uint32_t kIssuesPerCycle = 8;
     static constexpr std::uint32_t kMaxScheduled = 16 * kBanks;
 
-    std::uint32_t bankOf(Addr line_addr) const;
-    std::uint64_t rowOf(Addr line_addr) const;
+    /** A queued command with its bank and row, fixed at enqueue. */
+    struct Queued
+    {
+        DramCommand cmd;
+        std::uint32_t bank = 0;
+        std::uint64_t row = 0;
+    };
+
     /** @return false when nothing in the window was serviceable. */
     bool issueOne(Cycle now, bool prefer_miss);
 
     const GpuConfig &cfg_;
     SimStats *stats_;
-    std::deque<DramCommand> queue_;
+    std::deque<Queued> queue_;
+    /**
+     * Issued commands in issue order, which is also `done` order: each
+     * issue's done is the ceiling of the data bus's free time, and that
+     * only grows. drainCompleted() pops the due prefix.
+     */
     std::deque<DramCompletion> completed_;
     std::vector<std::uint64_t> openRow_;
     std::vector<bool> rowValid_;
@@ -115,13 +123,6 @@ class DramChannel
      * scan sequence.
      */
     Cycle issueReadyAt_ = 0;
-    /**
-     * Exact minimum `done` cycle over completed_ (kNoCycle when
-     * empty): drainCompleted() returns at once before it instead of
-     * walking the deque. Kept exact: min-updated on push, recomputed
-     * during every drain scan.
-     */
-    Cycle minDone_ = kNoCycle;
 };
 
 } // namespace lbsim

@@ -152,7 +152,11 @@ L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
     }
 
     if (allocate) {
-        const bool was_cold = everFetched_.count(access.lineAddr) == 0;
+        const Addr line = lineIndex(access.lineAddr);
+        std::uint64_t &fetched = everFetched_[line >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (line & 63);
+        const bool was_cold = (fetched & bit) == 0;
+        fetched |= bit;
         pendingFills_[access.lineAddr] = {access.hpc, access.warpSlot,
                                           was_cold};
         ++stats_->l1.misses;
@@ -160,7 +164,6 @@ L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
             ++stats_->coldMisses;
         else
             ++stats_->capacityMisses;
-        everFetched_.insert(access.lineAddr);
     } else {
         ++stats_->l1.bypasses;
     }

@@ -226,8 +226,11 @@ class L1Cache
     /** Pending fills: line -> info recorded at miss time. */
     FlatMap<Addr, PendingFill> pendingFills_;
 
-    /** Lines ever fetched by this SM; classifies cold vs capacity miss. */
-    FlatSet<Addr> everFetched_;
+    /**
+     * Lines ever fetched by this SM, which classify cold vs capacity
+     * misses: one bit per line, 64-line words keyed by lineIndex >> 6.
+     */
+    FlatMap<Addr, std::uint64_t> everFetched_;
 
     /** (ready cycle, access id) min-ordered completion queue. */
     std::deque<std::pair<Cycle, std::uint64_t>> completed_;

@@ -46,7 +46,7 @@ L2Slice::accessReadImpl(Addr line_addr, std::uint64_t access_id, Cycle now)
         ++stats_->l2Hits;
         return L2Outcome::Hit;
     }
-    switch (mshrs_.registerMiss(line_addr, access_id, true)) {
+    switch (mshrs_.registerMiss(line_addr, access_id, true, now)) {
       case MshrOutcome::Allocated:
         return L2Outcome::Miss;
       case MshrOutcome::Merged:

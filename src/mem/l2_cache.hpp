@@ -82,6 +82,7 @@ class L2Slice
               std::vector<std::uint64_t> &waiters_out);
 
     const TagArray &tags() const { return tags_; }
+    const MshrFile &mshrs() const { return mshrs_; }
 
     /** True when no miss on a new line can get an MSHR entry. */
     bool mshrsFull() const { return mshrs_.inUse() >= mshrs_.capacity(); }

@@ -138,6 +138,10 @@ void
 MemoryPartition::audit(Cycle now) const
 {
     l2_.tags().audit(now);
+    // Sm::audit's L1 bound without the two interconnect hops: an L2
+    // entry lives from the L2 lookup to the DRAM fill.
+    const MshrFile &mshrs = l2_.mshrs();
+    mshrs.audit(now, 4 * (cfg_.l2Latency + 25000));
     StateDumpScope dump([this] { return debugString(); });
     for (const std::uint64_t id : sortedKeys(pendingReads_)) {
         const PendingRead &read = pendingReads_.at(id);
@@ -153,6 +157,23 @@ MemoryPartition::audit(Cycle now) const
                  "pending read %llu has a write kind (%d)",
                  static_cast<unsigned long long>(id),
                  static_cast<int>(read.kind));
+        const auto waiting = mshrs.waiters(read.lineAddr);
+        LB_AUDIT(std::count(waiting.begin(), waiting.end(), id) == 1,
+                 "pending read %llu does not wait exactly once in the L2 "
+                 "MSHR entry of line %llx — no fill will answer it",
+                 static_cast<unsigned long long>(id),
+                 static_cast<unsigned long long>(read.lineAddr));
+    }
+    for (const Addr line : mshrs.lines()) {
+        for (const std::uint64_t id : mshrs.waiters(line)) {
+            const auto it = pendingReads_.find(id);
+            LB_AUDIT(it != pendingReads_.end() &&
+                         it->second.lineAddr == line,
+                     "L2 MSHR waiter %llu on line %llx has no pending "
+                     "read of that line",
+                     static_cast<unsigned long long>(id),
+                     static_cast<unsigned long long>(line));
+        }
     }
 }
 

@@ -107,9 +107,11 @@ class MemoryPartition
     void chargeSkippedReadRetries(std::uint64_t count);
 
     /**
-     * Consistency auditor: every pending read belongs to this partition,
-     * is of a kind that produces a response, and is addressed to a real
-     * line.
+     * Consistency auditor: delegates to the L2 slice's tag and MSHR
+     * auditors, then checks that every pending read belongs to this
+     * partition, is of a kind that produces a response, is addressed to
+     * a real line, and waits exactly once in its line's L2 MSHR entry;
+     * and that every L2 MSHR waiter is a pending read of that line.
      */
     void audit(Cycle now) const;
 
@@ -118,7 +120,6 @@ class MemoryPartition
 
     const L2Slice &l2() const { return l2_; }
     L2Slice &l2() { return l2_; }
-    const DramChannel &dram() const { return dram_; }
 
   private:
     /** A read waiting for data (either L2 latency or a DRAM fill). */

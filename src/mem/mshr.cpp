@@ -12,57 +12,84 @@ namespace lbsim
 {
 
 MshrFile::MshrFile(std::uint32_t entries, std::uint32_t merges_per_entry)
-    : maxEntries_(entries), maxMerges_(merges_per_entry)
+    : maxEntries_(entries), maxMerges_(merges_per_entry), slots_(entries),
+      waiters_(static_cast<std::size_t>(entries) * merges_per_entry)
 {
     if (entries == 0 || merges_per_entry == 0)
         panic("MshrFile requires nonzero capacity");
+    // Pop order hands out slot 0 first.
+    freeSlots_.reserve(entries);
+    for (std::uint32_t slot = entries; slot-- > 0;)
+        freeSlots_.push_back(slot);
+    index_.reserve(entries);
+}
+
+std::span<const std::uint64_t>
+MshrFile::waitersOf(std::uint32_t slot) const
+{
+    return {waiters_.data() + static_cast<std::size_t>(slot) * maxMerges_,
+            slots_[slot].waiterCount};
 }
 
 MshrOutcome
 MshrFile::registerMiss(Addr line_addr, std::uint64_t access_id,
                        bool allocate_on_fill, Cycle now)
 {
-    auto it = entries_.find(line_addr);
-    if (it != entries_.end()) {
-        Entry &entry = it->second;
-        if (entry.waiters.size() >= maxMerges_)
-            return MshrOutcome::NoMergeSlot;
-        entry.waiters.push_back(access_id);
-        entry.allocateOnFill |= allocate_on_fill;
-        return MshrOutcome::Merged;
+    const auto it = index_.find(line_addr);
+    if (it == index_.end()) {
+        if (freeSlots_.empty())
+            return MshrOutcome::NoEntry;
+        const std::uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = Slot{1, allocate_on_fill, now};
+        waiters_[static_cast<std::size_t>(slot) * maxMerges_] = access_id;
+        index_.emplace(line_addr, slot);
+        return MshrOutcome::Allocated;
     }
-    if (entries_.size() >= maxEntries_)
-        return MshrOutcome::NoEntry;
-    Entry entry;
-    entry.waiters.push_back(access_id);
-    entry.allocateOnFill = allocate_on_fill;
-    entry.allocatedAt = now;
-    entries_.emplace(line_addr, std::move(entry));
-    LB_ASSERT(entries_.size() <= maxEntries_,
-              "MSHR occupancy %zu exceeds capacity %u", entries_.size(),
-              maxEntries_);
-    return MshrOutcome::Allocated;
+    Slot &entry = slots_[it->second];
+    if (entry.waiterCount >= maxMerges_)
+        return MshrOutcome::NoMergeSlot;
+    waiters_[static_cast<std::size_t>(it->second) * maxMerges_ +
+             entry.waiterCount++] = access_id;
+    entry.allocateOnFill |= allocate_on_fill;
+    return MshrOutcome::Merged;
 }
 
 bool
 MshrFile::pending(Addr line_addr) const
 {
-    return entries_.count(line_addr) != 0;
+    return index_.count(line_addr) != 0;
 }
 
 bool
 MshrFile::completeFill(Addr line_addr,
                        std::vector<std::uint64_t> &waiters_out)
 {
-    auto it = entries_.find(line_addr);
-    if (it == entries_.end())
+    const auto it = index_.find(line_addr);
+    if (it == index_.end())
         panic("MSHR fill for line %llu with no pending entry",
               static_cast<unsigned long long>(line_addr));
-    const bool allocate = it->second.allocateOnFill;
-    waiters_out.insert(waiters_out.end(), it->second.waiters.begin(),
-                       it->second.waiters.end());
-    entries_.erase(it);
-    return allocate;
+    const std::uint32_t slot = it->second;
+    const auto waiting = waitersOf(slot);
+    waiters_out.insert(waiters_out.end(), waiting.begin(), waiting.end());
+    index_.erase(it);
+    freeSlots_.push_back(slot);
+    return slots_[slot].allocateOnFill;
+}
+
+std::vector<Addr>
+MshrFile::lines() const
+{
+    return sortedKeys(index_);
+}
+
+std::span<const std::uint64_t>
+MshrFile::waiters(Addr line_addr) const
+{
+    const auto it = index_.find(line_addr);
+    if (it == index_.end())
+        return {};
+    return waitersOf(it->second);
 }
 
 void
@@ -70,20 +97,22 @@ MshrFile::audit(Cycle now, Cycle leak_bound) const
 {
     StateDumpScope dump([this] { return debugString(); });
 
-    LB_AUDIT(entries_.size() <= maxEntries_,
-             "%zu MSHR entries allocated but capacity is %u",
-             entries_.size(), maxEntries_);
+    LB_AUDIT(index_.size() + freeSlots_.size() == maxEntries_,
+             "%zu MSHR entries allocated and %zu slots free, but "
+             "capacity is %u",
+             index_.size(), freeSlots_.size(), maxEntries_);
 
     std::unordered_set<std::uint64_t> seen_ids;
-    for (const Addr line : sortedKeys(entries_)) {
-        const Entry &entry = entries_.at(line);
-        LB_AUDIT(!entry.waiters.empty(),
+    for (const Addr line : lines()) {
+        const std::uint32_t slot = index_.at(line);
+        const Slot &entry = slots_[slot];
+        LB_AUDIT(entry.waiterCount > 0,
                  "MSHR entry for line %llx has no waiters",
                  static_cast<unsigned long long>(line));
-        LB_AUDIT(entry.waiters.size() <= maxMerges_,
-                 "MSHR entry for line %llx holds %zu waiters, max %u",
-                 static_cast<unsigned long long>(line),
-                 entry.waiters.size(), maxMerges_);
+        LB_AUDIT(entry.waiterCount <= maxMerges_,
+                 "MSHR entry for line %llx holds %u waiters, max %u",
+                 static_cast<unsigned long long>(line), entry.waiterCount,
+                 maxMerges_);
         LB_AUDIT(entry.allocatedAt <= now,
                  "MSHR entry for line %llx allocated in the future "
                  "(%llu > now %llu)",
@@ -99,7 +128,7 @@ MshrFile::audit(Cycle now, Cycle leak_bound) const
                          now - entry.allocatedAt),
                      static_cast<unsigned long long>(leak_bound));
         }
-        for (std::uint64_t id : entry.waiters) {
+        for (const std::uint64_t id : waitersOf(slot)) {
             LB_AUDIT(seen_ids.insert(id).second,
                      "access id %llu waits on two MSHR lines "
                      "(second: %llx)",
@@ -112,16 +141,16 @@ MshrFile::audit(Cycle now, Cycle leak_bound) const
 std::string
 MshrFile::debugString() const
 {
-    std::string out = "MshrFile " + std::to_string(entries_.size()) + "/" +
+    std::string out = "MshrFile " + std::to_string(index_.size()) + "/" +
         std::to_string(maxEntries_) + " entries\n";
     char buf[128];
-    for (const Addr line : sortedKeys(entries_)) {
-        const Entry &entry = entries_.at(line);
+    for (const Addr line : lines()) {
+        const std::uint32_t slot = index_.at(line);
+        const Slot &entry = slots_[slot];
         std::snprintf(buf, sizeof(buf),
-                      "line=%llx waiters=%zu alloc=%d at=%llu\n",
-                      static_cast<unsigned long long>(line),
-                      entry.waiters.size(),
-                      entry.allocateOnFill ? 1 : 0,
+                      "line=%llx slot=%u waiters=%u alloc=%d at=%llu\n",
+                      static_cast<unsigned long long>(line), slot,
+                      entry.waiterCount, entry.allocateOnFill ? 1 : 0,
                       static_cast<unsigned long long>(entry.allocatedAt));
         out += buf;
     }

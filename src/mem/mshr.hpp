@@ -6,11 +6,17 @@
  * line, as in GPGPU-Sim's L1 model (Table 1: 64 MSHRs per L1). Each entry
  * records the access ids (LDST-unit bookkeeping handles) waiting on the
  * fill so they can all complete when the line returns.
+ *
+ * Like the hardware, the file is a fixed slot table: entries and their
+ * waiters live in arrays sized capacity x merges at construction, a
+ * free-slot stack hands out entries and a line -> slot FlatMap finds
+ * them, so registering, merging and completing a miss allocate nothing.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,9 +45,12 @@ class MshrFile
      */
     MshrFile(std::uint32_t entries, std::uint32_t merges_per_entry);
 
-    /** Register a miss for @p line_addr from access @p access_id. */
+    /**
+     * Register a miss for @p line_addr from access @p access_id at
+     * cycle @p now (the entry's age, for the leak audit).
+     */
     MshrOutcome registerMiss(Addr line_addr, std::uint64_t access_id,
-                             bool allocate_on_fill, Cycle now = 0);
+                             bool allocate_on_fill, Cycle now);
 
     /** True if @p line_addr already has an in-flight fill. */
     bool pending(Addr line_addr) const;
@@ -58,9 +67,19 @@ class MshrFile
     std::uint32_t
     inUse() const
     {
-        return static_cast<std::uint32_t>(entries_.size());
+        return static_cast<std::uint32_t>(index_.size());
     }
     std::uint32_t capacity() const { return maxEntries_; }
+
+    /** Lines with an entry, ascending (audits and reports). */
+    std::vector<Addr> lines() const;
+
+    /**
+     * Access ids waiting on @p line_addr, in registration order; empty
+     * when the line has no entry. Valid until the next registerMiss()
+     * or completeFill().
+     */
+    std::span<const std::uint64_t> waiters(Addr line_addr) const;
 
     /**
      * Leak/merge auditor. Verifies occupancy against capacity, that every
@@ -75,16 +94,24 @@ class MshrFile
     std::string debugString() const;
 
   private:
-    struct Entry
+    /** One entry; its waiters are waiters_[slot * maxMerges_ ...]. */
+    struct Slot
     {
-        std::vector<std::uint64_t> waiters;
+        std::uint32_t waiterCount = 0;
         bool allocateOnFill = false;
         Cycle allocatedAt = 0;   ///< Cycle the entry was created.
     };
 
+    std::span<const std::uint64_t> waitersOf(std::uint32_t slot) const;
+
     std::uint32_t maxEntries_;
     std::uint32_t maxMerges_;
-    FlatMap<Addr, Entry> entries_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint64_t> waiters_;
+    /** Free slots; the most recently freed is reused first. */
+    std::vector<std::uint32_t> freeSlots_;
+    /** line -> slot of every allocated entry. */
+    FlatMap<Addr, std::uint32_t> index_;
 };
 
 } // namespace lbsim

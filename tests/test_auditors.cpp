@@ -242,6 +242,79 @@ TEST_F(L1AuditFixture, OrphanPendingFillTrips)
     EXPECT_TRUE(fired("fill will never arrive"));
 }
 
+// --- Memory-partition auditor (L2 MSHRs vs pending reads) ----------------
+
+/** One partition, driven through deliver() without a crossbar tick. */
+struct PartitionAuditFixture : AuditFixture
+{
+    PartitionAuditFixture()
+    {
+        cfg.numSms = 1;
+        cfg.numMemPartitions = 1;
+        icnt = std::make_unique<Interconnect>(cfg, &stats);
+        partition =
+            std::make_unique<MemoryPartition>(cfg, 0, icnt.get(), &stats);
+        icnt->attachPartition(0, partition.get());
+    }
+
+    void
+    read(Addr line, Cycle now)
+    {
+        MemRequest req;
+        req.lineAddr = line;
+        req.kind = RequestKind::DataRead;
+        ASSERT_EQ(partition->deliver(req, now), DeliverResult::Accepted);
+    }
+
+    /** Cycles an L2 MSHR entry may wait before the audit calls it lost. */
+    Cycle leakBound() const { return 4 * (cfg.l2Latency + 25000); }
+
+    GpuConfig cfg;
+    SimStats stats;
+    std::unique_ptr<Interconnect> icnt;
+    std::unique_ptr<MemoryPartition> partition;
+};
+
+TEST_F(PartitionAuditFixture, PendingMissesAndMergesPass)
+{
+    read(0x4000, 3);
+    read(0x4000, 4);
+    read(0x8000, 5);
+    partition->audit(6);
+    partition->audit(3 + leakBound());
+    EXPECT_TRUE(failures.empty());
+}
+
+TEST_F(PartitionAuditFixture, OrphanPendingReadTrips)
+{
+    // The L2 entry goes away under the partition's feet: its pending
+    // read now waits for a fill that will never answer it.
+    read(0x4000, 3);
+    std::vector<std::uint64_t> waiters;
+    partition->l2().fill(0x4000, 4, waiters);
+    ASSERT_EQ(waiters.size(), 1u);
+    partition->audit(5);
+    EXPECT_TRUE(fired("does not wait exactly once"));
+}
+
+TEST_F(PartitionAuditFixture, MshrWaiterWithoutPendingReadTrips)
+{
+    read(0x4000, 3);
+    ASSERT_EQ(partition->l2().accessRead(0x4000, 999, 4),
+              L2Outcome::Merged);
+    partition->audit(5);
+    EXPECT_TRUE(fired("has no pending read"));
+}
+
+TEST_F(PartitionAuditFixture, L2MshrLeakBoundTrips)
+{
+    read(0x4000, 100);
+    partition->audit(100 + leakBound());
+    EXPECT_TRUE(failures.empty());
+    partition->audit(101 + leakBound());
+    EXPECT_TRUE(fired("lost fill"));
+}
+
 // --- Crossbar parked-queue auditor ------------------------------------------
 
 /**

@@ -214,6 +214,53 @@ TEST_F(L1Fixture, CapacityMissClassification)
     EXPECT_EQ(stats.capacityMisses, 1u);
 }
 
+TEST_F(L1Fixture, ColdMissClassificationAcrossBitmapWords)
+{
+    // Fetched lines are bits in 64-line words keyed by lineIndex >> 6.
+    // Lines 63/64 and 127/128 sit on word boundaries, and the two
+    // pattern regions (i + 1) << 38 apart map to distant words.
+    std::uint64_t id = 1;
+    const auto loadIsCold = [&](Addr line_index) {
+        const std::uint64_t cold = stats.coldMisses;
+        const std::uint64_t capacity = stats.capacityMisses;
+        EXPECT_EQ(l1->access(load(id, line_index * kLineBytes), now),
+                  L1Outcome::Miss);
+        EXPECT_TRUE(completeAccess(id++));
+        EXPECT_EQ(stats.coldMisses + stats.capacityMisses,
+                  cold + capacity + 1);
+        return stats.coldMisses == cold + 1;
+    };
+    const auto evict = [&](Addr line_index) {
+        L1Access store = load(id++, line_index * kLineBytes);
+        store.isWrite = true;
+        EXPECT_EQ(l1->access(store, now), L1Outcome::StoreDone);
+        for (int c = 0; c < 10; ++c)
+            tick();
+    };
+    const Addr region1 = (Addr{1} << 38) / kLineBytes;
+    const Addr region2 = (Addr{2} << 38) / kLineBytes;
+    const Addr lines[] = {63, 64, 127, 128};
+    for (const Addr line : lines)
+        EXPECT_TRUE(loadIsCold(region1 + line)) << line;
+    for (const Addr line : lines)
+        EXPECT_TRUE(loadIsCold(region2 + line)) << line;
+    // Neighbours sharing a word with a fetched line are still cold.
+    for (const Addr line : {62, 65, 126, 129})
+        EXPECT_TRUE(loadIsCold(region1 + line)) << line;
+    for (const Addr line : lines) {
+        evict(region1 + line);
+        EXPECT_FALSE(loadIsCold(region1 + line)) << line;
+        evict(region2 + line);
+        EXPECT_FALSE(loadIsCold(region2 + line)) << line;
+    }
+    // The same offsets in a third region were never fetched.
+    const Addr region3 = (Addr{3} << 38) / kLineBytes;
+    for (const Addr line : lines)
+        EXPECT_TRUE(loadIsCold(region3 + line)) << line;
+    EXPECT_EQ(stats.coldMisses, 16u);
+    EXPECT_EQ(stats.capacityMisses, 8u);
+}
+
 TEST_F(L1Fixture, StoreHitInvalidatesLine)
 {
     l1->access(load(1, 0), now);
