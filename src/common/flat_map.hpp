@@ -2,10 +2,9 @@
  * @file
  * Open-addressing hash map for the cycle kernel's hot paths.
  *
- * The simulator's per-cycle bookkeeping (the MSHR line index, pending
- * L1 fills, the L1's fetched-line bitmap, in-flight partition reads,
- * LDST pending loads) is keyed by integers and, apart from the bitmap,
- * churns on every memory event. std::unordered_map pays a heap
+ * The simulator's per-cycle bookkeeping (the MSHR line index and the
+ * L1's fetched-line bitmap) is keyed by integers, and the MSHR index
+ * churns on every miss and fill. std::unordered_map pays a heap
  * allocation per node and a pointer chase per probe; FlatMap keeps one
  * contiguous slot array instead (linear probing, power-of-two
  * capacity, tombstone deletion), in the spirit of SNIPPETS.md's dense

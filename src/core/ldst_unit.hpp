@@ -5,7 +5,9 @@
  * Accepts memory instructions from the schedulers, expands them through
  * their address pattern into line-granular accesses (a divergent warp
  * access yields several lines), and presents them to the L1 at one access
- * per cycle. Completions decrement the issuing warp's outstanding-load
+ * per cycle. An accepted load is remembered only by the L1 (its MSHR
+ * waiter or completion entry), which hands it back with its warp slot and
+ * issue cycle; the completion decrements that warp's outstanding-load
  * count so dependent instructions can issue.
  */
 
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
 #include "common/stats.hpp"
 #include "core/kernel.hpp"
 #include "core/warp.hpp"
@@ -30,7 +31,7 @@ class LdstUnit
 {
   public:
     /**
-     * @param cfg GPU configuration.
+     * @param cfg GPU configuration (sizes the access queue).
      * @param l1 The SM's L1 data cache.
      * @param stats Run-wide counters.
      */
@@ -65,44 +66,17 @@ class LdstUnit
     /** Outstanding queued accesses (structural-hazard visibility). */
     std::size_t queued() const { return queued_; }
 
-    /** In-flight load accesses awaiting data. */
-    std::size_t inFlight() const { return pending_.size(); }
-
-    /** Drop state at kernel boundaries. */
-    void reset();
-
     /** Mirror auditor: queued() matches the queue it summarizes. */
     void audit() const;
 
   private:
-    struct QueuedAccess
-    {
-        std::uint64_t accessId;
-        Addr lineAddr;
-        bool isWrite;
-        bool bypassL1;
-        Pc pc;
-        std::uint8_t hpc;
-        std::uint32_t warpSlot;
-    };
-
-    const GpuConfig &cfg_;
     L1Cache *l1_;
     SimStats *stats_;
     std::size_t maxQueued_;
-    std::uint32_t accessesPerCycle_;
     std::uint64_t nextAccessId_ = 1;
-    std::deque<QueuedAccess> queue_;
+    std::deque<L1Access> queue_;
     std::size_t queued_ = 0; ///< queue_.size(), for canAccept()'s O(1).
-    struct PendingLoad
-    {
-        std::uint32_t warpSlot;
-        Cycle issued;
-    };
-
-    /** accessId -> issuing warp and timestamp, for load completions. */
-    FlatMap<std::uint64_t, PendingLoad> pending_;
-    std::vector<std::uint64_t> completedScratch_;
+    std::vector<MshrWaiter> completedScratch_;
 };
 
 /** 5-bit hashed PC (XOR fold of the 32-bit PC), as in Fig 7. */

@@ -219,7 +219,7 @@ class Sm : public ResponseSinkIf
      * Per-SM auditor: register-file bitmap conservation, the warp/CTA
      * tables cross-referencing each other, the CTA register footprint
      * matching the register-file allocation exactly, the L1
-     * (tags + MSHRs + pending fills) being internally consistent, and
+     * (tags + MSHRs + completion queue) being internally consistent, and
      * every incrementally maintained mirror (CTA counters, occupancy,
      * issue masks) matching the tables it summarizes.
      */

@@ -19,22 +19,6 @@ BackupEngine::BackupEngine(const GpuConfig &gpu, const LbConfig &lb,
 {
 }
 
-bool
-BackupEngine::busy() const
-{
-    if (!pendingLines_.empty() || !buffer_.empty() ||
-        !pendingRestores_.empty()) {
-        return true;
-    }
-    // Order-insensitive any-of; no state, stats, or output derive from
-    // the walk, so unordered iteration is deterministic here.
-    for (const auto &[cta, job] : jobs_) {
-        if (!job.done())
-            return true;
-    }
-    return false;
-}
-
 void
 BackupEngine::startBackup(std::uint32_t cta_hw_id, RegNum first_reg,
                           std::uint32_t num_regs, Addr backup_addr,
@@ -124,8 +108,6 @@ BackupEngine::tick(Cycle now)
         req.kind = transfer.isBackup ? RequestKind::RegBackup
                                      : RequestKind::RegRestore;
         req.smId = sm_->id();
-        req.bypassL2 = true;
-        req.issued = now;
         sm_->interconnect().sendRequest(req, now);
 
         if (transfer.isBackup) {

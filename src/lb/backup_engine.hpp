@@ -36,9 +36,6 @@ class BackupEngine : public ResponseSinkIf
     BackupEngine(const GpuConfig &gpu, const LbConfig &lb, Sm *sm,
                  SimStats *stats);
 
-    /** True while any backup or restore job is in flight. */
-    bool busy() const;
-
     /** Begin backing up @p num_regs registers of CTA @p cta_hw_id. */
     void startBackup(std::uint32_t cta_hw_id, RegNum first_reg,
                      std::uint32_t num_regs, Addr backup_addr, Cycle now);

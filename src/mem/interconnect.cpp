@@ -203,7 +203,7 @@ Interconnect::stepParked(Cursor &cursor, Cycle now)
         // landed since (the walk of every fill tick reaches it): with
         // no fill, or with the MSHR file full and its line untouched
         // this tick, it would stall again. Replay the stall's charge.
-        partition->chargeSkippedReadRetry();
+        partition->chargeSkippedReadRetries(1);
         queue.parked[cursor.write++] = entry;
     } else {
         --parkCount(queue, entry.block);

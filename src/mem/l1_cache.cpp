@@ -1,7 +1,5 @@
 #include "mem/l1_cache.hpp"
 
-#include "common/det.hpp"
-
 #include <algorithm>
 #include <cstdio>
 
@@ -12,17 +10,30 @@
 namespace lbsim
 {
 
+namespace
+{
+
+/** The record an accepted load keeps until its data arrives. */
+MshrWaiter
+waiterOf(const L1Access &access)
+{
+    return {access.accessId, access.warpSlot, access.issued};
+}
+
+} // namespace
+
 L1Cache::L1Cache(const GpuConfig &cfg, std::uint32_t sm_id,
                  Interconnect *icnt, SimStats *stats,
                  std::uint32_t extra_ways)
     : cfg_(cfg), smId_(sm_id), icnt_(icnt), stats_(stats),
       tags_(cfg.l1.sets(), cfg.l1.ways + extra_ways),
-      mshrs_(cfg.l1MshrEntries, cfg.l1MshrMergesPerEntry)
+      mshrs_(cfg.l1MshrEntries, cfg.l1MshrMergesPerEntry),
+      fills_(cfg.l1MshrEntries)
 {
 }
 
 void
-L1Cache::scheduleCompletion(std::uint64_t access_id, Cycle ready)
+L1Cache::scheduleCompletion(const MshrWaiter &load, Cycle ready)
 {
     // Keep the queue ordered by ready cycle; latencies vary by outcome so
     // a plain push_back would break drain order. Queues are short (bounded
@@ -30,7 +41,7 @@ L1Cache::scheduleCompletion(std::uint64_t access_id, Cycle ready)
     auto it = std::upper_bound(
         completed_.begin(), completed_.end(), ready,
         [](Cycle c, const auto &entry) { return c < entry.first; });
-    completed_.insert(it, {ready, access_id});
+    completed_.insert(it, {ready, load});
 }
 
 L1Outcome
@@ -69,7 +80,7 @@ L1Cache::accessImpl(const L1Access &access, Cycle now)
             victim_->notifyAccess(access.lineAddr, access.pc,
                                   access.hpc, access.warpSlot, true,
                                   now);
-        scheduleCompletion(access.accessId,
+        scheduleCompletion(waiterOf(access),
                            now + cfg_.l1HitLatency + bank_delay);
         return L1Outcome::Hit;
     }
@@ -79,37 +90,32 @@ L1Cache::accessImpl(const L1Access &access, Cycle now)
 L1Outcome
 L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
 {
+    const bool allocate = !access.bypassL1;
+
     // An in-flight fetch for the same line: merge (or stall if the merge
     // list is full). No victim probe — the line just missed everywhere.
-    if (mshrs_.pending(access.lineAddr)) {
-        const bool allocate = !access.bypassL1;
-        switch (mshrs_.registerMiss(access.lineAddr, access.accessId,
-                                    allocate, now)) {
-          case MshrOutcome::NoMergeSlot:
+    const std::uint32_t pending = mshrs_.find(access.lineAddr);
+    if (pending != MshrFile::kNoSlot) {
+        if (mshrs_.merge(pending, waiterOf(access), allocate) ==
+            MshrOutcome::NoMergeSlot)
             return L1Outcome::StallNoMshr;
-          case MshrOutcome::Merged:
-            if (observer_)
-                observer_(access.lineAddr, access.pc, false, now);
-            if (victim_)
-                victim_->notifyAccess(access.lineAddr, access.pc,
-                                      access.hpc, access.warpSlot,
-                                      false, now);
-            if (access.bypassL1) {
-                ++stats_->l1.bypasses;
-            } else {
-                ++stats_->l1.misses;
-                // Merged misses share the classification of the miss
-                // that allocated the in-flight fetch.
-                const auto fill = pendingFills_.find(access.lineAddr);
-                if (fill != pendingFills_.end() && fill->second.wasCold)
-                    ++stats_->coldMisses;
-                else
-                    ++stats_->capacityMisses;
-            }
-            return L1Outcome::MergedMiss;
-          default:
-            panic("unexpected MSHR outcome for pending line");
+        if (observer_)
+            observer_(access.lineAddr, access.pc, false, now);
+        if (victim_)
+            victim_->notifyAccess(access.lineAddr, access.pc, access.hpc,
+                                  access.warpSlot, false, now);
+        if (access.bypassL1) {
+            ++stats_->l1.bypasses;
+        } else {
+            ++stats_->l1.misses;
+            // Merged misses share the classification of the miss that
+            // allocated the in-flight fetch (capacity if it bypassed).
+            if (fills_[pending].wasCold)
+                ++stats_->coldMisses;
+            else
+                ++stats_->capacityMisses;
         }
+        return L1Outcome::MergedMiss;
     }
 
     // Structural checks first so a stalled access has no side effects.
@@ -134,7 +140,7 @@ L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
         ++stats_->rfVictimAccesses;
         victim_->notifyAccess(access.lineAddr, access.pc, access.hpc,
                               access.warpSlot, true, now);
-        scheduleCompletion(access.accessId,
+        scheduleCompletion(waiterOf(access),
                            now + cfg_.l1HitLatency + probe.latency);
         return L1Outcome::VictimHit;
     }
@@ -145,20 +151,16 @@ L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
         victim_->notifyAccess(access.lineAddr, access.pc, access.hpc,
                               access.warpSlot, probe.tagOnlyHit, now);
 
-    const bool allocate = !access.bypassL1;
-    if (mshrs_.registerMiss(access.lineAddr, access.accessId, allocate,
-                            now) != MshrOutcome::Allocated) {
-        panic("MSHR allocation failed after capacity check");
-    }
-
+    PendingFill &record = fills_[mshrs_.allocate(
+        access.lineAddr, waiterOf(access), allocate, now)];
+    record = {};
     if (allocate) {
         const Addr line = lineIndex(access.lineAddr);
         std::uint64_t &fetched = everFetched_[line >> 6];
         const std::uint64_t bit = std::uint64_t{1} << (line & 63);
         const bool was_cold = (fetched & bit) == 0;
         fetched |= bit;
-        pendingFills_[access.lineAddr] = {access.hpc, access.warpSlot,
-                                          was_cold};
+        record = {access.hpc, access.warpSlot, was_cold};
         ++stats_->l1.misses;
         if (was_cold)
             ++stats_->coldMisses;
@@ -174,7 +176,6 @@ L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
     req.lineAddr = access.lineAddr;
     req.kind = RequestKind::DataRead;
     req.smId = smId_;
-    req.issued = now;
     icnt_->sendRequest(req, now);
     return access.bypassL1 ? L1Outcome::Bypassed : L1Outcome::Miss;
 }
@@ -210,7 +211,6 @@ L1Cache::handleStore(const L1Access &access, Cycle now)
     req.lineAddr = access.lineAddr;
     req.kind = RequestKind::DataWrite;
     req.smId = smId_;
-    req.issued = now;
     icnt_->sendRequest(req, now);
     return L1Outcome::StoreDone;
 }
@@ -219,25 +219,21 @@ void
 L1Cache::fill(Addr line_addr, Cycle now)
 {
     waiterScratch_.clear();
-    std::vector<std::uint64_t> &waiters = waiterScratch_;
-    const bool allocate = mshrs_.completeFill(line_addr, waiters);
+    std::uint32_t slot = 0;
+    const bool allocate =
+        mshrs_.completeFill(line_addr, waiterScratch_, &slot);
+    // Copied before anything can reuse the freed slot.
+    const PendingFill record = fills_[slot];
 
     std::optional<Eviction> displaced;
     if (allocate) {
-        auto fill_it = pendingFills_.find(line_addr);
-        const std::uint8_t hpc =
-            fill_it != pendingFills_.end() ? fill_it->second.hpc : 0;
-        const std::uint8_t owner =
-            fill_it != pendingFills_.end() ? fill_it->second.owner : 0;
-        if (fill_it != pendingFills_.end())
-            pendingFills_.erase(fill_it);
-
         std::uint32_t bank_delay = 0;
         if (bankArbiter_)
             bank_delay = bankArbiter_->arbitrateLine(line_addr, true, now);
         (void)bank_delay;
 
-        if (auto evicted = tags_.insert(line_addr, hpc, now, owner)) {
+        if (auto evicted =
+                tags_.insert(line_addr, record.hpc, now, record.owner)) {
             ++stats_->evictions;
             if (victim_)
                 victim_->notifyEviction(evicted->lineAddr, evicted->hpc,
@@ -248,12 +244,12 @@ L1Cache::fill(Addr line_addr, Cycle now)
     if (sink_)
         sink_->onFill(line_addr, allocate, displaced, now);
 
-    for (std::uint64_t access_id : waiters)
-        scheduleCompletion(access_id, now);
+    for (const MshrWaiter &load : waiterScratch_)
+        scheduleCompletion(load, now);
 }
 
 void
-L1Cache::drainCompleted(Cycle now, std::vector<std::uint64_t> &out)
+L1Cache::drainCompleted(Cycle now, std::vector<MshrWaiter> &out)
 {
     while (!completed_.empty() && completed_.front().first <= now) {
         out.push_back(completed_.front().second);
@@ -276,14 +272,7 @@ L1Cache::audit(Cycle now, Cycle mshr_leak_bound) const
     mshrs_.audit(now, mshr_leak_bound);
 
     StateDumpScope dump([this] { return debugString(); });
-    LB_AUDIT(pendingFills_.size() <= mshrs_.capacity(),
-             "%zu pending fills recorded but only %u MSHRs exist",
-             pendingFills_.size(), mshrs_.capacity());
-    for (const Addr line : sortedKeys(pendingFills_)) {
-        LB_AUDIT(mshrs_.pending(line),
-                 "pending fill for line %llx has no MSHR entry — the "
-                 "fill will never arrive",
-                 static_cast<unsigned long long>(line));
+    for (const Addr line : mshrs_.lines()) {
         LB_AUDIT(!tags_.probe(line),
                  "line %llx is both resident and awaiting a fill",
                  static_cast<unsigned long long>(line));
@@ -303,28 +292,21 @@ L1Cache::debugString() const
 {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "L1Cache sm=%u: %u/%u MSHRs, %zu pending fills, %zu "
-                  "queued completions, %u valid lines\n",
+                  "L1Cache sm=%u: %u/%u MSHRs, %zu queued completions, "
+                  "%u valid lines\n",
                   smId_, mshrs_.inUse(), mshrs_.capacity(),
-                  pendingFills_.size(), completed_.size(),
-                  tags_.validLines());
+                  completed_.size(), tags_.validLines());
     std::string out = buf;
-    for (const Addr line : sortedKeys(pendingFills_)) {
-        const PendingFill &fill = pendingFills_.at(line);
+    for (const Addr line : mshrs_.lines()) {
+        const std::uint32_t slot = mshrs_.find(line);
+        const PendingFill &record = fills_[slot];
         std::snprintf(buf, sizeof(buf),
-                      "fill line=%llx hpc=%u owner=%u cold=%d mshr=%d\n",
-                      static_cast<unsigned long long>(line), fill.hpc,
-                      fill.owner, fill.wasCold ? 1 : 0,
-                      mshrs_.pending(line) ? 1 : 0);
+                      "fill line=%llx slot=%u hpc=%u owner=%u cold=%d\n",
+                      static_cast<unsigned long long>(line), slot,
+                      record.hpc, record.owner, record.wasCold ? 1 : 0);
         out += buf;
     }
     return out;
-}
-
-void
-L1Cache::injectPendingFillForTest(Addr line_addr)
-{
-    pendingFills_[line_addr] = PendingFill{};
 }
 
 } // namespace lbsim

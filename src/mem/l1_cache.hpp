@@ -81,6 +81,7 @@ struct L1Access
     Pc pc = 0;
     std::uint8_t hpc = 0;
     std::uint8_t warpSlot = 0;  ///< Issuing warp (CCWS attribution).
+    Cycle issued = 0;           ///< LDST issue cycle (load latency).
 };
 
 /**
@@ -151,16 +152,20 @@ class L1Cache
     }
 
     /**
-     * Attempt @p access at cycle @p now. Accepted loads complete either
-     * via drainCompleted() (hits, victim hits) or a later fill (misses).
+     * Attempt @p access at cycle @p now. Accepted loads complete through
+     * drainCompleted(), after the hit latency (hits, victim hits) or at
+     * the fill (misses).
      */
     L1Outcome access(const L1Access &access, Cycle now);
 
     /** Deliver a fill (response) for @p line_addr from the partitions. */
     void fill(Addr line_addr, Cycle now);
 
-    /** Pop access ids whose data became available by @p now. */
-    void drainCompleted(Cycle now, std::vector<std::uint64_t> &out);
+    /**
+     * Pop the loads whose data became available by @p now, each as the
+     * waiter record its access left (id, warp slot, issue cycle).
+     */
+    void drainCompleted(Cycle now, std::vector<MshrWaiter> &out);
 
     /** Tag-array geometry actually in use (after extensions). */
     const TagArray &tags() const { return tags_; }
@@ -173,23 +178,16 @@ class L1Cache
 
     /**
      * Cross-structure auditor: delegates to the tag-array and MSHR
-     * auditors, then verifies that every pending fill is backed by an
-     * in-flight MSHR entry (the reserved-line analog: a fill nobody is
-     * waiting for will never arrive) and that the completion queue is
-     * ordered by ready cycle.
+     * auditors, then verifies that no line with an in-flight MSHR entry
+     * is also resident and that the completion queue is ordered by
+     * ready cycle.
      * @param mshr_leak_bound Cycles before an outstanding MSHR entry is
      *        reported as leaked (0 disables).
      */
     void audit(Cycle now, Cycle mshr_leak_bound = 0) const;
 
-    /** Summary of pending fills / completions for failure reports. */
+    /** Summary of in-flight fills / completions for failure reports. */
     std::string debugString() const;
-
-    /**
-     * Fabricate an orphaned pending fill (no MSHR backing) so tests can
-     * prove the auditor trips. Never call from simulator code.
-     */
-    void injectPendingFillForTest(Addr line_addr);
 
     /**
      * Mutable tag-array access so tests can corrupt resident lines and
@@ -198,8 +196,8 @@ class L1Cache
     TagArray &tagsForTest() { return tags_; }
 
   private:
-    /** Schedule completion of @p access_id at @p ready. */
-    void scheduleCompletion(std::uint64_t access_id, Cycle ready);
+    /** Schedule completion of @p load at @p ready. */
+    void scheduleCompletion(const MshrWaiter &load, Cycle ready);
 
     L1Outcome accessImpl(const L1Access &access, Cycle now);
     L1Outcome handleStore(const L1Access &access, Cycle now);
@@ -216,6 +214,7 @@ class L1Cache
     BankArbiterIf *bankArbiter_ = nullptr;
     AccessObserver observer_;
 
+    /** What the miss that allocated an MSHR entry leaves for its fill. */
     struct PendingFill
     {
         std::uint8_t hpc = 0;
@@ -223,8 +222,11 @@ class L1Cache
         bool wasCold = false;  ///< Classification of the allocating miss.
     };
 
-    /** Pending fills: line -> info recorded at miss time. */
-    FlatMap<Addr, PendingFill> pendingFills_;
+    /**
+     * One record per MSHR slot, rewritten at every allocation; all zero
+     * when a bypass miss allocated the entry.
+     */
+    std::vector<PendingFill> fills_;
 
     /**
      * Lines ever fetched by this SM, which classify cold vs capacity
@@ -232,11 +234,11 @@ class L1Cache
      */
     FlatMap<Addr, std::uint64_t> everFetched_;
 
-    /** (ready cycle, access id) min-ordered completion queue. */
-    std::deque<std::pair<Cycle, std::uint64_t>> completed_;
+    /** (ready cycle, load) min-ordered completion queue. */
+    std::deque<std::pair<Cycle, MshrWaiter>> completed_;
 
     /** Reused fill-waiter buffer; fill() is hot and must not allocate. */
-    std::vector<std::uint64_t> waiterScratch_;
+    std::vector<MshrWaiter> waiterScratch_;
 };
 
 } // namespace lbsim

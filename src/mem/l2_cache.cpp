@@ -30,23 +30,24 @@ L2Slice::L2Slice(const GpuConfig &cfg, std::uint32_t partition_id,
 }
 
 L2Outcome
-L2Slice::accessRead(Addr line_addr, std::uint64_t access_id, Cycle now)
+L2Slice::accessRead(Addr line_addr, const MshrWaiter &read, Cycle now)
 {
-    const L2Outcome outcome = accessReadImpl(line_addr, access_id, now);
+    const L2Outcome outcome = accessReadImpl(line_addr, read, now);
     if (sink_ && outcome != L2Outcome::Stall)
         sink_->onRead(line_addr, outcome, now);
     return outcome;
 }
 
 L2Outcome
-L2Slice::accessReadImpl(Addr line_addr, std::uint64_t access_id, Cycle now)
+L2Slice::accessReadImpl(Addr line_addr, const MshrWaiter &read,
+                        Cycle now)
 {
     ++stats_->l2Accesses;
     if (tags_.access(line_addr, 0, now)) {
         ++stats_->l2Hits;
         return L2Outcome::Hit;
     }
-    switch (mshrs_.registerMiss(line_addr, access_id, true, now)) {
+    switch (mshrs_.registerMiss(line_addr, read, true, now)) {
       case MshrOutcome::Allocated:
         return L2Outcome::Miss;
       case MshrOutcome::Merged:
@@ -74,7 +75,7 @@ L2Slice::accessWrite(Addr line_addr, Cycle now)
 
 void
 L2Slice::fill(Addr line_addr, Cycle now,
-              std::vector<std::uint64_t> &waiters_out)
+              std::vector<MshrWaiter> &waiters_out)
 {
     mshrs_.completeFill(line_addr, waiters_out);
     const std::optional<Eviction> evicted =

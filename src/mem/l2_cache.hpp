@@ -66,20 +66,21 @@ class L2Slice
     void setEventSink(L2EventSinkIf *sink) { sink_ = sink; }
 
     /**
-     * Look up @p line_addr for a read with bookkeeping token
-     * @p access_id (the partition's pending-read id).
+     * Look up @p line_addr for @p read (the partition's read id and
+     * requesting SM); a miss or merge keeps it as an MSHR waiter.
      */
-    L2Outcome accessRead(Addr line_addr, std::uint64_t access_id,
+    L2Outcome accessRead(Addr line_addr, const MshrWaiter &read,
                          Cycle now);
 
     /** Store write-through: update recency on hit, never allocate. */
     void accessWrite(Addr line_addr, Cycle now);
 
     /**
-     * Complete a DRAM fill; inserts the line and returns waiting ids.
+     * Complete a DRAM fill; inserts the line and appends the reads that
+     * waited on it, in registration order.
      */
     void fill(Addr line_addr, Cycle now,
-              std::vector<std::uint64_t> &waiters_out);
+              std::vector<MshrWaiter> &waiters_out);
 
     const TagArray &tags() const { return tags_; }
     const MshrFile &mshrs() const { return mshrs_; }
@@ -88,7 +89,7 @@ class L2Slice
     bool mshrsFull() const { return mshrs_.inUse() >= mshrs_.capacity(); }
 
   private:
-    L2Outcome accessReadImpl(Addr line_addr, std::uint64_t access_id,
+    L2Outcome accessReadImpl(Addr line_addr, const MshrWaiter &read,
                              Cycle now);
 
     SimStats *stats_;

@@ -1,12 +1,9 @@
 #include "mem/memory_partition.hpp"
 
-#include "common/det.hpp"
-
 #include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "mem/interconnect.hpp"
 #include "resilience/faultinject.hpp"
 
@@ -23,12 +20,13 @@ MemoryPartition::MemoryPartition(const GpuConfig &cfg,
 }
 
 void
-MemoryPartition::respond(const PendingRead &read, Cycle ready)
+MemoryPartition::respond(Addr line_addr, std::uint32_t sm_id,
+                         RequestKind kind, Cycle ready)
 {
     MemResponse resp;
-    resp.lineAddr = read.lineAddr;
-    resp.kind = read.kind;
-    resp.smId = read.smId;
+    resp.lineAddr = line_addr;
+    resp.kind = kind;
+    resp.smId = sm_id;
     resp.ready = ready;
     icnt_->sendResponse(resp, ready);
 }
@@ -52,25 +50,21 @@ MemoryPartition::deliver(const MemRequest &req, Cycle now)
 
     switch (req.kind) {
       case RequestKind::DataRead: {
-        const std::uint64_t id = nextReadId_++;
-        // Only reads that stay pending (miss/merge, completed by the
-        // eventual fill) enter the pending map; the hit and stall paths
-        // would insert-then-erase within this call, invisible to every
-        // audit point, so they bypass the map entirely.
-        switch (l2_.accessRead(req.lineAddr, id, now)) {
+        // A miss or merge leaves the read as a waiter in its line's L2
+        // MSHR entry, and the fill answers it from there.
+        const MshrWaiter read{nextReadId_++, req.smId, 0};
+        switch (l2_.accessRead(req.lineAddr, read, now)) {
           case L2Outcome::Hit:
-            respond({req.lineAddr, req.smId, req.kind},
+            respond(req.lineAddr, req.smId, req.kind,
                     now + cfg_.l2Latency);
             return DeliverResult::Accepted;
           case L2Outcome::Miss:
             // The L2 lookup precedes the DRAM fetch.
             touch(req.lineAddr, now);
-            pendingReads_[id] = {req.lineAddr, req.smId, req.kind};
             dram_.enqueue({req.lineAddr, false, req.kind, req.smId, now},
                           now, now + cfg_.l2Latency + storm);
             return DeliverResult::Accepted;
           case L2Outcome::Merged:
-            pendingReads_[id] = {req.lineAddr, req.smId, req.kind};
             return DeliverResult::Accepted;
           case L2Outcome::Stall:
             return DeliverResult::BlockedL2;
@@ -86,30 +80,19 @@ MemoryPartition::deliver(const MemRequest &req, Cycle now)
         dram_.enqueue({req.lineAddr, true, req.kind, req.smId, now}, now,
                       storm ? now + storm : 0);
         return DeliverResult::Accepted;
-      case RequestKind::RegRestore: {
-        const std::uint64_t id = nextReadId_++;
-        (void)id;
+      case RequestKind::RegRestore:
         dram_.enqueue({req.lineAddr, false, req.kind, req.smId, now}, now,
                       storm ? now + storm : 0);
         return DeliverResult::Accepted;
-      }
     }
     return DeliverResult::BlockedDram;
 }
 
 void
-MemoryPartition::chargeSkippedReadRetry()
-{
-    // Mirrors the DataRead stall path above: one read id consumed, one
-    // L2 access charged (L2Slice::accessReadImpl's counter), nothing
-    // else — the transient pending-read entry nets out to zero.
-    ++nextReadId_;
-    ++stats_->l2Accesses;
-}
-
-void
 MemoryPartition::chargeSkippedReadRetries(std::uint64_t count)
 {
+    // Mirrors the DataRead stall path above: one read id consumed and
+    // one L2 access charged (L2Slice::accessReadImpl's counter) each.
     nextReadId_ += count;
     stats_->l2Accesses += count;
 }
@@ -143,36 +126,18 @@ MemoryPartition::audit(Cycle now) const
     const MshrFile &mshrs = l2_.mshrs();
     mshrs.audit(now, 4 * (cfg_.l2Latency + 25000));
     StateDumpScope dump([this] { return debugString(); });
-    for (const std::uint64_t id : sortedKeys(pendingReads_)) {
-        const PendingRead &read = pendingReads_.at(id);
-        LB_AUDIT(read.lineAddr != kNoAddr,
-                 "pending read %llu has sentinel address",
-                 static_cast<unsigned long long>(id));
-        LB_AUDIT(icnt_->partitionOf(read.lineAddr) == id_,
-                 "pending read %llu for line %llx does not belong to "
-                 "partition %u",
-                 static_cast<unsigned long long>(id),
-                 static_cast<unsigned long long>(read.lineAddr), id_);
-        LB_AUDIT(needsResponse(read.kind),
-                 "pending read %llu has a write kind (%d)",
-                 static_cast<unsigned long long>(id),
-                 static_cast<int>(read.kind));
-        const auto waiting = mshrs.waiters(read.lineAddr);
-        LB_AUDIT(std::count(waiting.begin(), waiting.end(), id) == 1,
-                 "pending read %llu does not wait exactly once in the L2 "
-                 "MSHR entry of line %llx — no fill will answer it",
-                 static_cast<unsigned long long>(id),
-                 static_cast<unsigned long long>(read.lineAddr));
-    }
     for (const Addr line : mshrs.lines()) {
-        for (const std::uint64_t id : mshrs.waiters(line)) {
-            const auto it = pendingReads_.find(id);
-            LB_AUDIT(it != pendingReads_.end() &&
-                         it->second.lineAddr == line,
-                     "L2 MSHR waiter %llu on line %llx has no pending "
-                     "read of that line",
-                     static_cast<unsigned long long>(id),
-                     static_cast<unsigned long long>(line));
+        LB_AUDIT(icnt_->partitionOf(line) == id_,
+                 "L2 MSHR entry for line %llx does not belong to "
+                 "partition %u",
+                 static_cast<unsigned long long>(line), id_);
+        for (const MshrWaiter &read : mshrs.waiters(line)) {
+            LB_AUDIT(read.owner < cfg_.numSms,
+                     "read %llu of line %llx waits for unknown SM %u "
+                     "(the chip has %u)",
+                     static_cast<unsigned long long>(read.id),
+                     static_cast<unsigned long long>(line), read.owner,
+                     cfg_.numSms);
         }
     }
 }
@@ -180,20 +145,21 @@ MemoryPartition::audit(Cycle now) const
 std::string
 MemoryPartition::debugString() const
 {
+    const MshrFile &mshrs = l2_.mshrs();
     char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "MemoryPartition %u: %zu pending reads, nextId=%llu\n",
-                  id_, pendingReads_.size(),
+                  "MemoryPartition %u: %u L2 MSHR entries, nextId=%llu\n",
+                  id_, mshrs.inUse(),
                   static_cast<unsigned long long>(nextReadId_));
     std::string out = buf;
-    for (const std::uint64_t id : sortedKeys(pendingReads_)) {
-        const PendingRead &read = pendingReads_.at(id);
-        std::snprintf(buf, sizeof(buf),
-                      "id=%llu line=%llx sm=%u kind=%d\n",
-                      static_cast<unsigned long long>(id),
-                      static_cast<unsigned long long>(read.lineAddr),
-                      read.smId, static_cast<int>(read.kind));
-        out += buf;
+    for (const Addr line : mshrs.lines()) {
+        for (const MshrWaiter &read : mshrs.waiters(line)) {
+            std::snprintf(buf, sizeof(buf), "id=%llu line=%llx sm=%u\n",
+                          static_cast<unsigned long long>(read.id),
+                          static_cast<unsigned long long>(line),
+                          read.owner);
+            out += buf;
+        }
     }
     return out;
 }
@@ -212,20 +178,15 @@ MemoryPartition::tick(Cycle now)
             ++l2Epoch_;
             touch(cmd.lineAddr, now);
             waiterScratch_.clear();
-            std::vector<std::uint64_t> &waiters = waiterScratch_;
-            l2_.fill(cmd.lineAddr, completion.done, waiters);
-            for (std::uint64_t id : waiters) {
-                auto it = pendingReads_.find(id);
-                if (it == pendingReads_.end())
-                    panic("L2 fill waiter %llu has no pending read",
-                          static_cast<unsigned long long>(id));
-                respond(it->second, completion.done);
-                pendingReads_.erase(it);
-            }
+            l2_.fill(cmd.lineAddr, completion.done, waiterScratch_);
+            // Only DataReads wait in the L2 MSHRs.
+            for (const MshrWaiter &read : waiterScratch_)
+                respond(cmd.lineAddr, read.owner, RequestKind::DataRead,
+                        completion.done);
             break;
           }
           case RequestKind::RegRestore:
-            respond({cmd.lineAddr, cmd.smId, cmd.kind}, completion.done);
+            respond(cmd.lineAddr, cmd.smId, cmd.kind, completion.done);
             break;
           case RequestKind::DataWrite:
           case RequestKind::RegBackup:

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
 #include "common/stats.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_cache.hpp"
@@ -93,44 +92,33 @@ class MemoryPartition
     bool l2StallPersists(Addr line_addr, Cycle now) const;
 
     /**
-     * Replay the side effects of one skipped L2-stalled read retry.
-     * A real retry runs deliver()'s DataRead path up to the MSHR stall:
-     * it consumes a read id and charges one L2 access (the transient
-     * pending-read entry is inserted and erased again, net zero). The
+     * Replay the side effects of @p count skipped L2-stalled read
+     * retries. A real retry runs deliver()'s DataRead path up to the
+     * MSHR stall: it consumes a read id and charges one L2 access. The
      * interconnect calls this instead of deliver() while the stall
      * provably persists, keeping every counter and the id sequence
      * bit-exact.
      */
-    void chargeSkippedReadRetry();
-
-    /** Bulk form of chargeSkippedReadRetry() for @p count retries. */
     void chargeSkippedReadRetries(std::uint64_t count);
 
     /**
      * Consistency auditor: delegates to the L2 slice's tag and MSHR
-     * auditors, then checks that every pending read belongs to this
-     * partition, is of a kind that produces a response, is addressed to
-     * a real line, and waits exactly once in its line's L2 MSHR entry;
-     * and that every L2 MSHR waiter is a pending read of that line.
+     * auditors, then checks that every line with an L2 MSHR entry
+     * belongs to this partition and that every read waiting on one
+     * names an SM of the chip.
      */
     void audit(Cycle now) const;
 
-    /** Pending-read summary for failure reports. */
+    /** The L2 MSHR waiters (in-flight reads), for failure reports. */
     std::string debugString() const;
 
     const L2Slice &l2() const { return l2_; }
     L2Slice &l2() { return l2_; }
 
   private:
-    /** A read waiting for data (either L2 latency or a DRAM fill). */
-    struct PendingRead
-    {
-        Addr lineAddr;
-        std::uint32_t smId;
-        RequestKind kind;
-    };
-
-    void respond(const PendingRead &read, Cycle ready);
+    /** Send @p kind data for @p line_addr to SM @p sm_id at @p ready. */
+    void respond(Addr line_addr, std::uint32_t sm_id, RequestKind kind,
+                 Cycle ready);
 
     /** Record that @p line_addr was filled or given an MSHR entry. */
     void touch(Addr line_addr, Cycle now);
@@ -148,10 +136,9 @@ class MemoryPartition
     /** Lines filled or given an L2 MSHR entry at cycle touchedAt_. */
     std::vector<Addr> touched_;
     Cycle touchedAt_ = kNoCycle;
-    FlatMap<std::uint64_t, PendingRead> pendingReads_;
     /** Reused per-tick buffers; tick() is hot and must not allocate. */
     std::vector<DramCompletion> doneScratch_;
-    std::vector<std::uint64_t> waiterScratch_;
+    std::vector<MshrWaiter> waiterScratch_;
 };
 
 } // namespace lbsim

@@ -24,7 +24,7 @@ MshrFile::MshrFile(std::uint32_t entries, std::uint32_t merges_per_entry)
     index_.reserve(entries);
 }
 
-std::span<const std::uint64_t>
+std::span<const MshrWaiter>
 MshrFile::waitersOf(std::uint32_t slot) const
 {
     return {waiters_.data() + static_cast<std::size_t>(slot) * maxMerges_,
@@ -32,38 +32,57 @@ MshrFile::waitersOf(std::uint32_t slot) const
 }
 
 MshrOutcome
-MshrFile::registerMiss(Addr line_addr, std::uint64_t access_id,
+MshrFile::registerMiss(Addr line_addr, const MshrWaiter &waiter,
                        bool allocate_on_fill, Cycle now)
 {
+    const std::uint32_t slot = find(line_addr);
+    if (slot != kNoSlot)
+        return merge(slot, waiter, allocate_on_fill);
+    if (freeSlots_.empty())
+        return MshrOutcome::NoEntry;
+    allocate(line_addr, waiter, allocate_on_fill, now);
+    return MshrOutcome::Allocated;
+}
+
+std::uint32_t
+MshrFile::find(Addr line_addr) const
+{
     const auto it = index_.find(line_addr);
-    if (it == index_.end()) {
-        if (freeSlots_.empty())
-            return MshrOutcome::NoEntry;
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = Slot{1, allocate_on_fill, now};
-        waiters_[static_cast<std::size_t>(slot) * maxMerges_] = access_id;
-        index_.emplace(line_addr, slot);
-        return MshrOutcome::Allocated;
-    }
-    Slot &entry = slots_[it->second];
+    return it == index_.end() ? kNoSlot : it->second;
+}
+
+MshrOutcome
+MshrFile::merge(std::uint32_t slot, const MshrWaiter &waiter,
+                bool allocate_on_fill)
+{
+    Slot &entry = slots_[slot];
     if (entry.waiterCount >= maxMerges_)
         return MshrOutcome::NoMergeSlot;
-    waiters_[static_cast<std::size_t>(it->second) * maxMerges_ +
-             entry.waiterCount++] = access_id;
+    waiters_[static_cast<std::size_t>(slot) * maxMerges_ +
+             entry.waiterCount++] = waiter;
     entry.allocateOnFill |= allocate_on_fill;
     return MshrOutcome::Merged;
 }
 
-bool
-MshrFile::pending(Addr line_addr) const
+std::uint32_t
+MshrFile::allocate(Addr line_addr, const MshrWaiter &waiter,
+                   bool allocate_on_fill, Cycle now)
 {
-    return index_.count(line_addr) != 0;
+    if (freeSlots_.empty())
+        panic("MSHR allocation for line %llx with every slot in use",
+              static_cast<unsigned long long>(line_addr));
+    const std::uint32_t slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    slots_[slot] = Slot{1, allocate_on_fill, now};
+    waiters_[static_cast<std::size_t>(slot) * maxMerges_] = waiter;
+    index_.emplace(line_addr, slot);
+    return slot;
 }
 
 bool
 MshrFile::completeFill(Addr line_addr,
-                       std::vector<std::uint64_t> &waiters_out)
+                       std::vector<MshrWaiter> &waiters_out,
+                       std::uint32_t *freed_slot)
 {
     const auto it = index_.find(line_addr);
     if (it == index_.end())
@@ -74,6 +93,8 @@ MshrFile::completeFill(Addr line_addr,
     waiters_out.insert(waiters_out.end(), waiting.begin(), waiting.end());
     index_.erase(it);
     freeSlots_.push_back(slot);
+    if (freed_slot)
+        *freed_slot = slot;
     return slots_[slot].allocateOnFill;
 }
 
@@ -83,13 +104,13 @@ MshrFile::lines() const
     return sortedKeys(index_);
 }
 
-std::span<const std::uint64_t>
+std::span<const MshrWaiter>
 MshrFile::waiters(Addr line_addr) const
 {
-    const auto it = index_.find(line_addr);
-    if (it == index_.end())
+    const std::uint32_t slot = find(line_addr);
+    if (slot == kNoSlot)
         return {};
-    return waitersOf(it->second);
+    return waitersOf(slot);
 }
 
 void
@@ -128,11 +149,11 @@ MshrFile::audit(Cycle now, Cycle leak_bound) const
                          now - entry.allocatedAt),
                      static_cast<unsigned long long>(leak_bound));
         }
-        for (const std::uint64_t id : waitersOf(slot)) {
-            LB_AUDIT(seen_ids.insert(id).second,
+        for (const MshrWaiter &waiter : waitersOf(slot)) {
+            LB_AUDIT(seen_ids.insert(waiter.id).second,
                      "access id %llu waits on two MSHR lines "
                      "(second: %llx)",
-                     static_cast<unsigned long long>(id),
+                     static_cast<unsigned long long>(waiter.id),
                      static_cast<unsigned long long>(line));
         }
     }

@@ -4,8 +4,9 @@
  *
  * Tracks outstanding line fills and merges redundant misses to the same
  * line, as in GPGPU-Sim's L1 model (Table 1: 64 MSHRs per L1). Each entry
- * records the access ids (LDST-unit bookkeeping handles) waiting on the
- * fill so they can all complete when the line returns.
+ * holds the waiting requests themselves (MshrWaiter: id, owner, issue
+ * cycle), so a fill answers them directly: a waiter is the one record of
+ * an in-flight L1 load or L2 read.
  *
  * Like the hardware, the file is a fixed slot table: entries and their
  * waiters live in arrays sized capacity x merges at construction, a
@@ -35,10 +36,24 @@ enum class MshrOutcome
     NoMergeSlot,  ///< Entry exists but its merge list is full; stall.
 };
 
+/** One request waiting on an MSHR entry. */
+struct MshrWaiter
+{
+    /** LDST access id (L1) or partition read id (L2); unique in flight. */
+    std::uint64_t id = 0;
+    /** Warp slot (L1) or requesting SM (L2) that the fill answers. */
+    std::uint32_t owner = 0;
+    /** Cycle the LDST unit issued the load (L1; 0 in the L2). */
+    Cycle issued = 0;
+};
+
 /** MSHR file keyed by line address. */
 class MshrFile
 {
   public:
+    /** find()'s answer for a line without an entry. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     /**
      * @param entries Maximum outstanding distinct lines.
      * @param merges_per_entry Maximum accesses merged per line.
@@ -46,23 +61,41 @@ class MshrFile
     MshrFile(std::uint32_t entries, std::uint32_t merges_per_entry);
 
     /**
-     * Register a miss for @p line_addr from access @p access_id at
-     * cycle @p now (the entry's age, for the leak audit).
+     * Register a miss for @p line_addr from @p waiter at cycle @p now
+     * (the entry's age, for the leak audit): find(), then merge() or
+     * allocate().
      */
-    MshrOutcome registerMiss(Addr line_addr, std::uint64_t access_id,
+    MshrOutcome registerMiss(Addr line_addr, const MshrWaiter &waiter,
                              bool allocate_on_fill, Cycle now);
 
-    /** True if @p line_addr already has an in-flight fill. */
-    bool pending(Addr line_addr) const;
+    /** Slot of @p line_addr's in-flight entry, or kNoSlot. */
+    std::uint32_t find(Addr line_addr) const;
+
+    /**
+     * Add @p waiter to the entry in @p slot (from find()).
+     * @return Merged, or NoMergeSlot when the merge list is full.
+     */
+    MshrOutcome merge(std::uint32_t slot, const MshrWaiter &waiter,
+                      bool allocate_on_fill);
+
+    /**
+     * Give @p line_addr, which has no entry, a new one holding
+     * @p waiter. The file must not be full.
+     * @return The slot allocated.
+     */
+    std::uint32_t allocate(Addr line_addr, const MshrWaiter &waiter,
+                           bool allocate_on_fill, Cycle now);
 
     /**
      * Complete the fill for @p line_addr.
-     * @param waiters_out Receives the merged access ids (appended).
+     * @param waiters_out Receives the merged waiters (appended).
+     * @param freed_slot If non-null, receives the slot the fill frees;
+     *        the next allocate() may reuse it.
      * @return true if any waiter had allocate-on-fill semantics (the line
      *         should be inserted into the cache).
      */
-    bool completeFill(Addr line_addr,
-                      std::vector<std::uint64_t> &waiters_out);
+    bool completeFill(Addr line_addr, std::vector<MshrWaiter> &waiters_out,
+                      std::uint32_t *freed_slot = nullptr);
 
     std::uint32_t
     inUse() const
@@ -75,11 +108,10 @@ class MshrFile
     std::vector<Addr> lines() const;
 
     /**
-     * Access ids waiting on @p line_addr, in registration order; empty
-     * when the line has no entry. Valid until the next registerMiss()
-     * or completeFill().
+     * Waiters on @p line_addr, in registration order; empty when the
+     * line has no entry. Valid until the next registration or fill.
      */
-    std::span<const std::uint64_t> waiters(Addr line_addr) const;
+    std::span<const MshrWaiter> waiters(Addr line_addr) const;
 
     /**
      * Leak/merge auditor. Verifies occupancy against capacity, that every
@@ -102,12 +134,12 @@ class MshrFile
         Cycle allocatedAt = 0;   ///< Cycle the entry was created.
     };
 
-    std::span<const std::uint64_t> waitersOf(std::uint32_t slot) const;
+    std::span<const MshrWaiter> waitersOf(std::uint32_t slot) const;
 
     std::uint32_t maxEntries_;
     std::uint32_t maxMerges_;
     std::vector<Slot> slots_;
-    std::vector<std::uint64_t> waiters_;
+    std::vector<MshrWaiter> waiters_;
     /** Free slots; the most recently freed is reused first. */
     std::vector<std::uint32_t> freeSlots_;
     /** line -> slot of every allocated entry. */

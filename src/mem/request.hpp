@@ -27,9 +27,6 @@ struct MemRequest
     Addr lineAddr = kNoAddr;
     RequestKind kind = RequestKind::DataRead;
     std::uint32_t smId = 0;
-    /** True for requests that skip L2 allocation (register backup). */
-    bool bypassL2 = false;
-    Cycle issued = 0;
 };
 
 /** A response delivered back to the requesting SM. */

@@ -64,11 +64,11 @@ struct AuditFixture : ::testing::Test
 TEST_F(AuditFixture, MshrHealthyStatePasses)
 {
     MshrFile mshrs(8, 4);
-    EXPECT_EQ(mshrs.registerMiss(0x1000, 1, true, 5),
+    EXPECT_EQ(mshrs.registerMiss(0x1000, {1}, true, 5),
               MshrOutcome::Allocated);
-    EXPECT_EQ(mshrs.registerMiss(0x1000, 2, true, 6),
+    EXPECT_EQ(mshrs.registerMiss(0x1000, {2}, true, 6),
               MshrOutcome::Merged);
-    EXPECT_EQ(mshrs.registerMiss(0x2000, 3, true, 7),
+    EXPECT_EQ(mshrs.registerMiss(0x2000, {3}, true, 7),
               MshrOutcome::Allocated);
     mshrs.audit(10, 100);
     EXPECT_TRUE(failures.empty());
@@ -77,8 +77,8 @@ TEST_F(AuditFixture, MshrHealthyStatePasses)
 TEST_F(AuditFixture, MshrDuplicateAccessIdTrips)
 {
     MshrFile mshrs(8, 4);
-    mshrs.registerMiss(0x1000, 7, true, 0);
-    mshrs.registerMiss(0x2000, 7, true, 0);
+    mshrs.registerMiss(0x1000, {7}, true, 0);
+    mshrs.registerMiss(0x2000, {7}, true, 0);
     mshrs.audit(1);
     EXPECT_TRUE(fired("waits on"));
     EXPECT_FALSE(failures.empty());
@@ -87,7 +87,7 @@ TEST_F(AuditFixture, MshrDuplicateAccessIdTrips)
 TEST_F(AuditFixture, MshrLeakBoundTrips)
 {
     MshrFile mshrs(8, 4);
-    mshrs.registerMiss(0x1000, 1, true, 0);
+    mshrs.registerMiss(0x1000, {1}, true, 0);
     mshrs.audit(50, 100);
     EXPECT_TRUE(failures.empty());
     mshrs.audit(1000, 100);
@@ -235,14 +235,18 @@ TEST_F(L1AuditFixture, HealthyMissPathPasses)
     EXPECT_TRUE(failures.empty());
 }
 
-TEST_F(L1AuditFixture, OrphanPendingFillTrips)
+TEST_F(L1AuditFixture, ResidentLineAwaitingFillTrips)
 {
-    l1->injectPendingFillForTest(0x4000);
-    l1->audit(2);
-    EXPECT_TRUE(fired("fill will never arrive"));
+    L1Access access;
+    access.accessId = 1;
+    access.lineAddr = 0x4000;
+    ASSERT_EQ(l1->access(access, 1), L1Outcome::Miss);
+    l1->tagsForTest().insert(0x4000, 0, 2);
+    l1->audit(3);
+    EXPECT_TRUE(fired("both resident and awaiting a fill"));
 }
 
-// --- Memory-partition auditor (L2 MSHRs vs pending reads) ----------------
+// --- Memory-partition auditor (L2 MSHR entries and their reads) ---------
 
 /** One partition, driven through deliver() without a crossbar tick. */
 struct PartitionAuditFixture : AuditFixture
@@ -258,11 +262,12 @@ struct PartitionAuditFixture : AuditFixture
     }
 
     void
-    read(Addr line, Cycle now)
+    read(Addr line, Cycle now, std::uint32_t sm = 0)
     {
         MemRequest req;
         req.lineAddr = line;
         req.kind = RequestKind::DataRead;
+        req.smId = sm;
         ASSERT_EQ(partition->deliver(req, now), DeliverResult::Accepted);
     }
 
@@ -285,25 +290,35 @@ TEST_F(PartitionAuditFixture, PendingMissesAndMergesPass)
     EXPECT_TRUE(failures.empty());
 }
 
-TEST_F(PartitionAuditFixture, OrphanPendingReadTrips)
+TEST_F(PartitionAuditFixture, ReadForUnknownSmTrips)
 {
-    // The L2 entry goes away under the partition's feet: its pending
-    // read now waits for a fill that will never answer it.
+    // The fill would answer SM 1, which a one-SM chip does not have.
     read(0x4000, 3);
-    std::vector<std::uint64_t> waiters;
-    partition->l2().fill(0x4000, 4, waiters);
-    ASSERT_EQ(waiters.size(), 1u);
+    read(0x4000, 4, 1);
     partition->audit(5);
-    EXPECT_TRUE(fired("does not wait exactly once"));
+    EXPECT_TRUE(fired("waits for unknown SM 1"));
+    EXPECT_EQ(failures.size(), 1u);
 }
 
-TEST_F(PartitionAuditFixture, MshrWaiterWithoutPendingReadTrips)
+TEST_F(AuditFixture, PartitionWithForeignLineTrips)
 {
-    read(0x4000, 3);
-    ASSERT_EQ(partition->l2().accessRead(0x4000, 999, 4),
-              L2Outcome::Merged);
-    partition->audit(5);
-    EXPECT_TRUE(fired("has no pending read"));
+    // Two partitions split the lines; one that belongs to partition 1
+    // gets an L2 MSHR entry in partition 0's slice.
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.numMemPartitions = 2;
+    SimStats stats;
+    Interconnect icnt(cfg, &stats);
+    MemoryPartition owner(cfg, 0, &icnt, &stats);
+    MemoryPartition other(cfg, 1, &icnt, &stats);
+    icnt.attachPartition(0, &owner);
+    icnt.attachPartition(1, &other);
+    ASSERT_EQ(icnt.partitionOf(kLineBytes), 1u);
+    ASSERT_EQ(owner.l2().accessRead(kLineBytes, {1, 0, 0}, 3),
+              L2Outcome::Miss);
+    owner.audit(4);
+    EXPECT_TRUE(fired("does not belong to partition 0"));
+    EXPECT_EQ(failures.size(), 1u);
 }
 
 TEST_F(PartitionAuditFixture, L2MshrLeakBoundTrips)

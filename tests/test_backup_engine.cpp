@@ -45,7 +45,7 @@ struct BackupFixture : ::testing::Test
 TEST_F(BackupFixture, BackupProducesOneWritePerRegister)
 {
     engine->startBackup(0, 0, 64, 1 << 20, gpu->now());
-    EXPECT_TRUE(engine->busy());
+    EXPECT_FALSE(engine->backupComplete(0));
     run(2000);
     EXPECT_TRUE(engine->backupComplete(0));
     EXPECT_EQ(gpu->stats().dramBackupWrites, 64u);
@@ -69,7 +69,8 @@ TEST_F(BackupFixture, RestoreCompletesWhenAllLinesReturn)
     run(4000);
     EXPECT_TRUE(engine->restoreComplete(3));
     EXPECT_EQ(gpu->stats().dramRestoreReads, 32u);
-    EXPECT_FALSE(engine->busy());
+    EXPECT_EQ(engine->stagingOccupancy(), 0u);
+    EXPECT_EQ(engine->stagingBacklog(), 0u);
 }
 
 TEST_F(BackupFixture, ClearJobForgetsBookkeeping)

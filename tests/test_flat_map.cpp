@@ -3,11 +3,10 @@
  * Unit tests for the open-addressing FlatMap.
  *
  * FlatMap backs the simulator's hottest lookup structures (the MSHR
- * line index, pending L1 fills, partition pending reads, in-flight LDST
- * loads), so beyond the API basics the suite pins the load policy under
- * churn (tombstones count against half load; capacity stays bounded)
- * and runs a randomized insert/erase/lookup churn against a
- * std::unordered_map oracle.
+ * line index and the L1's fetched-line bitmap), so beyond the API
+ * basics the suite pins the load policy under churn (tombstones count
+ * against half load; capacity stays bounded) and runs a randomized
+ * insert/erase/lookup churn against a std::unordered_map oracle.
  */
 
 #include <gtest/gtest.h>

@@ -268,15 +268,12 @@ struct Crossbar
 
 /** A request for line @p line (a line index) of kind @p kind. */
 MemRequest
-requestFor(std::uint64_t line, RequestKind kind, std::uint32_t sm,
-           Cycle now)
+requestFor(std::uint64_t line, RequestKind kind, std::uint32_t sm)
 {
     MemRequest req;
     req.lineAddr = line * kLineBytes;
     req.kind = kind;
     req.smId = sm;
-    req.bypassL2 = kind == RequestKind::RegBackup;
-    req.issued = now;
     return req;
 }
 
@@ -299,24 +296,18 @@ TEST(CrossbarOrder, SameTickUnblocksDeliverInSendOrder)
     };
 
     // Warm both slices: line 1 lives in partition 1, line 0 in 0.
-    xbar.icnt.sendRequest(requestFor(1, RequestKind::DataRead, 0, now),
-                          now);
-    xbar.icnt.sendRequest(requestFor(0, RequestKind::DataRead, 0, now),
-                          now);
+    xbar.icnt.sendRequest(requestFor(1, RequestKind::DataRead, 0), now);
+    xbar.icnt.sendRequest(requestFor(0, RequestKind::DataRead, 0), now);
     run_until_two_responses();
     ASSERT_EQ(xbar.sink.log.size(), 2u);
     xbar.sink.log.clear();
 
     // One write fills each depth-1 DRAM queue; the reads sent behind
     // them, partition 1's first, bounce and park.
-    xbar.icnt.sendRequest(requestFor(2, RequestKind::DataWrite, 0, now),
-                          now);
-    xbar.icnt.sendRequest(requestFor(3, RequestKind::DataWrite, 0, now),
-                          now);
-    xbar.icnt.sendRequest(requestFor(1, RequestKind::DataRead, 0, now),
-                          now);
-    xbar.icnt.sendRequest(requestFor(0, RequestKind::DataRead, 0, now),
-                          now);
+    xbar.icnt.sendRequest(requestFor(2, RequestKind::DataWrite, 0), now);
+    xbar.icnt.sendRequest(requestFor(3, RequestKind::DataWrite, 0), now);
+    xbar.icnt.sendRequest(requestFor(1, RequestKind::DataRead, 0), now);
+    xbar.icnt.sendRequest(requestFor(0, RequestKind::DataRead, 0), now);
     xbar.tick(now++);
     xbar.tick(now++);
     EXPECT_NE(xbar.icnt.debugString().find(
@@ -410,7 +401,7 @@ TEST(CrossbarDifferential, ParkingMatchesEveryTickRetry)
                     if (!accept)
                         continue;
                     const MemRequest req = requestFor(
-                        rng.below(pool), kinds[rng.below(8)], sm, now);
+                        rng.below(pool), kinds[rng.below(8)], sm);
                     ref.icnt.sendRequest(req, now);
                     sub.icnt.sendRequest(req, now);
                 }

@@ -127,17 +127,32 @@ class L1Fixture : public ::testing::Test
     bool
     completeAccess(std::uint64_t access_id, Cycle limit = 5000)
     {
-        std::vector<std::uint64_t> done;
+        std::vector<MshrWaiter> done;
         for (Cycle c = 0; c < limit; ++c) {
             tick();
             done.clear();
             l1->drainCompleted(now, done);
-            for (std::uint64_t id : done) {
-                if (id == access_id)
+            for (const MshrWaiter &load : done) {
+                if (load.id == access_id)
                     return true;
             }
         }
         return false;
+    }
+
+    /** The tag-array view of resident line @p line_addr. */
+    TagLine
+    residentLine(Addr line_addr) const
+    {
+        const TagArray &tags = l1->tags();
+        const std::uint32_t set = tags.setIndex(line_addr);
+        for (std::uint32_t way = 0; way < tags.ways(); ++way) {
+            const TagLine line = tags.lineForTest(set, way);
+            if (line.valid && line.lineAddr == line_addr)
+                return line;
+        }
+        ADD_FAILURE() << "line " << line_addr << " is not resident";
+        return {};
     }
 
     L1Access
@@ -187,7 +202,7 @@ TEST_F(L1Fixture, ConcurrentMissesToSameLineMerge)
     EXPECT_EQ(l1->access(load(1, 0), now), L1Outcome::Miss);
     EXPECT_EQ(l1->access(load(2, 0), now), L1Outcome::MergedMiss);
     // Both complete on the same fill.
-    std::vector<std::uint64_t> done;
+    std::vector<MshrWaiter> done;
     for (Cycle c = 0; c < 5000 && done.size() < 2; ++c) {
         tick();
         l1->drainCompleted(now, done);
@@ -259,6 +274,56 @@ TEST_F(L1Fixture, ColdMissClassificationAcrossBitmapWords)
         EXPECT_TRUE(loadIsCold(region3 + line)) << line;
     EXPECT_EQ(stats.coldMisses, 16u);
     EXPECT_EQ(stats.capacityMisses, 8u);
+}
+
+TEST_F(L1Fixture, BypassAllocatedEntryHandsAMergedLoadNoRecord)
+{
+    // A bypass miss allocates the entry and records nothing; a load
+    // from pc 12, warp 5 merges in and makes the fill allocate. It
+    // counts as a capacity miss, and the line goes in with hpc 0 and
+    // owner 0, the allocating miss's (empty) record.
+    L1Access bypass = load(1, 4096, 9);
+    bypass.bypassL1 = true;
+    ASSERT_EQ(l1->access(bypass, now), L1Outcome::Bypassed);
+    L1Access merged = load(2, 4096, 12);
+    merged.warpSlot = 5;
+    ASSERT_EQ(l1->access(merged, now), L1Outcome::MergedMiss);
+    EXPECT_EQ(stats.coldMisses, 0u);
+    EXPECT_EQ(stats.capacityMisses, 1u);
+    ASSERT_TRUE(completeAccess(2));
+    const TagLine line = residentLine(4096);
+    EXPECT_EQ(line.hpc, 0u);
+    EXPECT_EQ(line.owner, 0u);
+}
+
+TEST_F(L1Fixture, ReusedMshrSlotDoesNotLeakTheFreedRecord)
+{
+    // A cold miss from pc 12, warp 5 fills and frees MSHR slot 0. A
+    // bypass miss takes that slot again; the load merging into it must
+    // see the bypass entry's empty record, not the cold bit, hpc and
+    // owner the slot held before.
+    L1Access first = load(1, 0, 12);
+    first.warpSlot = 5;
+    ASSERT_EQ(l1->access(first, now), L1Outcome::Miss);
+    EXPECT_EQ(l1->mshrs().find(0), 0u);
+    ASSERT_TRUE(completeAccess(1));
+    EXPECT_EQ(stats.coldMisses, 1u);
+    EXPECT_EQ(residentLine(0).hpc, 12u);
+    EXPECT_EQ(residentLine(0).owner, 5u);
+
+    L1Access bypass = load(2, 4096, 9);
+    bypass.bypassL1 = true;
+    ASSERT_EQ(l1->access(bypass, now), L1Outcome::Bypassed);
+    EXPECT_EQ(l1->mshrs().find(4096), 0u);
+    L1Access merged = load(3, 4096, 7);
+    merged.warpSlot = 2;
+    ASSERT_EQ(l1->access(merged, now), L1Outcome::MergedMiss);
+    EXPECT_EQ(stats.coldMisses, 1u);
+    EXPECT_EQ(stats.capacityMisses, 1u);
+    ASSERT_TRUE(completeAccess(3));
+    const TagLine line = residentLine(4096);
+    EXPECT_EQ(line.hpc, 0u);
+    EXPECT_EQ(line.owner, 0u);
 }
 
 TEST_F(L1Fixture, StoreHitInvalidatesLine)

@@ -21,12 +21,12 @@ TEST(L2Slice, MissThenFillThenHit)
     GpuConfig cfg;
     SimStats stats;
     L2Slice slice(cfg, 0, &stats);
-    EXPECT_EQ(slice.accessRead(0, 1, 10), L2Outcome::Miss);
-    std::vector<std::uint64_t> waiters;
+    EXPECT_EQ(slice.accessRead(0, {1}, 10), L2Outcome::Miss);
+    std::vector<MshrWaiter> waiters;
     slice.fill(0, 20, waiters);
     ASSERT_EQ(waiters.size(), 1u);
-    EXPECT_EQ(waiters[0], 1u);
-    EXPECT_EQ(slice.accessRead(0, 2, 30), L2Outcome::Hit);
+    EXPECT_EQ(waiters[0].id, 1u);
+    EXPECT_EQ(slice.accessRead(0, {2}, 30), L2Outcome::Hit);
     EXPECT_EQ(stats.l2Hits, 1u);
 }
 
@@ -35,9 +35,9 @@ TEST(L2Slice, ConcurrentMissesMerge)
     GpuConfig cfg;
     SimStats stats;
     L2Slice slice(cfg, 0, &stats);
-    EXPECT_EQ(slice.accessRead(0, 1, 10), L2Outcome::Miss);
-    EXPECT_EQ(slice.accessRead(0, 2, 11), L2Outcome::Merged);
-    std::vector<std::uint64_t> waiters;
+    EXPECT_EQ(slice.accessRead(0, {1}, 10), L2Outcome::Miss);
+    EXPECT_EQ(slice.accessRead(0, {2}, 11), L2Outcome::Merged);
+    std::vector<MshrWaiter> waiters;
     slice.fill(0, 20, waiters);
     EXPECT_EQ(waiters.size(), 2u);
 }
@@ -48,7 +48,7 @@ TEST(L2Slice, WriteNoAllocate)
     SimStats stats;
     L2Slice slice(cfg, 0, &stats);
     slice.accessWrite(0, 10);
-    EXPECT_EQ(slice.accessRead(0, 1, 20), L2Outcome::Miss);
+    EXPECT_EQ(slice.accessRead(0, {1}, 20), L2Outcome::Miss);
 }
 
 TEST(L2Slice, SliceCapacityIsTotalOverPartitions)
@@ -167,7 +167,6 @@ TEST_F(PartitionFixture, RegBackupBypassesL2)
     req.lineAddr = 1 << 20;
     req.kind = RequestKind::RegBackup;
     req.smId = 0;
-    req.bypassL2 = true;
     icnt->sendRequest(req, now);
     run(3000);
     EXPECT_EQ(stats.dramBackupWrites, 1u);
@@ -189,6 +188,48 @@ TEST_F(PartitionFixture, RegRestoreProducesTypedResponse)
     run(3000);
     ASSERT_EQ(sink.responses.size(), 1u);
     EXPECT_EQ(sink.responses[0].kind, RequestKind::RegRestore);
+}
+
+TEST(PartitionMerge, MergedReadsAnswerEachSmOnceInRegistrationOrder)
+{
+    // SM 1's read misses and takes the L2 entry; SM 0's read of the same
+    // line merges into it. The one DRAM fill answers both from the
+    // entry's waiters: SM 1 first, then SM 0.
+    GpuConfig cfg;
+    cfg.numSms = 2;
+    cfg.numMemPartitions = 1;
+    SimStats stats;
+    Interconnect icnt(cfg, &stats);
+    MemoryPartition partition(cfg, 0, &icnt, &stats);
+    icnt.attachPartition(0, &partition);
+    CollectingSink sink;
+    icnt.attachSm(0, &sink);
+    icnt.attachSm(1, &sink);
+
+    MemRequest req;
+    req.lineAddr = 4096;
+    req.kind = RequestKind::DataRead;
+    req.smId = 1;
+    icnt.sendRequest(req, 0);
+    req.smId = 0;
+    icnt.sendRequest(req, 0);
+    for (Cycle now = 0; now < 3000; ++now) {
+        partition.tick(now);
+        icnt.tick(now);
+    }
+
+    ASSERT_EQ(sink.responses.size(), 2u);
+    EXPECT_EQ(sink.responses[0].smId, 1u);
+    EXPECT_EQ(sink.responses[1].smId, 0u);
+    for (const MemResponse &response : sink.responses) {
+        EXPECT_EQ(response.lineAddr, 4096u);
+        EXPECT_EQ(response.kind, RequestKind::DataRead);
+    }
+    // One DRAM read and no L2 hit: the second read merged.
+    EXPECT_EQ(sink.responses[0].ready, sink.responses[1].ready);
+    EXPECT_EQ(stats.l2Hits, 0u);
+    EXPECT_EQ(stats.dramReads, 1u);
+    EXPECT_EQ(partition.l2().mshrs().inUse(), 0u);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the LDST unit: queueing, divergent fan-out, load
  * completion crediting (and the drained-warp mask the SM's issue masks
- * rely on), and store fire-and-forget semantics.
+ * rely on), load latency from issue, and store fire-and-forget
+ * semantics.
  */
 
 #include <gtest/gtest.h>
@@ -149,12 +150,24 @@ TEST_F(LdstFixture, CanAcceptReflectsQueueBound)
     EXPECT_TRUE(ldst->canAccept());
 }
 
-TEST_F(LdstFixture, ResetDropsQueuedWork)
+TEST_F(LdstFixture, LoadLatencyCountsFromIssueNotPresentation)
 {
-    ldst->issue(warps[0], loadInst(), {0, 4096}, false, now);
-    ldst->reset();
-    EXPECT_EQ(ldst->queued(), 0u);
-    EXPECT_EQ(ldst->inFlight(), 0u);
+    // Four resident lines issued together reach the L1 one per cycle,
+    // i cycles late, and each hits: load i completes i + hit latency
+    // cycles after its issue.
+    const std::vector<Addr> lines = {0, 128, 256, 384};
+    ldst->issue(warps[0], loadInst(), lines, false, now);
+    run(5000);
+    ASSERT_EQ(warps[0].outstandingLoads, 0u);
+    const std::uint64_t latency_before = stats.loadLatencySum;
+    const std::uint64_t hits_before = stats.l1.l1Hits;
+
+    ldst->issue(warps[3], loadInst(), lines, false, now);
+    run(cfg.l1HitLatency + 10);
+    EXPECT_EQ(warps[3].outstandingLoads, 0u);
+    EXPECT_EQ(stats.l1.l1Hits - hits_before, 4u);
+    EXPECT_EQ(stats.loadLatencySum - latency_before,
+              4u * cfg.l1HitLatency + 0 + 1 + 2 + 3);
 }
 
 } // namespace

@@ -181,13 +181,13 @@ class LockstepL1Fixture : public ::testing::Test
     bool
     completeAccess(std::uint64_t access_id, Cycle limit = 5000)
     {
-        std::vector<std::uint64_t> done;
+        std::vector<MshrWaiter> done;
         for (Cycle c = 0; c < limit; ++c) {
             tick();
             done.clear();
             l1->drainCompleted(now, done);
-            for (std::uint64_t id : done) {
-                if (id == access_id)
+            for (const MshrWaiter &load : done) {
+                if (load.id == access_id)
                     return true;
             }
         }
