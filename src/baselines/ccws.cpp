@@ -11,10 +11,9 @@ Ccws::Ccws(const GpuConfig &cfg, Sm *sm)
       vta_(static_cast<std::size_t>(cfg.maxWarpsPerSm) *
                kVtaEntriesPerWarp,
            kNoAddr),
-      scores_(cfg.maxWarpsPerSm, 0.0), rank_(cfg.maxWarpsPerSm, 0),
-      activeLimit_(cfg.maxWarpsPerSm)
+      scores_(cfg.maxWarpsPerSm, 0.0), activeLimit_(cfg.maxWarpsPerSm),
+      mask_(lowSlotMask(cfg.maxWarpsPerSm))
 {
-    std::iota(rank_.begin(), rank_.end(), 0u);
     sm->l1().setVictimCache(this);
 }
 
@@ -68,11 +67,11 @@ Ccws::notifyStore(Addr line_addr, Cycle now)
     (void)now;
 }
 
-bool
-Ccws::warpMayIssue(const Sm &sm, const Warp &warp) const
+std::uint64_t
+Ccws::issueMask(const Sm &sm) const
 {
     (void)sm;
-    return rank_[warp.smWarpId] < activeLimit_;
+    return mask_;
 }
 
 void
@@ -102,8 +101,9 @@ Ccws::onCycle(Sm &sm, Cycle now)
                      [this](std::uint32_t a, std::uint32_t b) {
                          return scores_[a] > scores_[b];
                      });
-    for (std::uint32_t r = 0; r < order.size(); ++r)
-        rank_[order[r]] = r;
+    mask_ = 0;
+    for (std::uint32_t r = 0; r < activeLimit_; ++r)
+        mask_ |= std::uint64_t{1} << order[r];
 }
 
 } // namespace lbsim

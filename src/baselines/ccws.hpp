@@ -38,7 +38,7 @@ class Ccws : public SmControllerIf, public VictimCacheIf
 
     // --- SmControllerIf ---------------------------------------------------
     void onCycle(Sm &sm, Cycle now) override;
-    bool warpMayIssue(const Sm &sm, const Warp &warp) const override;
+    std::uint64_t issueMask(const Sm &sm) const override;
 
     // --- VictimCacheIf (used as an eviction/miss observation tap) ---------
     VictimProbeResult probeVictim(Addr line_addr, Cycle now) override;
@@ -72,9 +72,9 @@ class Ccws : public SmControllerIf, public VictimCacheIf
     /** Per-warp direct-mapped VTA: slot x entry -> line address. */
     std::vector<Addr> vta_;
     std::vector<double> scores_;
-    /** Issue ranks: rank[slot] < activeLimit_ may issue. */
-    std::vector<std::uint32_t> rank_;
     std::uint32_t activeLimit_;
+    /** The activeLimit_ highest-ranked warp slots, which may issue. */
+    std::uint64_t mask_;
     Cycle nextUpdate_ = kUpdatePeriod;
     /** Warp slot of the last observed L1 access (evictions follow). */
     std::uint32_t lastAccessSlot_ = 0;

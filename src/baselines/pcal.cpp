@@ -7,7 +7,8 @@ namespace lbsim
 
 Pcal::Pcal(const GpuConfig &cfg, Cycle window)
     : cfg_(cfg), window_(window), nextWindowEnd_(window),
-      activeLimit_(cfg.maxWarpsPerSm), bestLimit_(cfg.maxWarpsPerSm),
+      activeLimit_(cfg.maxWarpsPerSm),
+      mask_(lowSlotMask(cfg.maxWarpsPerSm)), bestLimit_(cfg.maxWarpsPerSm),
       tokens_(tokenShare(cfg.maxWarpsPerSm))
 {
 }
@@ -25,6 +26,7 @@ Pcal::applyLimit(std::uint32_t limit)
 {
     activeLimit_ = std::clamp<std::uint32_t>(limit, kMinWarps,
                                              cfg_.maxWarpsPerSm);
+    mask_ = lowSlotMask(activeLimit_);
     tokens_ = tokenShare(activeLimit_);
 }
 
@@ -98,11 +100,11 @@ Pcal::onCycle(Sm &sm, Cycle now)
     }
 }
 
-bool
-Pcal::warpMayIssue(const Sm &sm, const Warp &warp) const
+std::uint64_t
+Pcal::issueMask(const Sm &sm) const
 {
     (void)sm;
-    return warp.smWarpId < activeLimit_;
+    return mask_;
 }
 
 bool

@@ -31,7 +31,7 @@ class Pcal : public SmControllerIf
     explicit Pcal(const GpuConfig &cfg, Cycle window = 50000);
 
     void onCycle(Sm &sm, Cycle now) override;
-    bool warpMayIssue(const Sm &sm, const Warp &warp) const override;
+    std::uint64_t issueMask(const Sm &sm) const override;
     bool warpBypassesL1(const Sm &sm, const Warp &warp) const override;
 
     std::uint32_t activeLimit() const { return activeLimit_; }
@@ -47,6 +47,8 @@ class Pcal : public SmControllerIf
     Cycle window_;
     Cycle nextWindowEnd_;
     std::uint32_t activeLimit_;
+    /** The warp slots below activeLimit_, which may issue. */
+    std::uint64_t mask_;
     std::uint32_t bestLimit_;
     std::uint32_t tokens_;
     std::int32_t direction_ = -1;   ///< Hill-climb step sign.

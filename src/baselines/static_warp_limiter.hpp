@@ -23,20 +23,19 @@ class StaticWarpLimiter : public SmControllerIf
   public:
     /** @param warp_limit Max issuable warp slots; 0 means unlimited. */
     explicit StaticWarpLimiter(std::uint32_t warp_limit)
-        : limit_(warp_limit)
+        : mask_(warp_limit == 0 ? ~std::uint64_t{0}
+                                : lowSlotMask(warp_limit))
     {}
 
-    bool
-    warpMayIssue(const Sm &sm, const Warp &warp) const override
+    std::uint64_t
+    issueMask(const Sm &sm) const override
     {
         (void)sm;
-        return limit_ == 0 || warp.smWarpId < limit_;
+        return mask_;
     }
 
-    std::uint32_t limit() const { return limit_; }
-
   private:
-    std::uint32_t limit_;
+    std::uint64_t mask_;
 };
 
 } // namespace lbsim

@@ -29,7 +29,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -138,14 +137,6 @@ class FlatMap
     const_iterator begin() const { return const_iterator(this, 0); }
     const_iterator end() const { return const_iterator(this, state_.size()); }
 
-    void
-    clear()
-    {
-        std::fill(state_.begin(), state_.end(), detail::SlotState::Empty);
-        size_ = 0;
-        tombstones_ = 0;
-    }
-
     /** Room for @p n live entries: churn at up to @p n never allocates. */
     void
     reserve(std::size_t n)
@@ -165,11 +156,6 @@ class FlatMap
     find(K key) const
     {
         return const_iterator(this, findIndex(key));
-    }
-
-    std::size_t count(K key) const
-    {
-        return findIndex(key) == state_.size() ? 0 : 1;
     }
 
     const V &
@@ -194,16 +180,6 @@ class FlatMap
     {
         const auto result = insertSlot(key, std::forward<ValueArg>(value));
         return {iterator(this, indexOf(result.first)), result.second};
-    }
-
-    std::size_t
-    erase(K key)
-    {
-        const std::size_t index = findIndex(key);
-        if (index == state_.size())
-            return 0;
-        eraseIndex(index);
-        return 1;
     }
 
     void

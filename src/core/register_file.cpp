@@ -96,9 +96,14 @@ RegisterFile::accessOperands(RegNum base_reg, std::uint32_t count,
                              Cycle now)
 {
     (void)now;
+    // Consecutive registers sit in consecutive banks.
+    std::uint32_t bank = bankOf(base_reg);
     std::uint32_t delay = 0;
-    for (std::uint32_t i = 0; i < count; ++i)
-        delay += chargeBank(bankOf(base_reg + i));
+    for (std::uint32_t i = 0; i < count; ++i) {
+        delay += chargeBank(bank);
+        if (++bank == numBanks_)
+            bank = 0;
+    }
     return delay;
 }
 

@@ -25,6 +25,14 @@ namespace lbsim
 /** Warp slots a 64-bit stripe or issue mask covers; an SM's bound. */
 inline constexpr std::uint32_t kMaxWarpSlots = 64;
 
+/** Mask of warp slots [0, @p count): every slot once count >= 64. */
+constexpr std::uint64_t
+lowSlotMask(std::uint32_t count)
+{
+    return count >= kMaxWarpSlots ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << count) - 1;
+}
+
 /** One GTO scheduler instance covering a stripe of warp slots. */
 class GtoScheduler
 {
@@ -43,13 +51,13 @@ class GtoScheduler
      *
      * @param warps All warp slots of the SM.
      * @param candidates This stripe's slots that could issue but for
-     *        the clock and the controller: eligible (Warp::eligible),
-     *        and not waiting on a full LDST queue. Sm maintains the
-     *        eligibility mask at every warp state change, so stalled
-     *        and throttled warps cost nothing here.
+     *        the clock and the per-warp gate: eligible, inside the
+     *        controller's issue mask, and not waiting on a full LDST
+     *        queue. Sm maintains these masks at every state change, so
+     *        stalled and throttled warps cost nothing here.
      * @param now Current cycle (a candidate needs readyAt <= now).
-     * @param may_issue Controller gate; called only for candidates
-     *        whose readyAt has arrived.
+     * @param may_issue Per-warp controller gate; called only for
+     *        candidates whose readyAt has arrived.
      * @return The greedy warp if it is still a ready candidate the gate
      *         allows, else the ready, allowed candidate with the
      *         smallest launch order, else -1.

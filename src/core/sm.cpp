@@ -325,13 +325,18 @@ Sm::tick(Cycle now)
         refreshMasks(warps_[static_cast<std::size_t>(
             std::countr_zero(drained))]);
 
+    // The controller's gate, read once: the slots it refuses leave the
+    // candidates before the scan. Issuing changes no controller's gate,
+    // so the mask holds for the whole scheduler loop.
+    const std::uint64_t gate =
+        controller_ ? controller_->issueMask(*this) : ~std::uint64_t{0};
     const auto may_issue = [this](const Warp &warp) {
         return !controller_ || controller_->warpMayIssue(*this, warp);
     };
     for (GtoScheduler &sched : schedulers_) {
         const std::int32_t slot =
-            sched.pick(warps_, issueCandidates(sched.stripe()), now,
-                       may_issue);
+            sched.pick(warps_, issueCandidates(sched.stripe()) & gate,
+                       now, may_issue);
         if (slot < 0)
             continue;
         issueWarp(warps_[static_cast<std::uint32_t>(slot)], now);
@@ -517,6 +522,18 @@ Sm::audit(Cycle now) const
              "memory-next mask %016llx but the warp table says %016llx",
              static_cast<unsigned long long>(memNext_),
              static_cast<unsigned long long>(mem_next));
+
+    // tick drops the slots outside the controller's mask unasked, so it
+    // must hold every warp the gate allows (no controller: every slot).
+    const std::uint64_t gate =
+        controller_ ? controller_->issueMask(*this) : ~std::uint64_t{0};
+    for (const Warp &warp : warps_) {
+        LB_AUDIT(!warp.valid || (gate >> warp.smWarpId & 1) != 0 ||
+                     !controller_->warpMayIssue(*this, warp),
+                 "issue mask %016llx refuses warp slot %u, which the "
+                 "controller's gate allows",
+                 static_cast<unsigned long long>(gate), warp.smWarpId);
+    }
 }
 
 std::string

@@ -46,13 +46,28 @@ class SmControllerIf
         (void)now;
     }
 
-    /** Extra issue gating (throttling). */
+    /**
+     * Issue gate (throttling) as a mask of warp slots: bit s set lets
+     * the warp in slot s issue. Sm::tick reads it once per cycle and
+     * drops the refused slots before the GTO scan. Controllers
+     * override this, not warpMayIssue.
+     */
+    virtual std::uint64_t
+    issueMask(const Sm &sm) const
+    {
+        (void)sm;
+        return ~std::uint64_t{0};
+    }
+
+    /**
+     * Per-warp gate, asked of the warp a scheduler would issue: its bit
+     * of issueMask(). A decorator that forwards only this (lbbench's
+     * TimedController) publishes every slot and gates here.
+     */
     virtual bool
     warpMayIssue(const Sm &sm, const Warp &warp) const
     {
-        (void)sm;
-        (void)warp;
-        return true;
+        return (issueMask(sm) >> warp.smWarpId & 1) != 0;
     }
 
     /** PCAL bypass attribute for this warp's memory accesses. */
@@ -219,9 +234,10 @@ class Sm : public ResponseSinkIf
      * Per-SM auditor: register-file bitmap conservation, the warp/CTA
      * tables cross-referencing each other, the CTA register footprint
      * matching the register-file allocation exactly, the L1
-     * (tags + MSHRs + completion queue) being internally consistent, and
+     * (tags + MSHRs + completion queue) being internally consistent,
      * every incrementally maintained mirror (CTA counters, occupancy,
-     * issue masks) matching the tables it summarizes.
+     * issue masks) matching the tables it summarizes, and the
+     * controller's issue mask holding every warp its gate allows.
      */
     void audit(Cycle now) const;
 

@@ -371,10 +371,18 @@ Linebacker::reactivateOne(Sm &sm, Cycle now)
     return true;
 }
 
+std::uint64_t
+Linebacker::issueMask(const Sm &sm) const
+{
+    // Throttled CTAs are gated by warp.active; delegate extra policy.
+    return inner_ ? inner_->issueMask(sm) : ~std::uint64_t{0};
+}
+
 bool
 Linebacker::warpMayIssue(const Sm &sm, const Warp &warp) const
 {
-    // Throttled CTAs are gated by warp.active; delegate extra policy.
+    // Forwarded, not derived from issueMask: an inner decorator that
+    // gates only per warp publishes every slot.
     return inner_ ? inner_->warpMayIssue(sm, warp) : true;
 }
 

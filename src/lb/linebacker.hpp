@@ -56,6 +56,7 @@ class Linebacker : public SmControllerIf, public VictimCacheIf
 
     // --- SmControllerIf ---------------------------------------------------
     void onCycle(Sm &sm, Cycle now) override;
+    std::uint64_t issueMask(const Sm &sm) const override;
     bool warpMayIssue(const Sm &sm, const Warp &warp) const override;
     bool warpBypassesL1(const Sm &sm, const Warp &warp) const override;
     void onCtaLaunched(Sm &sm, Cta &cta, Cycle now) override;

@@ -33,15 +33,18 @@ L1Cache::L1Cache(const GpuConfig &cfg, std::uint32_t sm_id,
 }
 
 void
-L1Cache::scheduleCompletion(const MshrWaiter &load, Cycle ready)
+insertCompletion(CompletionQueue &queue, const MshrWaiter &load,
+                 Cycle ready, Cycle now)
 {
-    // Keep the queue ordered by ready cycle; latencies vary by outcome so
-    // a plain push_back would break drain order. Queues are short (bounded
-    // by in-flight accesses), so the linear scan is cheap.
-    auto it = std::upper_bound(
-        completed_.begin(), completed_.end(), ready,
-        [](Cycle c, const auto &entry) { return c < entry.first; });
-    completed_.insert(it, {ready, load});
+    // Latencies vary by outcome, so a plain push_back would break drain
+    // order. Both scans stop at the first entry due after @p ready.
+    const auto later = [ready](const auto &entry) {
+        return entry.first > ready;
+    };
+    const auto at = ready <= now
+        ? std::find_if(queue.begin(), queue.end(), later)
+        : std::find_if_not(queue.rbegin(), queue.rend(), later).base();
+    queue.insert(at, {ready, load});
 }
 
 L1Outcome
@@ -80,8 +83,8 @@ L1Cache::accessImpl(const L1Access &access, Cycle now)
             victim_->notifyAccess(access.lineAddr, access.pc,
                                   access.hpc, access.warpSlot, true,
                                   now);
-        scheduleCompletion(waiterOf(access),
-                           now + cfg_.l1HitLatency + bank_delay);
+        insertCompletion(completed_, waiterOf(access),
+                         now + cfg_.l1HitLatency + bank_delay, now);
         return L1Outcome::Hit;
     }
     return handleLoadMiss(access, now);
@@ -140,8 +143,8 @@ L1Cache::handleLoadMiss(const L1Access &access, Cycle now)
         ++stats_->rfVictimAccesses;
         victim_->notifyAccess(access.lineAddr, access.pc, access.hpc,
                               access.warpSlot, true, now);
-        scheduleCompletion(waiterOf(access),
-                           now + cfg_.l1HitLatency + probe.latency);
+        insertCompletion(completed_, waiterOf(access),
+                         now + cfg_.l1HitLatency + probe.latency, now);
         return L1Outcome::VictimHit;
     }
 
@@ -245,7 +248,7 @@ L1Cache::fill(Addr line_addr, Cycle now)
         sink_->onFill(line_addr, allocate, displaced, now);
 
     for (const MshrWaiter &load : waiterScratch_)
-        scheduleCompletion(load, now);
+        insertCompletion(completed_, load, now, now);
 }
 
 void

@@ -114,6 +114,18 @@ class L1EventSinkIf
     virtual void onFlush() = 0;
 };
 
+/** (ready cycle, load) pairs, ordered by ready cycle. */
+using CompletionQueue = std::deque<std::pair<Cycle, MshrWaiter>>;
+
+/**
+ * Insert @p load, due at @p ready, after every entry of @p queue due by
+ * then (std::upper_bound's position). Hits, due a hit latency after
+ * @p now, scan from the tail; a fill's waiters, due at @p now, scan
+ * from the head past the entries already due.
+ */
+void insertCompletion(CompletionQueue &queue, const MshrWaiter &load,
+                      Cycle ready, Cycle now);
+
 /** L1 data cache for one SM. */
 class L1Cache
 {
@@ -196,9 +208,6 @@ class L1Cache
     TagArray &tagsForTest() { return tags_; }
 
   private:
-    /** Schedule completion of @p load at @p ready. */
-    void scheduleCompletion(const MshrWaiter &load, Cycle ready);
-
     L1Outcome accessImpl(const L1Access &access, Cycle now);
     L1Outcome handleStore(const L1Access &access, Cycle now);
     L1Outcome handleLoadMiss(const L1Access &access, Cycle now);
@@ -234,8 +243,8 @@ class L1Cache
      */
     FlatMap<Addr, std::uint64_t> everFetched_;
 
-    /** (ready cycle, load) min-ordered completion queue. */
-    std::deque<std::pair<Cycle, MshrWaiter>> completed_;
+    /** Accepted loads awaiting drainCompleted(). */
+    CompletionQueue completed_;
 
     /** Reused fill-waiter buffer; fill() is hot and must not allocate. */
     std::vector<MshrWaiter> waiterScratch_;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/static_warp_limiter.hpp"
 #include "common/check.hpp"
 #include "core/gpu.hpp"
 #include "core/register_file.hpp"
@@ -594,6 +595,54 @@ TEST_F(MidRunChipFixture, FlippedEligibilityBitTrips)
     gpu->audit();
     EXPECT_TRUE(fired("eligibility mask"));
     EXPECT_EQ(failures.size(), 1u);
+}
+
+/** Allows every warp when asked, but its issue mask refuses one slot. */
+class MaskRefusesSlot : public SmControllerIf
+{
+  public:
+    explicit MaskRefusesSlot(std::uint32_t slot) : slot_(slot) {}
+
+    std::uint64_t
+    issueMask(const Sm &sm) const override
+    {
+        (void)sm;
+        return ~(std::uint64_t{1} << slot_);
+    }
+
+    bool
+    warpMayIssue(const Sm &sm, const Warp &warp) const override
+    {
+        (void)sm;
+        (void)warp;
+        return true;
+    }
+
+  private:
+    std::uint32_t slot_;
+};
+
+TEST_F(AuditFixture, IssueMaskRefusingAnAllowedWarpTrips)
+{
+    Gpu gpu(GpuConfig{}.scaleTo(1));
+    const KernelInfo kernel = appById("KM").buildKernel(gpu.config());
+    Sm &sm = gpu.sm(0);
+    sm.setKernel(&kernel);
+    ASSERT_TRUE(sm.launchCta(0, 0));
+    ASSERT_TRUE(sm.warps()[1].valid);
+
+    // A mask that refuses only warps its gate refuses too is healthy.
+    StaticWarpLimiter limiter(1);
+    sm.setController(&limiter);
+    sm.audit(0);
+    EXPECT_TRUE(failures.empty());
+
+    MaskRefusesSlot broken(1);
+    sm.setController(&broken);
+    sm.audit(0);
+    EXPECT_TRUE(fired("refuses warp slot 1"));
+    EXPECT_EQ(failures.size(), 1u);
+    sm.setController(nullptr);
 }
 
 TEST_F(AuditFixture, SmRejectsMoreThan64WarpSlots)

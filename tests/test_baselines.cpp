@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/cerf.hpp"
 #include "baselines/pcal.hpp"
 #include "baselines/static_warp_limiter.hpp"
@@ -25,6 +27,25 @@ warpAtSlot(std::uint32_t slot)
     return warp;
 }
 
+/**
+ * For every warp slot, the per-warp gate must equal the slot's bit of
+ * the issue mask, and both must equal @p allowed (the predicate the
+ * controller gated with before it published a mask).
+ */
+template <typename Allowed>
+void
+expectMaskMatches(const SmControllerIf &controller, const Sm &sm,
+                  const Allowed &allowed, const char *what)
+{
+    const std::uint64_t mask = controller.issueMask(sm);
+    for (std::uint32_t slot = 0; slot < kMaxWarpSlots; ++slot) {
+        const bool bit = (mask >> slot & 1) != 0;
+        EXPECT_EQ(controller.warpMayIssue(sm, warpAtSlot(slot)), bit)
+            << what << " slot " << slot;
+        EXPECT_EQ(bit, allowed(slot)) << what << " slot " << slot;
+    }
+}
+
 TEST(StaticWarpLimiter, GatesSlotsAboveLimit)
 {
     GpuConfig cfg = GpuConfig{}.scaleTo(1);
@@ -34,6 +55,15 @@ TEST(StaticWarpLimiter, GatesSlotsAboveLimit)
     EXPECT_TRUE(limiter.warpMayIssue(gpu.sm(0), warpAtSlot(15)));
     EXPECT_FALSE(limiter.warpMayIssue(gpu.sm(0), warpAtSlot(16)));
     EXPECT_FALSE(limiter.warpMayIssue(gpu.sm(0), warpAtSlot(63)));
+    for (const std::uint32_t limit : {0u, 1u, 8u, 16u, 48u, 63u, 64u, 100u}) {
+        const std::string what = "limit " + std::to_string(limit);
+        expectMaskMatches(
+            StaticWarpLimiter(limit), gpu.sm(0),
+            [limit](std::uint32_t slot) {
+                return limit == 0 || slot < limit;
+            },
+            what.c_str());
+    }
 }
 
 TEST(StaticWarpLimiter, ZeroMeansUnlimited)
@@ -61,12 +91,32 @@ TEST(Pcal, TokenCountAdaptsOverWindows)
     Gpu gpu(cfg);
     Pcal pcal(cfg, 1000);
     const std::uint32_t initial = pcal.tokenWarps();
+    // The issue mask follows the warp limit from its initial 64 through
+    // every change.
+    const auto check_mask = [&] {
+        const std::uint32_t limit = pcal.activeLimit();
+        const std::string what = "limit " + std::to_string(limit);
+        expectMaskMatches(
+            pcal, gpu.sm(0),
+            [limit](std::uint32_t slot) { return slot < limit; },
+            what.c_str());
+    };
+    ASSERT_EQ(pcal.activeLimit(), 64u);
+    check_mask();
     // Tick through several windows (IPC stays 0: hill climber moves).
-    for (Cycle now = 0; now < 5000; now += 1000)
+    for (Cycle now = 0; now < 5000; now += 1000) {
         pcal.onCycle(gpu.sm(0), now);
+        check_mask();
+    }
     EXPECT_NE(pcal.tokenWarps(), initial);
     EXPECT_GE(pcal.tokenWarps(), 2u);
     EXPECT_LE(pcal.tokenWarps(), cfg.maxWarpsPerSm);
+    // Then on down to the 4-warp floor.
+    for (Cycle now = 5000; now <= 20000; now += 1000) {
+        pcal.onCycle(gpu.sm(0), now);
+        check_mask();
+    }
+    EXPECT_EQ(pcal.activeLimit(), 4u);
 }
 
 TEST(CerfSizing, OccupancyLimits)

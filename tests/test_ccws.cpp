@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "baselines/ccws.hpp"
+#include "common/rng.hpp"
 #include "core/gpu.hpp"
 #include "harness/sim_runner.hpp"
 #include "workload/suite.hpp"
@@ -96,6 +100,51 @@ TEST_F(CcwsFixture, ScoresDecayAndLimitRecovers)
         ccws->onCycle(gpu->sm(0), now);
     EXPECT_LT(ccws->score(0), peak / 10);
     EXPECT_EQ(ccws->activeLimit(), cfg.maxWarpsPerSm);
+}
+
+TEST_F(CcwsFixture, MaskMatchesScoreRanks)
+{
+    Rng rng(0xcc35);
+    std::vector<bool> limits_seen(cfg.maxWarpsPerSm + 1, false);
+    for (int round = 0; round < 40; ++round) {
+        // Random lost-locality events on a random handful of warps.
+        const std::uint64_t events = rng.below(32);
+        for (std::uint64_t e = 0; e < events; ++e) {
+            const auto warp = static_cast<std::uint8_t>(rng.below(64));
+            const Addr line = rng.below(1u << 20) * kLineBytes;
+            ccws->notifyEviction(line, 0, warp, 0);
+            ccws->notifyAccess(line, 0, 0, warp, false, 0);
+        }
+        ccws->onCycle(gpu->sm(0), 2000 * (round + 1));
+
+        // The rank gate CCWS used before it published a mask: slots in
+        // descending score order, ties by slot, the first activeLimit
+        // may issue.
+        std::vector<std::uint32_t> order(cfg.maxWarpsPerSm);
+        std::iota(order.begin(), order.end(), 0u);
+        std::stable_sort(order.begin(), order.end(),
+                         [this](std::uint32_t a, std::uint32_t b) {
+                             return ccws->score(a) > ccws->score(b);
+                         });
+        std::vector<bool> allowed(kMaxWarpSlots, false);
+        for (std::uint32_t r = 0; r < ccws->activeLimit(); ++r)
+            allowed[order[r]] = true;
+
+        const std::uint64_t mask = ccws->issueMask(gpu->sm(0));
+        for (std::uint32_t slot = 0; slot < kMaxWarpSlots; ++slot) {
+            Warp warp;
+            warp.smWarpId = slot;
+            warp.valid = true;
+            const bool bit = (mask >> slot & 1) != 0;
+            EXPECT_EQ(ccws->warpMayIssue(gpu->sm(0), warp), bit)
+                << "round " << round << " slot " << slot;
+            EXPECT_EQ(bit, allowed[slot])
+                << "round " << round << " slot " << slot;
+        }
+        limits_seen[ccws->activeLimit()] = true;
+    }
+    // The cut moved through many limits, not just full and floor.
+    EXPECT_GE(std::count(limits_seen.begin(), limits_seen.end(), true), 8);
 }
 
 TEST(CcwsScheme, RunsThroughTheHarness)

@@ -8,13 +8,21 @@
  * bit-for-bit, and the seed must actually matter for stochastic
  * workloads. serializeStats() is the byte-exact witness for both.
  * The inert-plan suite applies the same witness to the crossbar's
- * parking, which an armed fault injector turns off.
+ * parking, which an armed fault injector turns off, and the gate-seam
+ * test to a controller that gates per warp instead of by issue mask.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "baselines/pcal.hpp"
+#include "baselines/static_warp_limiter.hpp"
 #include "common/stats.hpp"
+#include "core/gpu.hpp"
 #include "harness/sim_runner.hpp"
+#include "lb/linebacker.hpp"
 #include "resilience/faultinject.hpp"
 #include "workload/suite.hpp"
 
@@ -215,6 +223,119 @@ TEST_P(InertPlanAtSmCount, StatsMatchUnarmedRun)
 
 INSTANTIATE_TEST_SUITE_P(SmCounts, InertPlanAtSmCount,
                          ::testing::Values(4u, 16u));
+
+// --- The per-warp gate seam -------------------------------------------------
+
+/**
+ * Forwards the per-warp gate to its inner controller, as lbbench's
+ * TimedController does, but publishes no issue mask: Sm then keeps
+ * every eligible slot a candidate, and the forwarded answer alone
+ * gates issue. It forwards the other callbacks PCAL and the static
+ * limiter override, so it is transparent around either.
+ */
+class PerWarpGate : public SmControllerIf
+{
+  public:
+    explicit PerWarpGate(SmControllerIf *inner) : inner_(inner) {}
+
+    void onCycle(Sm &sm, Cycle now) override { inner_->onCycle(sm, now); }
+    bool
+    warpMayIssue(const Sm &sm, const Warp &warp) const override
+    {
+        return inner_->warpMayIssue(sm, warp);
+    }
+    bool
+    warpBypassesL1(const Sm &sm, const Warp &warp) const override
+    {
+        return inner_->warpBypassesL1(sm, warp);
+    }
+
+  private:
+    SmControllerIf *inner_;
+};
+
+/** One SM, long enough for PCAL's first 50k-cycle window to act. */
+constexpr Cycle kGateRunCycles = 120000;
+
+struct GateRun
+{
+    std::string metrics;  ///< serializeRunMetrics of the run.
+    std::uint32_t pcalLimit = 0;  ///< PCAL's final warp limit (0: none).
+};
+
+/**
+ * KM on one SM under @p scheme (Best-SWL, PCAL or PCAL+SVC), wired as
+ * SimRunner wires it, with the throttling controller behind a
+ * PerWarpGate when @p decorate. Under PCAL+SVC the decorator sits
+ * between Linebacker and PCAL, as lbbench puts its timer.
+ */
+GateRun
+runGateStack(const SchemeConfig &scheme, bool decorate)
+{
+    GpuConfig cfg = GpuConfig{}.scaleTo(1);
+    cfg.maxCycles = kGateRunCycles;
+    const KernelInfo kernel = appById("KM").buildKernel(cfg);
+    Gpu gpu(cfg);
+    std::unique_ptr<SmControllerIf> throttle;
+    Pcal *pcal = nullptr;
+    if (scheme.throttle == ThrottleMode::StaticWarp) {
+        throttle = std::make_unique<StaticWarpLimiter>(scheme.staticWarpLimit);
+    } else {
+        auto owned = std::make_unique<Pcal>(gpu.config());
+        pcal = owned.get();
+        throttle = std::move(owned);
+    }
+    SmControllerIf *top = throttle.get();
+    PerWarpGate gate(top);
+    if (decorate)
+        top = &gate;
+    std::unique_ptr<Linebacker> lb;
+    if (scheme.victim != VictimMode::Off) {
+        lb = std::make_unique<Linebacker>(gpu.config(), LbConfig{}, scheme,
+                                          &gpu.sm(0), &gpu.stats(), top);
+        top = lb.get();
+    }
+    gpu.setControllers({top});
+
+    RunMetrics metrics;
+    metrics.appId = "KM";
+    metrics.schemeName = scheme.name;
+    metrics.stats = gpu.runKernel(kernel);
+    metrics.ipc = metrics.stats.ipc();
+    if (lb) {
+        metrics.avgVictimRegs = lb->avgVictimRegs(metrics.stats.cycles);
+        metrics.monitoringWindows = lb->monitoringWindows();
+    }
+    return {serializeRunMetrics(metrics), pcal ? pcal->activeLimit() : 0};
+}
+
+TEST(Determinism, PerWarpGateDecoratorMatchesIssueMask)
+{
+    RunnerOptions options = fastOptions();
+    options.maxCycles = kGateRunCycles;
+    SimRunner runner({}, {}, options);
+    for (const SchemeConfig &scheme :
+         {SchemeConfig::bestSwl(16), SchemeConfig::pcal(),
+          SchemeConfig::pcalSvc()}) {
+        const GateRun masked = runGateStack(scheme, false);
+        const GateRun decorated = runGateStack(scheme, true);
+        EXPECT_EQ(decorated.metrics, masked.metrics)
+            << scheme.name << ": the per-warp gate and the issue mask "
+            << "issued differently";
+        // The undecorated stack is the one SimRunner builds.
+        RunMetrics reference;
+        ASSERT_TRUE(deserializeRunMetrics(masked.metrics, reference));
+        EXPECT_EQ(serializeStats(reference.stats),
+                  serializeStats(runner.run(appById("KM"), scheme).stats))
+            << scheme.name;
+        if (scheme.throttle == ThrottleMode::PcalTokens) {
+            // PCAL's first window cut the limit, so the gate refused
+            // warps for the last 70k cycles.
+            EXPECT_LT(masked.pcalLimit, GpuConfig{}.maxWarpsPerSm);
+            EXPECT_EQ(decorated.pcalLimit, masked.pcalLimit);
+        }
+    }
+}
 
 TEST(Determinism, SerializeStatsCoversEveryCounter)
 {

@@ -26,13 +26,25 @@ namespace lbsim
 namespace
 {
 
+/** std::unordered_map::erase(key) through find and erase(iterator). */
+template <typename Map, typename Key>
+std::size_t
+eraseKey(Map &map, Key key)
+{
+    const auto it = map.find(key);
+    if (it == map.end())
+        return 0;
+    map.erase(it);
+    return 1;
+}
+
 TEST(FlatMap, StartsEmpty)
 {
     FlatMap<std::uint64_t, int> map;
     EXPECT_EQ(map.size(), 0u);
     EXPECT_TRUE(map.empty());
     EXPECT_EQ(map.find(42), map.end());
-    EXPECT_EQ(map.count(42), 0u);
+    EXPECT_EQ(eraseKey(map, 42), 0u);
 }
 
 TEST(FlatMap, InsertFindErase)
@@ -44,9 +56,9 @@ TEST(FlatMap, InsertFindErase)
     ASSERT_NE(it, map.end());
     EXPECT_EQ(it->first, 7u);
     EXPECT_EQ(it->second, 70);
-    EXPECT_EQ(map.erase(7), 1u);
+    EXPECT_EQ(eraseKey(map, 7), 1u);
     EXPECT_EQ(map.find(7), map.end());
-    EXPECT_EQ(map.erase(7), 0u);
+    EXPECT_EQ(eraseKey(map, 7), 0u);
 }
 
 TEST(FlatMap, OperatorBracketDefaultConstructs)
@@ -78,7 +90,7 @@ TEST(FlatMap, EraseByIteratorKeepsOthersReachable)
     EXPECT_EQ(map.size(), 63u);
     for (std::uint64_t k = 0; k < 64; ++k) {
         if (k == 31)
-            EXPECT_EQ(map.count(k), 0u);
+            EXPECT_EQ(map.find(k), map.end());
         else
             EXPECT_EQ(map.at(k), static_cast<int>(k));
     }
@@ -90,7 +102,7 @@ TEST(FlatMap, IterationVisitsEveryLiveEntryOnce)
     for (std::uint64_t k = 0; k < 100; ++k)
         map[k * 3] = 1;
     for (std::uint64_t k = 0; k < 100; k += 2)
-        map.erase(k * 3);
+        eraseKey(map, k * 3);
     std::unordered_set<std::uint64_t> seen;
     for (const auto &entry : map)
         EXPECT_TRUE(seen.insert(entry.first).second);
@@ -116,7 +128,7 @@ TEST(FlatMap, CollidingKeysProbeCorrectly)
     map.reserve(16);
     for (std::uint64_t k = 0; k < 8; ++k)
         map[k << 32] = static_cast<int>(k);
-    map.erase(std::uint64_t{2} << 32);
+    eraseKey(map, std::uint64_t{2} << 32);
     for (std::uint64_t k = 0; k < 8; ++k) {
         if (k == 2)
             continue;
@@ -133,7 +145,7 @@ TEST(FlatMap, ChurnDoesNotGrowCapacityUnbounded)
     for (int i = 0; i < 8; ++i)
         map[next++] = 1;
     for (int round = 0; round < 100000; ++round) {
-        map.erase(next - 8);
+        eraseKey(map, next - 8);
         map[next++] = 1;
     }
     EXPECT_EQ(map.size(), 8u);
@@ -141,12 +153,13 @@ TEST(FlatMap, ChurnDoesNotGrowCapacityUnbounded)
     EXPECT_LT(map.capacity(), 256u);
 }
 
-TEST(FlatMap, ClearEmptiesAndStaysUsable)
+TEST(FlatMap, EraseAllEmptiesAndStaysUsable)
 {
     FlatMap<std::uint64_t, int> map;
     for (std::uint64_t k = 0; k < 50; ++k)
         map[k] = 1;
-    map.clear();
+    for (std::uint64_t k = 0; k < 50; ++k)
+        EXPECT_EQ(eraseKey(map, k), 1u);
     EXPECT_EQ(map.size(), 0u);
     EXPECT_EQ(map.find(10), map.end());
     map[10] = 2;
@@ -175,7 +188,7 @@ TEST(FlatMap, RandomChurnMatchesUnorderedMapOracle)
             EXPECT_EQ(actual.second, expected.second);
             EXPECT_EQ(actual.first->second, expected.first->second);
         } else if (op < 90) {
-            EXPECT_EQ(map.erase(key), oracle.erase(key));
+            EXPECT_EQ(eraseKey(map, key), oracle.erase(key));
         } else {
             const auto it = map.find(key);
             const auto oit = oracle.find(key);
@@ -216,7 +229,7 @@ TEST(FlatMap, ChurnKeepsTombstonesInsideHalfLoad)
             check();
         }
         for (; next < 50000; ++next) {
-            EXPECT_EQ(map.erase(next - n), 1u);
+            EXPECT_EQ(eraseKey(map, next - n), 1u);
             check();
             map[next] = next;
             check();

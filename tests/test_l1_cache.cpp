@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the L1 data cache: hit/miss paths, MSHR integration,
- * write-evict/write-no-allocate policies, and victim-cache hooks.
+ * write-evict/write-no-allocate policies, victim-cache hooks, and the
+ * completion queue's insert against the binary search it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/interconnect.hpp"
@@ -522,6 +525,73 @@ TEST(FlatTagLockstep, TagArrayMatchesRefCacheUnderRandomTraffic)
         ASSERT_EQ(tags.validLines(), ref.validLines());
     }
     tags.audit(20001);
+}
+
+/** Pop the entries due by @p now, returning their load ids in order. */
+std::vector<std::uint64_t>
+drainIds(CompletionQueue &queue, Cycle now)
+{
+    std::vector<std::uint64_t> ids;
+    while (!queue.empty() && queue.front().first <= now) {
+        ids.push_back(queue.front().second.id);
+        queue.pop_front();
+    }
+    return ids;
+}
+
+TEST(CompletionQueue, ScanInsertMatchesUpperBoundInsert)
+{
+    // Random schedules of hits (due the hit latency plus a few bank
+    // cycles on), victim hits (plus a VTT probe latency) and fills
+    // (their waiters due now, before or after that cycle's drain). The
+    // reference is the binary-search insert the L1 used before the
+    // scans; both queues must drain the same loads every cycle.
+    constexpr Cycle kHitLatency = 28;
+    std::uint64_t drained = 0;
+    for (std::uint64_t seed = 1; seed <= 128; ++seed) {
+        Rng rng(seed);
+        CompletionQueue queue;
+        CompletionQueue reference;
+        std::uint64_t next_id = 0;
+        const auto schedule = [&](Cycle ready, Cycle now) {
+            const MshrWaiter load{next_id++, 0, now};
+            insertCompletion(queue, load, ready, now);
+            reference.insert(
+                std::upper_bound(reference.begin(), reference.end(), ready,
+                                 [](Cycle c, const auto &entry) {
+                                     return c < entry.first;
+                                 }),
+                {ready, load});
+        };
+        const auto fill = [&](Cycle now) {
+            for (std::uint64_t w = 1 + rng.below(6); w > 0; --w)
+                schedule(now, now);
+        };
+        // Per-seed traffic mix, so sparse and crowded queues both occur.
+        const std::uint64_t max_hits = 1 + rng.below(4);
+        const double p_victim = rng.unit();
+        const double p_fill = rng.unit();
+        for (Cycle now = 0; now < 2000; ++now) {
+            for (std::uint64_t h = rng.below(max_hits + 1); h > 0; --h)
+                schedule(now + kHitLatency + rng.below(4), now);
+            if (rng.chance(p_victim))
+                schedule(now + kHitLatency + 1 + rng.below(12), now);
+            const bool fill_first = rng.chance(0.5);
+            if (fill_first && rng.chance(p_fill))
+                fill(now);
+            const std::vector<std::uint64_t> got = drainIds(queue, now);
+            ASSERT_EQ(got, drainIds(reference, now))
+                << "seed " << seed << " cycle " << now;
+            drained += got.size();
+            if (!fill_first && rng.chance(p_fill))
+                fill(now);
+        }
+        for (Cycle now = 2000; !reference.empty(); ++now)
+            ASSERT_EQ(drainIds(queue, now), drainIds(reference, now))
+                << "seed " << seed << " cycle " << now;
+        EXPECT_TRUE(queue.empty());
+    }
+    EXPECT_GT(drained, 500000u);
 }
 
 } // namespace

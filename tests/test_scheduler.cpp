@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the Greedy-Then-Oldest scheduler, and a differential
- * check of its mask-driven pick against the launch-order scan it
+ * check of its mask-driven pick, with the controller gate asked per
+ * candidate or applied as a slot mask, against the launch-order scan it
  * replaced.
  */
 
@@ -265,6 +266,7 @@ TEST(GtoScheduler, MaskPickMatchesLaunchOrderScan)
                 gate_rejections += ok ? 0 : 1;
                 return ok;
             };
+            // The decorator path: the gate is asked per candidate.
             const std::int32_t got =
                 sched.pick(warps, candidates, now, checked_gate);
             const std::int32_t want = launchOrderPick(
@@ -272,6 +274,15 @@ TEST(GtoScheduler, MaskPickMatchesLaunchOrderScan)
             ASSERT_EQ(got, want)
                 << "table " << table << " stripe " << s << " greedy "
                 << last << " ldst_full " << ldst_full << " gate " << kind;
+            // The controller path: the gate as a slot mask, applied to
+            // the candidates before the scan.
+            std::uint64_t mask = 0;
+            for (const Warp &warp : warps)
+                mask |= gate(warp) ? std::uint64_t{1} << warp.smWarpId : 0;
+            ASSERT_EQ(sched.pick(warps, candidates & mask, now, kAllow), want)
+                << "masked: table " << table << " stripe " << s
+                << " greedy " << last << " ldst_full " << ldst_full
+                << " gate " << kind;
             picks += got >= 0 ? 1 : 0;
         }
     }
