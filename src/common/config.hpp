@@ -75,9 +75,6 @@ struct GpuConfig
     DramTiming dramTiming = {};
     std::uint32_t dramQueueDepth = 32;
 
-    /** Extra L1 bytes granted by the ideal CacheExt configuration. */
-    std::uint32_t cacheExtBytes = 0;
-
     /** Simulated cycles per run (relative-IPC measurement budget). */
     Cycle maxCycles = 200000;
 
@@ -136,8 +133,6 @@ struct LbConfig
     std::uint32_t vttWays = 4;         ///< Ways per VTT partition.
     std::uint32_t vttMaxPartitions = 8;
     std::uint32_t vttAccessLatency = 3;    ///< Cycles per partition probe.
-    std::uint32_t loadMonitorEntries = 32;
-    std::uint32_t hashedPcBits = 5;
     std::uint32_t backupBufferEntries = 6;
     RegNum victimRegOffset = 512;      ///< First RN usable as victim line.
 

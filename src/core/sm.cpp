@@ -150,17 +150,6 @@ Sm::setCtaActive(std::uint32_t cta_hw_id, bool active, Cycle now)
     }
 }
 
-std::vector<std::uint32_t>
-Sm::residentCtas() const
-{
-    std::vector<std::uint32_t> ids;
-    for (const Cta &cta : ctas_) {
-        if (cta.valid)
-            ids.push_back(cta.hwId);
-    }
-    return ids;
-}
-
 std::uint32_t
 Sm::activeCtaCount() const
 {

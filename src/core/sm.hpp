@@ -194,9 +194,6 @@ class Sm : public ResponseSinkIf
     /** Deactivate/reactivate a resident CTA (warp gating only). */
     void setCtaActive(std::uint32_t cta_hw_id, bool active, Cycle now);
 
-    /** Resident CTA hardware ids (valid slots). */
-    std::vector<std::uint32_t> residentCtas() const;
-
     /** Count of resident CTAs currently active. */
     std::uint32_t activeCtaCount() const;
 

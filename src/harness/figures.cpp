@@ -10,6 +10,7 @@
 #include "harness/characterize.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
+#include "lb/load_monitor.hpp"
 #include "power/energy_model.hpp"
 #include "workload/suite.hpp"
 
@@ -354,7 +355,7 @@ figureRegistry()
                       str(lb.vttMaxPartitions) + " VPs"},
                  {"VP access latency",
                   str(lb.vttAccessLatency) + " cycles"},
-                 {"Load Monitor entries", str(lb.loadMonitorEntries)},
+                 {"Load Monitor entries", str(LoadMonitor::kEntries)},
                  {"Backup buffer entries", str(lb.backupBufferEntries)},
                  {"CTA manager access energy",
                   pj(energy.ctaManagerAccessPj)},

@@ -94,9 +94,9 @@ describeConfig(const GpuConfig &cfg, const LbConfig &lb,
         << cfg.dramTiming.rc << ';' << cfg.dramTiming.rrd << ';'
         << cfg.dramTiming.cl << ';' << cfg.dramTiming.wr << ';'
         << cfg.dramTiming.ras << ';' << cfg.dramQueueDepth << ';'
-        << cfg.cacheExtBytes << ';' << cfg.maxCycles << ';'
-        << cfg.warmupCycles << ';' << cfg.watchdogCycles << ';'
-        << options.simSms << ';' << options.maxCycles;
+        << cfg.maxCycles << ';' << cfg.warmupCycles << ';'
+        << cfg.watchdogCycles << ';' << options.simSms << ';'
+        << options.maxCycles;
     // A fault plan perturbs timing, so faulted points must never collide
     // with clean ones (nor with differently-faulted ones).
     if (!options.faultPlan.empty())
@@ -109,8 +109,7 @@ describeConfig(const GpuConfig &cfg, const LbConfig &lb,
         out << ';' << lb.monitorPeriod << ';' << lb.hitRatioThreshold
             << ';' << lb.ipcVarUpper << ';' << lb.ipcVarLower << ';'
             << lb.vttWays << ';' << lb.vttMaxPartitions << ';'
-            << lb.vttAccessLatency << ';' << lb.loadMonitorEntries << ';'
-            << lb.hashedPcBits << ';' << lb.backupBufferEntries << ';'
+            << lb.vttAccessLatency << ';' << lb.backupBufferEntries << ';'
             << lb.victimRegOffset;
     }
     return out.str();

@@ -1,9 +1,6 @@
 #include "lb/backup_engine.hpp"
 
 #include <cstdio>
-#include <map>
-
-#include "common/det.hpp"
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -13,66 +10,24 @@
 namespace lbsim
 {
 
-BackupEngine::BackupEngine(const GpuConfig &gpu, const LbConfig &lb,
-                           Sm *sm, SimStats *stats)
-    : gpu_(gpu), lb_(lb), sm_(sm), stats_(stats)
-{
-}
-
 void
-BackupEngine::startBackup(std::uint32_t cta_hw_id, RegNum first_reg,
-                          std::uint32_t num_regs, Addr backup_addr,
-                          Cycle now)
+BackupEngine::start(const Job &job)
 {
-    (void)now;
-    Job job;
-    job.linesTotal = num_regs;
-    job.isBackup = true;
-    jobs_[cta_hw_id] = job;
-    for (std::uint32_t i = 0; i < num_regs; ++i) {
-        pendingLines_.push_back({cta_hw_id, first_reg + i,
-                                 backup_addr + static_cast<Addr>(i) *
-                                     kLineBytes,
-                                 true});
+    if (job_) {
+        panic("transfer for CTA %u started while CTA %u is in transfer",
+              job.ctaHwId, job_->ctaHwId);
     }
+    job_ = job;
 }
 
-void
-BackupEngine::startRestore(std::uint32_t cta_hw_id, RegNum first_reg,
-                           std::uint32_t num_regs, Addr backup_addr,
-                           Cycle now)
+std::optional<BackupEngine::Job>
+BackupEngine::takeFinished()
 {
-    (void)now;
-    Job job;
-    job.linesTotal = num_regs;
-    job.isBackup = false;
-    jobs_[cta_hw_id] = job;
-    for (std::uint32_t i = 0; i < num_regs; ++i) {
-        pendingLines_.push_back({cta_hw_id, first_reg + i,
-                                 backup_addr + static_cast<Addr>(i) *
-                                     kLineBytes,
-                                 false});
-    }
-}
-
-bool
-BackupEngine::backupComplete(std::uint32_t cta_hw_id) const
-{
-    const auto it = jobs_.find(cta_hw_id);
-    return it != jobs_.end() && it->second.isBackup && it->second.done();
-}
-
-bool
-BackupEngine::restoreComplete(std::uint32_t cta_hw_id) const
-{
-    const auto it = jobs_.find(cta_hw_id);
-    return it != jobs_.end() && !it->second.isBackup && it->second.done();
-}
-
-void
-BackupEngine::clearJob(std::uint32_t cta_hw_id)
-{
-    jobs_.erase(cta_hw_id);
+    if (!job_ || !job_->done())
+        return std::nullopt;
+    const Job finished = *job_;
+    job_.reset();
+    return finished;
 }
 
 void
@@ -88,37 +43,29 @@ BackupEngine::tick(Cycle now)
 
     // Fill staging-buffer slots: one register per cycle moves between the
     // register file and the buffer (charging the RF bank).
-    if (!pendingLines_.empty() &&
-        buffer_.size() < lb_.backupBufferEntries) {
-        Transfer transfer = pendingLines_.front();
-        pendingLines_.pop_front();
-        sm_->regFile().accessRegister(transfer.reg, !transfer.isBackup,
-                                      now);
-        buffer_.push_back(transfer);
+    if (job_ && job_->linesStaged < job_->linesTotal &&
+        stagingOccupancy() < lb_.backupBufferEntries) {
+        sm_->regFile().accessRegister(job_->firstReg + job_->linesStaged++,
+                                      !job_->isBackup, now);
     }
 
     // Drain one buffer entry per cycle toward the interconnect.
-    if (!buffer_.empty() &&
+    if (stagingOccupancy() > 0 &&
         sm_->interconnect().canAcceptRequest(sm_->id())) {
-        const Transfer transfer = buffer_.front();
-        buffer_.pop_front();
-
         MemRequest req;
-        req.lineAddr = transfer.memAddr;
-        req.kind = transfer.isBackup ? RequestKind::RegBackup
-                                     : RequestKind::RegRestore;
+        req.lineAddr = job_->memAddr +
+                       static_cast<Addr>(job_->linesSent++) * kLineBytes;
+        req.kind = job_->isBackup ? RequestKind::RegBackup
+                                  : RequestKind::RegRestore;
         req.smId = sm_->id();
         sm_->interconnect().sendRequest(req, now);
 
-        if (transfer.isBackup) {
-            // Writes complete silently; count the line as backed up when
-            // it leaves the staging buffer.
-            auto it = jobs_.find(transfer.ctaHwId);
-            if (it != jobs_.end())
-                ++it->second.linesDone;
-        } else {
-            pendingRestores_[transfer.memAddr] = transfer.ctaHwId;
-        }
+        // Writes complete silently; count a backup line as done when it
+        // leaves the staging buffer.
+        if (job_->isBackup)
+            ++job_->linesDone;
+        else
+            pendingRestores_.insert(req.lineAddr);
     }
 }
 
@@ -126,14 +73,9 @@ void
 BackupEngine::onResponse(const MemResponse &response, Cycle now)
 {
     (void)now;
-    auto it = pendingRestores_.find(response.lineAddr);
-    if (it == pendingRestores_.end())
+    if (pendingRestores_.erase(response.lineAddr) == 0)
         panic("restore response for unknown address");
-    auto job = jobs_.find(it->second);
-    if (job == jobs_.end())
-        panic("restore response for unknown job");
-    ++job->second.linesDone;
-    pendingRestores_.erase(it);
+    ++job_->linesDone;
 }
 
 void
@@ -142,76 +84,46 @@ BackupEngine::audit(Cycle now) const
     (void)now;
     StateDumpScope dump([this] { return debugString(); });
 
-    LB_AUDIT(buffer_.size() <= lb_.backupBufferEntries,
-             "staging buffer holds %zu entries, capacity is %u",
-             buffer_.size(), lb_.backupBufferEntries);
-
-    // Count where every job's lines currently sit. The accumulator is
-    // an ordered map and the unordered tables are walked through
-    // sortedKeys() so a failing audit always reports the same line.
-    std::map<std::uint32_t, std::uint32_t> in_flight;
-    for (const Transfer &transfer : pendingLines_)
-        ++in_flight[transfer.ctaHwId];
-    for (const Transfer &transfer : buffer_)
-        ++in_flight[transfer.ctaHwId];
-    for (const Addr addr : sortedKeys(pendingRestores_)) {
-        const std::uint32_t cta = pendingRestores_.at(addr);
-        ++in_flight[cta];
-        const auto it = jobs_.find(cta);
-        LB_AUDIT(it != jobs_.end() && !it->second.isBackup,
-                 "outstanding restore for address %llx names CTA %u "
-                 "which has no restore job",
-                 static_cast<unsigned long long>(addr), cta);
-    }
-
-    for (const std::uint32_t cta : sortedKeys(jobs_)) {
-        const Job &job = jobs_.at(cta);
-        LB_AUDIT(job.linesDone <= job.linesTotal,
-                 "CTA %u job finished %u of %u lines", cta, job.linesDone,
-                 job.linesTotal);
-        const std::uint32_t pending =
-            in_flight.count(cta) ? in_flight.at(cta) : 0;
-        LB_AUDIT(job.linesDone + pending == job.linesTotal,
-                 "CTA %u %s job lost a register line: %u done + %u in "
-                 "flight != %u total",
-                 cta, job.isBackup ? "backup" : "restore", job.linesDone,
-                 pending, job.linesTotal);
-    }
-
-    // Queued lines with no job would leak staging-buffer slots forever.
-    for (const auto &[cta, count] : in_flight) {
-        LB_AUDIT(jobs_.count(cta) != 0,
-                 "%u in-flight register lines belong to CTA %u which has "
-                 "no job",
-                 count, cta);
-    }
+    LB_AUDIT(stagingOccupancy() <= lb_.backupBufferEntries,
+             "staging buffer holds %u entries, capacity is %u",
+             stagingOccupancy(), lb_.backupBufferEntries);
+    const std::size_t outstanding = pendingRestores_.size();
+    LB_AUDIT(outstanding == 0 || (job_ && !job_->isBackup),
+             "%zu restore responses outstanding outside a restore job",
+             outstanding);
+    if (!job_)
+        return;
+    const Job &job = *job_;
+    LB_AUDIT(job.linesSent <= job.linesStaged &&
+                 job.linesStaged <= job.linesTotal,
+             "CTA %u job sent %u and staged %u of %u lines", job.ctaHwId,
+             job.linesSent, job.linesStaged, job.linesTotal);
+    LB_AUDIT(job.linesDone + outstanding == job.linesSent,
+             "CTA %u %s job lost a register line: %u done + %zu "
+             "outstanding != %u sent",
+             job.ctaHwId, job.isBackup ? "backup" : "restore",
+             job.linesDone, outstanding, job.linesSent);
 }
 
 std::string
 BackupEngine::debugString() const
 {
-    char buf[96];
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "BackupEngine: %zu queued, %zu/%u buffered, %zu "
-                  "restores outstanding\n",
-                  pendingLines_.size(), buffer_.size(),
-                  lb_.backupBufferEntries, pendingRestores_.size());
-    std::string out = buf;
-    for (const std::uint32_t cta : sortedKeys(jobs_)) {
-        const Job &job = jobs_.at(cta);
-        std::snprintf(buf, sizeof(buf), "cta=%u %s %u/%u lines\n", cta,
-                      job.isBackup ? "backup" : "restore", job.linesDone,
-                      job.linesTotal);
-        out += buf;
-    }
-    return out;
+                  "BackupEngine: %u queued, %u/%u buffered, %zu restores "
+                  "outstanding; job cta=%d %s %u/%u lines\n",
+                  stagingBacklog(), stagingOccupancy(),
+                  lb_.backupBufferEntries, pendingRestores_.size(),
+                  job_ ? static_cast<int>(job_->ctaHwId) : -1,
+                  !job_ ? "none" : job_->isBackup ? "backup" : "restore",
+                  job_ ? job_->linesDone : 0, job_ ? job_->linesTotal : 0);
+    return buf;
 }
 
 void
-BackupEngine::tamperJobForTest(std::uint32_t cta_hw_id,
-                               std::uint32_t delta)
+BackupEngine::tamperJobForTest(std::uint32_t delta)
 {
-    jobs_[cta_hw_id].linesTotal += delta;
+    job_->linesSent += delta;
 }
 
 } // namespace lbsim

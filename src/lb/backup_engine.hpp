@@ -14,13 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <unordered_set>
 
 #include "common/config.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/interconnect.hpp"
 
@@ -29,29 +27,59 @@ namespace lbsim
 
 class Sm;
 
-/** Per-SM backup/restore engine (part of the CTA manager datapath). */
+/**
+ * Per-SM backup/restore engine (part of the CTA manager datapath). It
+ * moves one CTA's register image at a time, and its job is the one
+ * record of which CTA is in transfer.
+ */
 class BackupEngine : public ResponseSinkIf
 {
   public:
-    BackupEngine(const GpuConfig &gpu, const LbConfig &lb, Sm *sm,
-                 SimStats *stats);
+    /** The transfer in flight: one CTA's registers out or back. */
+    struct Job
+    {
+        std::uint32_t ctaHwId = 0;
+        bool isBackup = true;
+        RegNum firstReg = 0;
+        Addr memAddr = 0; ///< Where the register image lives off chip.
+        // Lines pass through the staging buffer in order.
+        std::uint32_t linesTotal = 0;
+        std::uint32_t linesStaged = 0; ///< Moved into the buffer.
+        std::uint32_t linesSent = 0;   ///< Sent on from the buffer.
+        std::uint32_t linesDone = 0;   ///< Backups sent, restores back.
 
-    /** Begin backing up @p num_regs registers of CTA @p cta_hw_id. */
-    void startBackup(std::uint32_t cta_hw_id, RegNum first_reg,
-                     std::uint32_t num_regs, Addr backup_addr, Cycle now);
+        bool done() const { return linesDone == linesTotal; }
+    };
+
+    BackupEngine(const LbConfig &lb, Sm *sm) : lb_(lb), sm_(sm) {}
+
+    /**
+     * Begin backing up @p num_regs registers of CTA @p cta_hw_id. Panics
+     * while another transfer is in flight.
+     */
+    void
+    startBackup(std::uint32_t cta_hw_id, RegNum first_reg,
+                std::uint32_t num_regs, Addr backup_addr)
+    {
+        start({cta_hw_id, true, first_reg, backup_addr, num_regs});
+    }
 
     /** Begin restoring the same register image. */
-    void startRestore(std::uint32_t cta_hw_id, RegNum first_reg,
-                      std::uint32_t num_regs, Addr backup_addr, Cycle now);
+    void
+    startRestore(std::uint32_t cta_hw_id, RegNum first_reg,
+                 std::uint32_t num_regs, Addr backup_addr)
+    {
+        start({cta_hw_id, false, first_reg, backup_addr, num_regs});
+    }
 
-    /** Backup of @p cta_hw_id finished (C bit). */
-    bool backupComplete(std::uint32_t cta_hw_id) const;
+    /** The transfer in flight, finished or not; null when idle. */
+    const Job *job() const { return job_ ? &*job_ : nullptr; }
 
-    /** Restore of @p cta_hw_id finished (CTA may re-activate). */
-    bool restoreComplete(std::uint32_t cta_hw_id) const;
-
-    /** Forget a completed job's bookkeeping. */
-    void clearJob(std::uint32_t cta_hw_id);
+    /**
+     * Hand back the job once every line moved (the C bit for a backup;
+     * for a restore, the CTA may re-activate). The engine is then idle.
+     */
+    std::optional<Job> takeFinished();
 
     /** Drain the staging buffer toward the interconnect. */
     void tick(Cycle now);
@@ -61,10 +89,9 @@ class BackupEngine : public ResponseSinkIf
 
     /**
      * Conservation auditor: the staging buffer respects its configured
-     * capacity, per job linesDone + queued lines + buffered lines +
-     * outstanding restore responses equals linesTotal (no register line
-     * is lost or duplicated in flight), and every outstanding restore
-     * response belongs to a restore job.
+     * capacity, every line sent is done or an outstanding restore (no
+     * register line is lost or duplicated in flight), and no restore is
+     * outstanding outside a restore job.
      */
     void audit(Cycle now) const;
 
@@ -75,52 +102,31 @@ class BackupEngine : public ResponseSinkIf
     std::uint32_t
     stagingOccupancy() const
     {
-        return static_cast<std::uint32_t>(buffer_.size());
+        return job_ ? job_->linesStaged - job_->linesSent : 0;
     }
 
     /** Lines still waiting for a staging-buffer slot. */
     std::uint32_t
     stagingBacklog() const
     {
-        return static_cast<std::uint32_t>(pendingLines_.size());
+        return job_ ? job_->linesTotal - job_->linesStaged : 0;
     }
 
     /**
-     * Drop the accounting for one already-issued line of @p cta_hw_id's
-     * job so tests can fabricate a conservation violation. Never call
-     * from simulator code.
+     * Count @p delta more lines as sent than are done or outstanding, so
+     * tests can fabricate a conservation violation. Never call from
+     * simulator code.
      */
-    void tamperJobForTest(std::uint32_t cta_hw_id, std::uint32_t delta);
+    void tamperJobForTest(std::uint32_t delta);
 
   private:
-    struct Transfer
-    {
-        std::uint32_t ctaHwId;
-        RegNum reg;
-        Addr memAddr;
-        bool isBackup;
-    };
+    void start(const Job &job);
 
-    struct Job
-    {
-        std::uint32_t linesTotal = 0;
-        std::uint32_t linesDone = 0;
-        bool isBackup = true;
-
-        bool done() const { return linesDone == linesTotal; }
-    };
-
-    const GpuConfig &gpu_;
     LbConfig lb_;
     Sm *sm_;
-    SimStats *stats_;
-    /** Lines waiting for a staging-buffer slot. */
-    std::deque<Transfer> pendingLines_;
-    /** Staging buffer contents (bounded by lb_.backupBufferEntries). */
-    std::deque<Transfer> buffer_;
-    std::unordered_map<std::uint32_t, Job> jobs_;
-    /** Restore responses outstanding: memAddr -> cta. */
-    std::unordered_map<Addr, std::uint32_t> pendingRestores_;
+    std::optional<Job> job_;
+    /** Restore responses outstanding, by line address. */
+    std::unordered_set<Addr> pendingRestores_;
 };
 
 } // namespace lbsim

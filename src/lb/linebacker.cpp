@@ -24,10 +24,10 @@ backupRegionBase(std::uint32_t sm_id)
 Linebacker::Linebacker(const GpuConfig &gpu, const LbConfig &lb,
                        const SchemeConfig &scheme, Sm *sm,
                        SimStats *stats, SmControllerIf *inner)
-    : gpu_(gpu), lb_(lb), scheme_(scheme), sm_(sm), stats_(stats),
+    : lb_(lb), scheme_(scheme), sm_(sm), stats_(stats),
       inner_(inner), lm_(lb_), vtt_(gpu, lb_, stats),
       ctaMgr_(gpu.maxCtasPerSm),
-      engine_(std::make_unique<BackupEngine>(gpu, lb_, sm, stats)),
+      engine_(std::make_unique<BackupEngine>(lb_, sm)),
       nextWindowEnd_(lb.monitorPeriod)
 {
     sm->setRestoreSink(engine_.get());
@@ -104,25 +104,16 @@ Linebacker::onCycle(Sm &sm, Cycle now)
 
     engine_->tick(now);
 
-    // Backup completion gates victim-space activation (C bit).
-    if (backupWaitCta_ >= 0 &&
-        engine_->backupComplete(static_cast<std::uint32_t>(backupWaitCta_))) {
-        ctaMgr_.markBackupComplete(
-            static_cast<std::uint32_t>(backupWaitCta_));
-        engine_->clearJob(static_cast<std::uint32_t>(backupWaitCta_));
-        backupWaitCta_ = -1;
-        resizeVictimSpace(sm, now);
-    }
-
-    // Restore completion re-activates the CTA.
-    if (restoreWaitCta_ >= 0 &&
-        engine_->restoreComplete(
-            static_cast<std::uint32_t>(restoreWaitCta_))) {
-        const auto cta_id = static_cast<std::uint32_t>(restoreWaitCta_);
-        engine_->clearJob(cta_id);
-        restoreWaitCta_ = -1;
-        sm.setCtaActive(cta_id, true, now);
-        ++stats_->ctaActivateEvents;
+    if (const auto done = engine_->takeFinished()) {
+        if (done->isBackup) {
+            // Backup completion gates victim-space activation (C bit).
+            ctaMgr_.markBackupComplete(done->ctaHwId);
+            resizeVictimSpace(sm, now);
+        } else {
+            // Restore completion re-activates the CTA.
+            sm.setCtaActive(done->ctaHwId, true, now);
+            ++stats_->ctaActivateEvents;
+        }
     }
 
     // Injected partition revocation: drop one active VTT partition
@@ -164,8 +155,8 @@ Linebacker::audit(const Sm &sm, Cycle now) const
     // space than the register file actually has idle. Transfers in
     // flight transiently blur the boundary, so only settled states are
     // checked.
-    if (phase_ == Phase::Active && !vtt_.tagOnlyMode() &&
-        backupWaitCta_ < 0 && restoreWaitCta_ < 0) {
+    const BackupEngine::Job *transfer = engine_->job();
+    if (phase_ == Phase::Active && !vtt_.tagOnlyMode() && !transfer) {
         LB_AUDIT(vtt_.capacityLines() <= availableVictimRegs(sm),
                  "VTT claims %u victim lines but only %u idle registers "
                  "back them",
@@ -178,7 +169,8 @@ Linebacker::audit(const Sm &sm, Cycle now) const
     for (const Cta &cta : sm.ctas()) {
         if (!cta.valid)
             continue;
-        if (static_cast<std::int32_t>(cta.hwId) == restoreWaitCta_)
+        if (transfer && !transfer->isBackup &&
+            transfer->ctaHwId == cta.hwId)
             continue;
         LB_AUDIT(ctaMgr_.info(cta.hwId).act == cta.active,
                  "CTA %u is %s in the SM but %s in the CTA manager",
@@ -190,126 +182,54 @@ Linebacker::audit(const Sm &sm, Cycle now) const
 void
 Linebacker::endWindow(Sm &sm, Cycle now)
 {
-    switch (phase_) {
-      case Phase::Monitoring: {
-        // Close the IPC window every period so the unthrottled reference
-        // is a genuine per-window IPC, not an inflated cumulative value.
-        ipc_.endWindow(sm.instructionsIssued(), lb_.monitorPeriod);
+    WindowPhase window = WindowPhase::Active;
+    if (phase_ == Phase::Disabled)
+        return;
+    if (phase_ == Phase::Monitoring) {
         const MonitorState state = lm_.endWindow();
-        if (state == MonitorState::Selected) {
-            phase_ = Phase::Active;
+        window = state == MonitorState::Selected ? WindowPhase::Selection
+                                                 : WindowPhase::Monitoring;
+        if (state != MonitorState::Monitoring) {
+            // Selected: victim caching starts. Disabled: the kernel is
+            // cache insensitive, and the resize frees every partition.
+            phase_ = state == MonitorState::Selected ? Phase::Active
+                                                     : Phase::Disabled;
             vtt_.setTagOnlyMode(false);
             resizeVictimSpace(sm, now);
-            if (!statsRecorded_ && sm.id() == 0) {
+            if (sm.id() == 0) {
                 stats_->monitoringPeriods = lm_.windowsUsed();
-                stats_->selectedLoads = lm_.selectedCount();
-                statsRecorded_ = true;
-            }
-            // The kernel is cache sensitive: proactively throttle one CTA
-            // right after the monitoring period (Section 3.2). The last
-            // monitoring window serves as the unthrottled reference.
-            refIpc_ = ipc_.currentIpc();
-            if (scheme_.throttle == ThrottleMode::DynamicCta)
-                throttleOne(sm, now);
-        } else if (state == MonitorState::Disabled) {
-            phase_ = Phase::Disabled;
-            vtt_.setTagOnlyMode(false);
-            vtt_.setActivePartitions(0);
-            if (!statsRecorded_ && sm.id() == 0) {
-                stats_->monitoringPeriods = lm_.windowsUsed();
-                stats_->selectedLoads = 0;
-                statsRecorded_ = true;
+                stats_->selectedLoads = lm_.selectedCount(); // 0: disabled
             }
         }
-        break;
-      }
-      case Phase::Active: {
-        if (scheme_.throttle != ThrottleMode::DynamicCta)
-            break;
-        ipc_.endWindow(sm.instructionsIssued(), lb_.monitorPeriod);
-        // Postpone decisions while a backup/restore is still in flight;
-        // the IPC sample would mix two configurations.
-        if (backupWaitCta_ >= 0 || restoreWaitCta_ >= 0)
-            break;
-        // The window right after a configuration change carries the
-        // transition transient (backup traffic, cold victim lines);
-        // decisions compare settled windows against the last settled
-        // reference.
-        if (settle_) {
-            settle_ = false;
-            break;
-        }
-        const double cur = ipc_.currentIpc();
-        const double var =
-            refIpc_ > 0.0 ? (cur - refIpc_) / refIpc_ : 0.0;
+    }
+    if (scheme_.throttle != ThrottleMode::DynamicCta)
+        return;
 
-        // Remember the best settled configuration. The record decays
-        // slowly so a stale transient peak cannot be chased forever.
-        bestIpc_ *= 0.99;
-        if (cur > bestIpc_) {
-            bestIpc_ = cur;
-            bestActiveCtas_ = sm.activeCtaCount();
-        }
-        // Opt-in controller trace (set LBTRACE=1): one line per decision
-        // window on SM 0, for tuning and debugging throttle behaviour.
-        if (envFlag("LBTRACE") && sm.id() == 0) {
-            std::fprintf(stderr,
-                         "lbtrace cyc=%llu ipc=%.3f ref=%.3f var=%+.2f "
-                         "activeCtas=%u vttParts=%u lastAction=%d\n",
-                         static_cast<unsigned long long>(now), cur,
-                         refIpc_, var, sm.activeCtaCount(),
-                         vtt_.activePartitions(),
-                         static_cast<int>(lastAction_));
-        }
-        if (var > lb_.ipcVarUpper) {
-            consecutiveBad_ = 0;
-            // An IPC rise right after undoing a bad throttle is the
-            // recovery itself, not evidence that throttling helps —
-            // re-throttling here would oscillate forever.
-            if (lastAction_ == LastAction::Activated) {
-                lastAction_ = LastAction::None;
-                refIpc_ = cur;
-            } else if (sm.activeCtaCount() > 1) {
-                refIpc_ = cur;
-                throttleOne(sm, now);
-            }
-        } else if (var < lb_.ipcVarLower) {
-            // A single bad window right after marching is often an
-            // overshoot; persistent degradation (two windows) reverts.
-            const bool fresh_overshoot =
-                lastAction_ == LastAction::Throttled;
-            ++consecutiveBad_;
-            if ((fresh_overshoot || consecutiveBad_ >= 2) &&
-                reactivateOne(sm, now)) {
-                lastAction_ = LastAction::Activated;
-                settle_ = true;
-                consecutiveBad_ = 0;
-                refIpc_ = cur;
-            } else if (consecutiveBad_ >= 2) {
-                // Nothing to re-activate; track the measured state so the
-                // controller is not stuck against a stale high-water
-                // mark.
-                refIpc_ = cur;
-                consecutiveBad_ = 0;
-            }
-        } else {
-            consecutiveBad_ = 0;
-            lastAction_ = LastAction::None;
-            refIpc_ = cur;
-            // Well below the best configuration on record (e.g.\ after
-            // reverting on a CTA-rotation transient): step back toward
-            // it rather than idling in an inferior state.
-            if (cur < 0.85 * bestIpc_) {
-                const std::uint32_t active = sm.activeCtaCount();
-                if (active > bestActiveCtas_ && active > 1)
-                    throttleOne(sm, now);
-                else if (active < bestActiveCtas_)
-                    reactivateOne(sm, now);
-            }
-        }
+    const WindowSample sample{window, sm.instructionsIssued(),
+                              sm.activeCtaCount(),
+                              reactivationCandidate(sm) >= 0,
+                              engine_->job() != nullptr};
+    const ThrottleDecision decision = decideWindow(policy_, sample, lb_);
+    // Opt-in controller trace (set LBTRACE=1): one line per decision.
+    if (decision.reason != ThrottleReason::Monitoring &&
+        envFlag("LBTRACE")) {
+        std::fprintf(stderr,
+                     "lbtrace sm=%u cyc=%llu reason=%s action=%s "
+                     "ipc=%.3f ref=%.3f activeCtas=%u\n",
+                     sm.id(), static_cast<unsigned long long>(now),
+                     reasonName(decision.reason),
+                     actionName(decision.action), decision.ipc,
+                     policy_.refIpc, sample.activeCtas);
+    }
+    policy_ = decision.next;
+    switch (decision.action) {
+      case ThrottleAction::Throttle:
+        throttleOne(sm, now);
         break;
-      }
-      case Phase::Disabled:
+      case ThrottleAction::Reactivate:
+        reactivateOne(sm, now);
+        break;
+      case ThrottleAction::None:
         break;
     }
 }
@@ -318,57 +238,53 @@ void
 Linebacker::throttleOne(Sm &sm, Cycle now)
 {
     const std::int32_t cta_id = sm.highestActiveCta();
-    if (cta_id < 0)
-        return;
+    LB_ASSERT(cta_id >= 0, "throttle with no active CTA");
+    LB_ASSERT(!engine_->job(), "throttle while CTA %u is in transfer",
+              engine_->job()->ctaHwId);
     const Cta &cta = sm.cta(static_cast<std::uint32_t>(cta_id));
-    sm.setCtaActive(static_cast<std::uint32_t>(cta_id), false, now);
+    sm.setCtaActive(cta.hwId, false, now);
     ++stats_->ctaThrottleEvents;
 
-    lastAction_ = LastAction::Throttled;
-    settle_ = true;
-    const Addr ba = ctaMgr_.markThrottled(static_cast<std::uint32_t>(cta_id));
+    const Addr ba = ctaMgr_.markThrottled(cta.hwId);
     if (scheme_.backupRegisters) {
-        engine_->startBackup(static_cast<std::uint32_t>(cta_id),
-                             cta.firstRegNum, cta.numRegs, ba, now);
-        backupWaitCta_ = cta_id;
+        engine_->startBackup(cta.hwId, cta.firstRegNum, cta.numRegs, ba);
     } else {
-        ctaMgr_.markBackupComplete(static_cast<std::uint32_t>(cta_id));
+        ctaMgr_.markBackupComplete(cta.hwId);
         resizeVictimSpace(sm, now);
     }
 }
 
-bool
-Linebacker::reactivateOne(Sm &sm, Cycle now)
+std::int32_t
+Linebacker::reactivationCandidate(const Sm &sm) const
 {
     // One transfer at a time, and never re-activate a CTA whose backup
     // has not finished draining (the restore would race the backup
     // writes for the same register image).
-    if (restoreWaitCta_ >= 0 || backupWaitCta_ >= 0)
-        return false;
-    const std::int32_t cta_id = sm.lowestInactiveCta();
-    if (cta_id < 0)
-        return false;
-    if (scheme_.backupRegisters &&
-        !ctaMgr_.info(static_cast<std::uint32_t>(cta_id)).c) {
-        return false;
-    }
+    const std::int32_t cta = engine_->job() ? -1 : sm.lowestInactiveCta();
+    const bool backed_up =
+        cta >= 0 && (!scheme_.backupRegisters ||
+                     ctaMgr_.info(static_cast<std::uint32_t>(cta)).c);
+    return backed_up ? cta : -1;
+}
+
+void
+Linebacker::reactivateOne(Sm &sm, Cycle now)
+{
+    const std::int32_t cta_id = reactivationCandidate(sm);
+    LB_ASSERT(cta_id >= 0, "re-activation with no CTA ready for it");
     const Cta &cta = sm.cta(static_cast<std::uint32_t>(cta_id));
 
     // The victim lines stored in this CTA's registers are clean, so the
     // space can be reclaimed immediately; shrink the VTT first.
-    const Addr ba =
-        ctaMgr_.markReactivated(static_cast<std::uint32_t>(cta_id));
+    const Addr ba = ctaMgr_.markReactivated(cta.hwId);
     resizeVictimSpace(sm, now);
 
     if (scheme_.backupRegisters) {
-        engine_->startRestore(static_cast<std::uint32_t>(cta_id),
-                              cta.firstRegNum, cta.numRegs, ba, now);
-        restoreWaitCta_ = cta_id;
+        engine_->startRestore(cta.hwId, cta.firstRegNum, cta.numRegs, ba);
     } else {
-        sm.setCtaActive(static_cast<std::uint32_t>(cta_id), true, now);
+        sm.setCtaActive(cta.hwId, true, now);
         ++stats_->ctaActivateEvents;
     }
-    return true;
 }
 
 std::uint64_t
@@ -421,20 +337,30 @@ bool
 Linebacker::onSchedulingOpportunity(Sm &sm, Cycle now)
 {
     // A finished CTA frees resources: re-activate a throttled CTA before
-    // the dispatcher launches a fresh one (Section 3.2, P5).
-    if (sm.lowestInactiveCta() < 0 || restoreWaitCta_ >= 0)
+    // the dispatcher launches a fresh one (Section 3.2, P5). The window
+    // policy does not hear of it.
+    if (reactivationCandidate(sm) < 0)
         return false;
-    return reactivateOne(sm, now);
+    if (envFlag("LBTRACE")) {
+        std::fprintf(stderr,
+                     "lbtrace sm=%u cyc=%llu reason=%s action=%s "
+                     "activeCtas=%u\n",
+                     sm.id(), static_cast<unsigned long long>(now),
+                     reasonName(ThrottleReason::SlotFreed),
+                     actionName(ThrottleAction::Reactivate),
+                     sm.activeCtaCount());
+    }
+    reactivateOne(sm, now);
+    return true;
 }
 
 void
 Linebacker::onMeasurementReset(Sm &sm, Cycle now)
 {
-    (void)now;
     victimRegAccum_ = 0.0;
     // The reset wiped the monitoring stats recorded at selection time;
     // restore them so Fig 9 reporting survives the warm-up boundary.
-    if (sm.id() == 0 && statsRecorded_) {
+    if (sm.id() == 0 && lm_.state() != MonitorState::Monitoring) {
         stats_->monitoringPeriods = lm_.windowsUsed();
         stats_->selectedLoads = lm_.selectedCount();
     }
@@ -529,13 +455,16 @@ Linebacker::statusString() const
         phase = "active";
     else if (phase_ == Phase::Disabled)
         phase = "disabled";
+    const BackupEngine::Job *job = engine_->job();
+    const int cta = job ? static_cast<int>(job->ctaHwId) : -1;
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "linebacker: phase=%s vttParts=%u staging=%u backlog=%u "
                   "backupWait=%d restoreWait=%d\n",
                   phase, vtt_.activePartitions(),
                   engine_->stagingOccupancy(), engine_->stagingBacklog(),
-                  backupWaitCta_, restoreWaitCta_);
+                  job && job->isBackup ? cta : -1,
+                  job && !job->isBackup ? cta : -1);
     return buf;
 }
 

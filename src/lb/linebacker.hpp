@@ -83,8 +83,9 @@ class Linebacker : public SmControllerIf, public VictimCacheIf
      * (setEntryForTest). Never call from simulator code.
      */
     VictimTagTable &vttForTest() { return vtt_; }
-    const CtaManager &ctaManager() const { return ctaMgr_; }
-    const BackupEngine &backupEngine() const { return *engine_; }
+
+    /** The throttle controller's state between windows. */
+    const ThrottleState &throttleState() const { return policy_; }
 
     /** Windows the Load Monitor consumed (Fig 9 annotation). */
     std::uint32_t monitoringWindows() const { return lm_.windowsUsed(); }
@@ -120,13 +121,14 @@ class Linebacker : public SmControllerIf, public VictimCacheIf
     void endWindow(Sm &sm, Cycle now);
     void resizeVictimSpace(Sm &sm, Cycle now);
     void throttleOne(Sm &sm, Cycle now);
-    bool reactivateOne(Sm &sm, Cycle now);
+    void reactivateOne(Sm &sm, Cycle now);
+    /** The CTA a re-activation would restore now, or -1 if none may. */
+    std::int32_t reactivationCandidate(const Sm &sm) const;
     bool lineBelongsToSelectedLoad(std::uint8_t hpc) const;
 
     /** Registers in [victimRegOffset, total) usable as victim space. */
     std::uint32_t availableVictimRegs(const Sm &sm) const;
 
-    const GpuConfig &gpu_;
     LbConfig lb_;
     SchemeConfig scheme_;
     Sm *sm_;
@@ -135,36 +137,13 @@ class Linebacker : public SmControllerIf, public VictimCacheIf
 
     LoadMonitor lm_;
     VictimTagTable vtt_;
-    IpcMonitor ipc_;
     CtaManager ctaMgr_;
     std::unique_ptr<BackupEngine> engine_;
 
-    /** Last throttling action, for oscillation hysteresis. */
-    enum class LastAction
-    {
-        None,
-        Throttled,
-        Activated,
-    };
-
     Phase phase_ = Phase::Monitoring;
-    LastAction lastAction_ = LastAction::None;
-    /** IPC of the last settled configuration (decision reference). */
-    double refIpc_ = 0.0;
-    /** Skip one window after a configuration change before deciding. */
-    bool settle_ = false;
-    /** Consecutive below-lower-bound windows (reverts need two). */
-    std::uint32_t consecutiveBad_ = 0;
-    /** Best settled window IPC seen (decayed) and its CTA count. */
-    double bestIpc_ = 0.0;
-    std::uint32_t bestActiveCtas_ = 0;
+    ThrottleState policy_;
     Cycle nextWindowEnd_;
-    /** CTA awaiting backup completion before its space joins the VTT. */
-    std::int32_t backupWaitCta_ = -1;
-    /** CTA awaiting restore completion before re-activation. */
-    std::int32_t restoreWaitCta_ = -1;
     double victimRegAccum_ = 0.0;
-    bool statsRecorded_ = false;
 };
 
 } // namespace lbsim

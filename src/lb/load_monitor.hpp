@@ -34,6 +34,9 @@ enum class MonitorState
 class LoadMonitor
 {
   public:
+    /** Table entries, indexed by the 5-bit hashed PC (Table 3). */
+    static constexpr std::uint32_t kEntries = 32;
+
     explicit LoadMonitor(const LbConfig &cfg);
 
     /** Record one load outcome (L1 hit or victim-tag hit counts as hit). */
@@ -66,7 +69,7 @@ class LoadMonitor
     };
 
     /** Per-entry stats of the most recently closed window. */
-    const std::array<WindowEntry, 32> &lastWindow() const
+    const std::array<WindowEntry, kEntries> &lastWindow() const
     {
         return lastWindow_;
     }
@@ -81,8 +84,6 @@ class LoadMonitor
         /** bit0: current-window classification, bit1: previous window. */
         std::uint8_t valid = 0;
     };
-
-    static constexpr std::uint32_t kEntries = 32;
 
     LbConfig cfg_;
     std::array<Entry, kEntries> entries_{};

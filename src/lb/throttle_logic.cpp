@@ -1,6 +1,7 @@
 #include "lb/throttle_logic.hpp"
 
 #include <cstdio>
+#include <iterator>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -8,12 +9,134 @@
 namespace lbsim
 {
 
-void
-IpcMonitor::endWindow(std::uint64_t instructions_issued, Cycle period)
+const char *
+reasonName(ThrottleReason reason)
 {
-    const std::uint64_t delta = instructions_issued - lastIssued_;
-    lastIssued_ = instructions_issued;
-    currentIpc_ = period ? static_cast<double>(delta) / period : 0.0;
+    static const char *const kNames[] = {
+        "Monitoring", "Proactive", "TransferWait",   "Settle",
+        "Rise",       "Recovery",  "Floor",          "Overshoot",
+        "Degraded",   "FirstFall", "StaleReference", "Stable",
+        "StepBack",   "SlotFreed",
+    };
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(ThrottleReason::SlotFreed) + 1);
+    return kNames[static_cast<std::size_t>(reason)];
+}
+
+const char *
+actionName(ThrottleAction action)
+{
+    static const char *const kNames[] = {"none", "throttle", "reactivate"};
+    return kNames[static_cast<std::size_t>(action)];
+}
+
+ThrottleDecision
+decideWindow(const ThrottleState &state, const WindowSample &sample,
+             const LbConfig &lb)
+{
+    using Act = ThrottleAction;
+    using Why = ThrottleReason;
+    ThrottleDecision d{Act::None, Why::Monitoring, 0.0, state};
+    ThrottleState &next = d.next;
+    next.windowStartIssued = sample.instructionsIssued;
+    const std::uint64_t issued =
+        sample.instructionsIssued - state.windowStartIssued;
+    const double cur = d.ipc =
+        lb.monitorPeriod ? static_cast<double>(issued) / lb.monitorPeriod
+                         : 0.0;
+    const auto decide = [&](Act action, Why reason) {
+        d.action = action;
+        d.reason = reason;
+        // The window after a throttle carries its transient (backup
+        // traffic, cold victim lines) and is skipped.
+        if (action == Act::Throttle) {
+            next.lastAction = Act::Throttle;
+            next.settle = true;
+        }
+        return d;
+    };
+
+    if (sample.phase == WindowPhase::Monitoring)
+        return d;
+    if (sample.phase == WindowPhase::Selection) {
+        // The kernel is cache sensitive: proactively throttle one CTA
+        // right after the monitoring period (Section 3.2). The last
+        // monitoring window serves as the unthrottled reference.
+        next.refIpc = cur;
+        return decide(sample.activeCtas > 0 ? Act::Throttle : Act::None,
+                      Why::Proactive);
+    }
+    // Postpone decisions while a backup/restore is still in flight; the
+    // IPC sample would mix two configurations.
+    if (sample.transferInFlight)
+        return decide(Act::None, Why::TransferWait);
+    // Decisions compare settled windows against the last settled
+    // reference.
+    if (state.settle) {
+        next.settle = false;
+        return decide(Act::None, Why::Settle);
+    }
+    const double var =
+        state.refIpc > 0.0 ? (cur - state.refIpc) / state.refIpc : 0.0;
+
+    // Remember the best settled configuration. The record decays slowly
+    // so a stale transient peak cannot be chased forever.
+    next.bestIpc *= 0.99;
+    if (cur > next.bestIpc) {
+        next.bestIpc = cur;
+        next.bestActiveCtas = sample.activeCtas;
+    }
+
+    if (var > lb.ipcVarUpper) {
+        next.consecutiveBad = 0;
+        // An IPC rise right after undoing a bad throttle is the recovery
+        // itself, not evidence that throttling helps — re-throttling
+        // here would oscillate forever.
+        if (state.lastAction == Act::Reactivate) {
+            next.lastAction = Act::None;
+            next.refIpc = cur;
+            return decide(Act::None, Why::Recovery);
+        }
+        if (sample.activeCtas <= 1)
+            return decide(Act::None, Why::Floor);
+        next.refIpc = cur;
+        return decide(Act::Throttle, Why::Rise);
+    }
+    if (var < lb.ipcVarLower) {
+        // A single bad window right after marching is often an
+        // overshoot; persistent degradation (two windows) reverts.
+        const bool fresh = state.lastAction == Act::Throttle;
+        ++next.consecutiveBad;
+        if ((fresh || next.consecutiveBad >= 2) && sample.canReactivate) {
+            next.lastAction = Act::Reactivate;
+            next.settle = true;
+            next.consecutiveBad = 0;
+            next.refIpc = cur;
+            return decide(Act::Reactivate,
+                          fresh ? Why::Overshoot : Why::Degraded);
+        }
+        if (next.consecutiveBad < 2)
+            return decide(Act::None, Why::FirstFall);
+        // Nothing to re-activate; track the measured state so the
+        // controller is not stuck against a stale high-water mark.
+        next.refIpc = cur;
+        next.consecutiveBad = 0;
+        return decide(Act::None, Why::StaleReference);
+    }
+    next.consecutiveBad = 0;
+    next.lastAction = Act::None;
+    next.refIpc = cur;
+    // Well below the best configuration on record (e.g.\ after reverting
+    // on a CTA-rotation transient): step back toward it rather than
+    // idling in an inferior state.
+    if (cur < 0.85 * next.bestIpc) {
+        const std::uint32_t active = sample.activeCtas;
+        if (active > next.bestActiveCtas && active > 1)
+            return decide(Act::Throttle, Why::StepBack);
+        if (active < next.bestActiveCtas && sample.canReactivate)
+            return decide(Act::Reactivate, Why::StepBack);
+    }
+    return decide(Act::None, Why::Stable);
 }
 
 CtaManager::CtaManager(std::uint32_t max_ctas) : table_(max_ctas)

@@ -13,11 +13,15 @@ pinned here end-to-end against the real binaries.
   lbsim_figures: 0 ok, 1 artifact not written, 2 usage error (unknown
                  option or id, --json <path> with --fig all)
 
+It also pins LBTRACE=1: the controller trace goes to stderr, names a
+known rule on every line, and leaves stdout byte-identical.
+
 Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit> <lbsim_figures>
 """
 
 import json
 import os
+import re
 import signal
 import socket
 import struct
@@ -74,6 +78,42 @@ def test_cli_ok_exit_code(cli, tmp):
     ])
     check("cli healthy run exits 0", proc.returncode == 0,
           f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
+
+
+# The controller decisions' reasons (reasonName in lb/throttle_logic.cpp).
+# "Monitoring" windows are not decisions and are never traced.
+TRACE_REASONS = {
+    "Proactive", "TransferWait", "Settle", "Rise", "Recovery", "Floor",
+    "Overshoot", "Degraded", "FirstFall", "StaleReference", "Stable",
+    "StepBack", "SlotFreed",
+}
+
+
+def test_lbtrace_names_the_rule(cli, tmp):
+    """LBTRACE=1 prints one stderr line per controller decision on every
+    SM, naming its rule, and changes nothing on stdout."""
+    cmd = [cli, "--app", "PF", "--scheme", "linebacker", "--no-cache"]
+    plain = run(cmd, cwd=tmp)
+    traced = run(cmd, cwd=tmp, env=dict(os.environ, LBTRACE="1"))
+    check("cli traced and plain runs exit 0",
+          plain.returncode == 0 and traced.returncode == 0,
+          f"rc={plain.returncode}/{traced.returncode}")
+    check("LBTRACE leaves stdout byte-identical",
+          plain.stdout == traced.stdout)
+    check("no trace without LBTRACE", "lbtrace" not in plain.stderr,
+          plain.stderr[-200:])
+    lines = [line for line in traced.stderr.splitlines()
+             if line.startswith("lbtrace ")]
+    fields = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines]
+    check("LBTRACE prints controller decisions", len(lines) > 0,
+          traced.stderr[-200:])
+    check("LBTRACE covers every SM",
+          {f.get("sm") for f in fields} == {"0", "1"},
+          str(sorted({str(f.get("sm")) for f in fields})))
+    unknown = [line for line, f in zip(lines, fields)
+               if f.get("reason") not in TRACE_REASONS]
+    check("every trace line names a known reason", not unknown,
+          "; ".join(unknown[:3]))
 
 
 def test_cli_rejects_unknown_options(cli):
@@ -276,6 +316,7 @@ def main():
         test_cli_ok_exit_code(cli, tmp)
         test_cli_hang_exit_code(cli, tmp)
         test_cli_rejects_unknown_options(cli)
+        test_lbtrace_names_the_rule(cli, tmp)
         test_bad_numeric_values(cli, submit)
         test_submit_usage_and_connect_errors(submit, tmp)
         test_front_ends_refuse_unlisted_options(daemon, submit, figures,

@@ -438,8 +438,7 @@ struct BackupAuditFixture : AuditFixture
     {
         cfg = GpuConfig{}.scaleTo(1);
         gpu = std::make_unique<Gpu>(cfg);
-        engine = std::make_unique<BackupEngine>(cfg, lb, &gpu->sm(0),
-                                                &gpu->stats());
+        engine = std::make_unique<BackupEngine>(lb, &gpu->sm(0));
         gpu->sm(0).setRestoreSink(engine.get());
     }
 
@@ -451,7 +450,7 @@ struct BackupAuditFixture : AuditFixture
 
 TEST_F(BackupAuditFixture, HealthyBackupJobPasses)
 {
-    engine->startBackup(0, 0, 16, Addr{1} << 20, 0);
+    engine->startBackup(0, 0, 16, Addr{1} << 20);
     engine->audit(0);
     for (Cycle c = 0; c < 8; ++c) {
         engine->tick(gpu->now());
@@ -463,10 +462,10 @@ TEST_F(BackupAuditFixture, HealthyBackupJobPasses)
 
 TEST_F(BackupAuditFixture, LostRegisterLineTrips)
 {
-    engine->startBackup(0, 0, 16, Addr{1} << 20, 0);
-    // Claim the job covers more lines than were ever queued: the
-    // conservation sum can no longer reach linesTotal.
-    engine->tamperJobForTest(0, 4);
+    engine->startBackup(0, 0, 16, Addr{1} << 20);
+    // Claim more lines were staged than the buffer and memory hold: the
+    // conservation sum can no longer reach linesStaged.
+    engine->tamperJobForTest(4);
     engine->audit(0);
     EXPECT_TRUE(fired("lost a register line"));
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hpp"
+#include "lb/load_monitor.hpp"
 
 namespace lbsim
 {
@@ -75,7 +76,7 @@ TEST(LbConfig, Table3Defaults)
     EXPECT_EQ(lb.vttWays, 4u);
     EXPECT_EQ(lb.vttMaxPartitions, 8u);
     EXPECT_EQ(lb.vttAccessLatency, 3u);
-    EXPECT_EQ(lb.loadMonitorEntries, 32u);
+    EXPECT_EQ(LoadMonitor::kEntries, 32u);
     EXPECT_EQ(lb.backupBufferEntries, 6u);
     // 48 sets x 4 ways = 192 victim lines (24 KB) per partition.
     EXPECT_EQ(lb.partitionEntries(48), 192u);

@@ -103,6 +103,24 @@ TEST_F(LinebackerFixture, ThrottlingBacksUpRegisters)
     EXPECT_EQ(stats.dramBackupWrites % kernel.regsPerCta(), 0u);
 }
 
+TEST_F(LinebackerFixture, SlotFreedReactivationTouchesNoPolicyState)
+{
+    // P5: a freed slot re-activates a throttled CTA outside the window
+    // rule, which does not hear of it (DESIGN.md §6).
+    build(SchemeConfig::linebacker());
+    gpu->runKernel(kernel);
+    Sm &sm = gpu->sm(0);
+    ASSERT_GE(sm.lowestInactiveCta(), 0);
+    const ThrottleState before = lbu->throttleState();
+    const SimStats stats_before = gpu->stats();
+    ASSERT_TRUE(lbu->onSchedulingOpportunity(sm, gpu->now()));
+    EXPECT_EQ(lbu->throttleState(), before);
+    // The restore is in flight: a second opportunity must wait for it.
+    EXPECT_FALSE(lbu->onSchedulingOpportunity(sm, gpu->now()));
+    EXPECT_EQ(gpu->stats().ctaActivateEvents,
+              stats_before.ctaActivateEvents);
+}
+
 TEST_F(LinebackerFixture, VictimSpaceRespectsIdleRegisters)
 {
     build(SchemeConfig::linebacker());

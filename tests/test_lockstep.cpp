@@ -395,6 +395,11 @@ TEST(FuzzCaseSerialization, RoundTripsExactly)
         std::string error;
         ASSERT_TRUE(parseFuzzCase(text, parsed, error)) << error;
         EXPECT_EQ(serializeFuzzCase(parsed), text);
+        // Older repro files still carry the retired Load Monitor size.
+        ASSERT_TRUE(parseFuzzCase(text + "lb.loadMonitor" "Entries=8\n",
+                                  parsed, error))
+            << error;
+        EXPECT_EQ(serializeFuzzCase(parsed), text);
     }
 }
 
