@@ -88,9 +88,9 @@ struct GpuConfig
     /**
      * Ignored: the SMs of one simulation tick serially (DESIGN.md §13).
      * Still declared so that older callers which set it keep compiling;
-     * nothing in the simulator reads it.
+     * nothing in the simulator reads it, so no visitor names it.
      */
-    std::uint32_t smThreads = 1;
+    std::uint32_t smThreads = 1; // NOLINT(lbsim-stat-registry)
 
     /**
      * Forward-progress watchdog: terminate the run once this many cycles
@@ -123,6 +123,57 @@ struct GpuConfig
     GpuConfig scaleTo(std::uint32_t sms) const;
 };
 
+/**
+ * Apply @p fn("name", field) to every GpuConfig field that can change a
+ * result, the L1/L2 geometry and DRAM timing flattened in, in a fixed
+ * order.
+ *
+ * This is the single enumeration of a run's chip inputs: the memo-cache
+ * key and the fuzz case format both walk it, and lbsim-lint fails on a
+ * field it does not name, so a new knob cannot return stale cache hits
+ * or drop out of a repro file. The order is part of the memo key.
+ * @p Config may be const or mutable GpuConfig.
+ */
+template <typename Config, typename Fn>
+void
+forEachGpuConfigField(Config &c, Fn &&fn)
+{
+    fn("numSms", c.numSms);
+    fn("clockGhz", c.clockGhz);
+    fn("simdWidth", c.simdWidth);
+    fn("maxThreadsPerSm", c.maxThreadsPerSm);
+    fn("maxWarpsPerSm", c.maxWarpsPerSm);
+    fn("maxCtasPerSm", c.maxCtasPerSm);
+    fn("schedulersPerSm", c.schedulersPerSm);
+    fn("registerFileBytesPerSm", c.registerFileBytesPerSm);
+    fn("registerFileBanks", c.registerFileBanks);
+    fn("sharedMemBytesPerSm", c.sharedMemBytesPerSm);
+    fn("l1SizeBytes", c.l1.sizeBytes);
+    fn("l1Ways", c.l1.ways);
+    fn("l1LineBytes", c.l1.lineBytes);
+    fn("l1MshrEntries", c.l1MshrEntries);
+    fn("l1MshrMergesPerEntry", c.l1MshrMergesPerEntry);
+    fn("l1HitLatency", c.l1HitLatency);
+    fn("l2SizeBytes", c.l2.sizeBytes);
+    fn("l2Ways", c.l2.ways);
+    fn("l2LineBytes", c.l2.lineBytes);
+    fn("l2Latency", c.l2Latency);
+    fn("icntLatency", c.icntLatency);
+    fn("numMemPartitions", c.numMemPartitions);
+    fn("dramBandwidthGBs", c.dramBandwidthGBs);
+    fn("dramRcd", c.dramTiming.rcd);
+    fn("dramRp", c.dramTiming.rp);
+    fn("dramRc", c.dramTiming.rc);
+    fn("dramRrd", c.dramTiming.rrd);
+    fn("dramCl", c.dramTiming.cl);
+    fn("dramWr", c.dramTiming.wr);
+    fn("dramRas", c.dramTiming.ras);
+    fn("dramQueueDepth", c.dramQueueDepth);
+    fn("maxCycles", c.maxCycles);
+    fn("warmupCycles", c.warmupCycles);
+    fn("watchdogCycles", c.watchdogCycles);
+}
+
 /** Linebacker microarchitectural constants (Table 3). */
 struct LbConfig
 {
@@ -143,6 +194,25 @@ struct LbConfig
         return l1Sets * vttWays;
     }
 };
+
+/**
+ * Apply @p fn("name", field) to every LbConfig field in a fixed order:
+ * the LbConfig counterpart of forEachGpuConfigField.
+ */
+template <typename Config, typename Fn>
+void
+forEachLbConfigField(Config &c, Fn &&fn)
+{
+    fn("monitorPeriod", c.monitorPeriod);
+    fn("hitRatioThreshold", c.hitRatioThreshold);
+    fn("ipcVarUpper", c.ipcVarUpper);
+    fn("ipcVarLower", c.ipcVarLower);
+    fn("vttWays", c.vttWays);
+    fn("vttMaxPartitions", c.vttMaxPartitions);
+    fn("vttAccessLatency", c.vttAccessLatency);
+    fn("backupBufferEntries", c.backupBufferEntries);
+    fn("victimRegOffset", c.victimRegOffset);
+}
 
 /** Warp-throttling flavour applied by a scheme. */
 enum class ThrottleMode

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/stats.hpp"
 
 namespace lbsim
 {
@@ -416,11 +417,7 @@ namespace
 std::string
 formatDouble(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return std::isfinite(v) ? fieldText(v) : "null";
 }
 
 } // namespace

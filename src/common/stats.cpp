@@ -1,30 +1,9 @@
 #include "common/stats.hpp"
 
-#include <cstdio>
-#include <type_traits>
 #include <vector>
 
 namespace lbsim
 {
-
-namespace
-{
-
-/** Full-precision text for one counter (doubles via %.17g). */
-template <typename T>
-std::string
-fieldText(const T &value)
-{
-    if constexpr (std::is_floating_point_v<T>) {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        return buf;
-    } else {
-        return std::to_string(value);
-    }
-}
-
-} // namespace
 
 std::string
 serializeStats(const SimStats &stats)
@@ -40,7 +19,8 @@ serializeStats(const SimStats &stats)
 }
 
 std::string
-firstStatDifference(const SimStats &a, const SimStats &b)
+firstStatDifference(const SimStats &a, const SimStats &b,
+                    const std::set<std::string> &skip)
 {
     // Walk both bags in lockstep; the shared enumeration guarantees the
     // two traversals visit the same field at the same position.
@@ -55,7 +35,7 @@ firstStatDifference(const SimStats &a, const SimStats &b)
         rhs.push_back(fieldText(value));
     });
     for (std::size_t i = 0; i < lhs.size(); ++i) {
-        if (lhs[i] != rhs[i]) {
+        if (lhs[i] != rhs[i] && skip.count(names[i]) == 0) {
             return std::string(names[i]) + ": " + lhs[i] + " vs " +
                 rhs[i];
         }

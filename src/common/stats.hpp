@@ -11,8 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hpp"
 
@@ -177,6 +180,24 @@ forEachStatField(Stats &s, Fn &&fn)
 }
 
 /**
+ * Full-precision text of one value: reals as %.17g, which reads back to
+ * the same double, whole numbers in decimal.
+ */
+template <typename T>
+std::string
+fieldText(const T &value)
+{
+    if constexpr (std::is_floating_point_v<T>) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%.17g",
+                      static_cast<double>(value));
+        return buf;
+    } else {
+        return std::to_string(value);
+    }
+}
+
+/**
  * Byte-exact textual form of every counter ("name=value" lines, doubles
  * at full precision). Two runs are bit-identical iff their serialized
  * forms compare equal.
@@ -184,9 +205,11 @@ forEachStatField(Stats &s, Fn &&fn)
 std::string serializeStats(const SimStats &stats);
 
 /**
- * Name and values of the first counter differing between @p a and @p b;
- * empty string when every counter matches exactly.
+ * Name and values of the first counter differing between @p a and @p b,
+ * leaving out the counters named in @p skip; empty string when every
+ * other counter matches exactly.
  */
-std::string firstStatDifference(const SimStats &a, const SimStats &b);
+std::string firstStatDifference(const SimStats &a, const SimStats &b,
+                                const std::set<std::string> &skip = {});
 
 } // namespace lbsim

@@ -1,7 +1,6 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "harness/oracle.hpp"
@@ -184,41 +183,25 @@ executeCellInProcess(const ExperimentCell &cell, CellResult &result)
 
 /**
  * Execute @p cell in a forked child so a crash or runaway hang cannot
- * take the sweep down. Crashed children are retried with exponential
- * backoff (a transient failure — OOM-kill under memory pressure, a
- * stray signal — deserves a second chance; a deterministic crash fails
- * every attempt identically).
+ * take the sweep down.
  */
 void
 executeCellIsolated(const ExperimentCell &cell, CellResult &result,
                     const EngineOptions &options)
 {
-    IsolationResult iso;
-    for (unsigned attempt = 0;; ++attempt) {
-        iso = runIsolatedTask(
-            [&cell]() -> std::pair<bool, std::string> {
-                SimRunner runner(cell.gpu, cell.lb, cell.options);
-                const RunMetrics m = cell.body(runner);
-                // Payload: outcome line, metrics line, hang report tail.
-                std::string payload = runOutcomeName(m.outcome);
-                payload += '\n';
-                payload += serializeRunMetrics(m);
-                payload += '\n';
-                payload += m.hangReport;
-                return {true, payload};
-            },
-            options.cellTimeoutSec);
-        if (iso.status != IsolationStatus::Crashed ||
-            attempt >= options.maxRetries)
-            break;
-        const std::uint64_t delay_ms =
-            static_cast<std::uint64_t>(options.retryBackoffMs) << attempt;
-        if (options.retrySleep)
-            options.retrySleep(attempt, delay_ms);
-        else
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay_ms));
-    }
+    const IsolationResult iso = runIsolatedTask(
+        [&cell]() -> std::pair<bool, std::string> {
+            SimRunner runner(cell.gpu, cell.lb, cell.options);
+            const RunMetrics m = cell.body(runner);
+            // Payload: outcome line, metrics line, hang report tail.
+            std::string payload = runOutcomeName(m.outcome);
+            payload += '\n';
+            payload += serializeRunMetrics(m);
+            payload += '\n';
+            payload += m.hangReport;
+            return {true, payload};
+        },
+        options.cellTimeoutSec);
 
     switch (iso.status) {
       case IsolationStatus::Ok: {
@@ -304,8 +287,8 @@ std::vector<CellResult>
 ExperimentEngine::run(const ExperimentPlan &plan) const
 {
     const std::size_t total = plan.size();
-    // Serializes onCellDone callbacks and progress lines across the
-    // worker pool, and counts completions in callback order.
+    // Serializes progress lines across the worker pool, and counts
+    // completions in print order.
     Mutex report_mutex;
     std::size_t completed = 0;
 
@@ -313,8 +296,6 @@ ExperimentEngine::run(const ExperimentPlan &plan) const
         CellResult result = runExperimentCell(plan.cells()[i], options_, i);
         MutexLock lock(report_mutex);
         const std::size_t done = ++completed;
-        if (options_.onCellDone)
-            options_.onCellDone(result, done, total);
         if (options_.printProgress) {
             std::fprintf(stderr, "[%zu/%zu] %s / %s%s%s%s%s\n", done, total,
                          result.app.c_str(), result.scheme.c_str(),

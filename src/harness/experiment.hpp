@@ -161,13 +161,6 @@ struct EngineOptions
 {
     /** Worker threads; 0 picks hardware concurrency. */
     unsigned threads = 0;
-    /**
-     * Invoked exactly once per cell, serialized across workers, with
-     * the completed count and plan size. Completion order is
-     * scheduling-dependent; result order is not.
-     */
-    std::function<void(const CellResult &, std::size_t, std::size_t)>
-        onCellDone;
     /** Emit "[done/total] app/scheme" progress lines on stderr. */
     bool printProgress = false;
 
@@ -176,29 +169,21 @@ struct EngineOptions
      * Run every cell in a forked child so a crash (or runaway hang)
      * poisons only that cell: surviving cells still land, the crashed
      * one records outcome Crashed with the child's verdict, and one that
-     * outlives cellTimeoutSec records outcome Hang.
+     * outlives cellTimeoutSec records outcome Hang. A crashed cell is
+     * not retried here: the sweep service schedules its own retries
+     * (SweepServer, --retry-backoff-ms).
      */
     bool isolateCells = false;
     /** Wall-clock guard per isolated cell in seconds; 0 disables. */
     unsigned cellTimeoutSec = 0;
-    /** Extra attempts for a Crashed (possibly transient) cell. */
-    unsigned maxRetries = 1;
-    /** Base backoff before a retry; doubles per attempt. */
-    unsigned retryBackoffMs = 50;
-    /**
-     * Test seam for the retry backoff: when set, called with the
-     * zero-based attempt number and the computed delay instead of
-     * sleeping, so tests can assert the schedule without waiting it out.
-     */
-    std::function<void(unsigned attempt, std::uint64_t delayMs)> retrySleep;
 };
 
 /**
- * Execute one cell under @p options (isolation, timeout, and retry
- * policy included) and return its result. This is the single-cell core
- * of ExperimentEngine::run, exposed so the sweep service can schedule
- * cells one at a time with its own queueing; @p index is echoed into
- * CellResult::index.
+ * Execute one cell under @p options (isolation and timeout included)
+ * and return its result. This is the single-cell core of
+ * ExperimentEngine::run, exposed so the sweep service can schedule
+ * cells one at a time with its own queueing and retries; @p index is
+ * echoed into CellResult::index.
  */
 CellResult runExperimentCell(const ExperimentCell &cell,
                              const EngineOptions &options,

@@ -38,81 +38,15 @@ durBytesForWarpLimit(const GpuConfig &cfg, const KernelInfo &kernel,
         kLineBytes;
 }
 
-std::string
-describeScheme(const SchemeConfig &s)
+/** Key text of one visited field: operator<< formatting, enums as ints. */
+template <typename T>
+void
+keyText(std::ostream &out, const T &value)
 {
-    std::ostringstream out;
-    out << s.name << ';' << static_cast<int>(s.throttle) << ';'
-        << static_cast<int>(s.victim) << ';' << s.useDynamicUnusedRegs
-        << ';' << s.backupRegisters << ';' << s.cerfUnified << ';'
-        << s.cacheExt << ';' << s.staticWarpLimit;
-    return out.str();
-}
-
-std::string
-describeApp(const AppProfile &app)
-{
-    std::ostringstream out;
-    out << app.id << ';' << app.aluPerLoad << ';' << app.loadsBackToBack
-        << ';' << app.hasStore << ';' << app.storeEveryN << ';'
-        << app.warpsPerCta << ';' << app.regsPerWarp << ';'
-        << app.sharedMemPerCta << ';' << app.iterations << ';'
-        << app.ctasPerSmOfGrid << ';' << app.seed;
-    for (const LoadSpec &load : app.loads) {
-        out << ";L" << static_cast<int>(load.cls) << ',' << load.lines
-            << ',' << static_cast<int>(load.scope) << ',' << load.fanout
-            << ',' << load.hotLines << ',' << load.hotProbability << ','
-            << load.everyN;
-    }
-    return out.str();
-}
-
-/**
- * Every configuration field that can change simulation results must
- * appear here: a sweep that mutates a non-keyed field would silently
- * return stale cache hits. The only deliberate exclusions are
- * RunnerOptions::useMemoCache (meta) and the ignored
- * GpuConfig::smThreads / RunnerOptions::smThreads.
- */
-std::string
-describeConfig(const GpuConfig &cfg, const LbConfig &lb,
-               const RunnerOptions &options, const SchemeConfig &scheme)
-{
-    std::ostringstream out;
-    out << cfg.numSms << ';' << cfg.clockGhz << ';' << cfg.simdWidth
-        << ';' << cfg.maxThreadsPerSm << ';' << cfg.maxWarpsPerSm << ';'
-        << cfg.maxCtasPerSm << ';' << cfg.schedulersPerSm << ';'
-        << cfg.registerFileBytesPerSm << ';' << cfg.registerFileBanks
-        << ';' << cfg.sharedMemBytesPerSm << ';' << cfg.l1.sizeBytes
-        << ';' << cfg.l1.ways << ';' << cfg.l1.lineBytes << ';'
-        << cfg.l1MshrEntries << ';' << cfg.l1MshrMergesPerEntry << ';'
-        << cfg.l1HitLatency << ';' << cfg.l2.sizeBytes << ';'
-        << cfg.l2.ways << ';' << cfg.l2.lineBytes << ';'
-        << cfg.l2Latency << ';' << cfg.icntLatency << ';'
-        << cfg.numMemPartitions << ';' << cfg.dramBandwidthGBs << ';'
-        << cfg.dramTiming.rcd << ';' << cfg.dramTiming.rp << ';'
-        << cfg.dramTiming.rc << ';' << cfg.dramTiming.rrd << ';'
-        << cfg.dramTiming.cl << ';' << cfg.dramTiming.wr << ';'
-        << cfg.dramTiming.ras << ';' << cfg.dramQueueDepth << ';'
-        << cfg.maxCycles << ';' << cfg.warmupCycles << ';'
-        << cfg.watchdogCycles << ';' << options.simSms << ';'
-        << options.maxCycles;
-    // A fault plan perturbs timing, so faulted points must never collide
-    // with clean ones (nor with differently-faulted ones).
-    if (!options.faultPlan.empty())
-        out << ";F" << options.faultPlan.description();
-    // Linebacker constants only matter to schemes that run a victim
-    // mechanism; keying them for every scheme would needlessly re-run
-    // baselines across LbConfig sweeps.
-    if (scheme.victim != VictimMode::Off ||
-        scheme.throttle == ThrottleMode::DynamicCta) {
-        out << ';' << lb.monitorPeriod << ';' << lb.hitRatioThreshold
-            << ';' << lb.ipcVarUpper << ';' << lb.ipcVarLower << ';'
-            << lb.vttWays << ';' << lb.vttMaxPartitions << ';'
-            << lb.vttAccessLatency << ';' << lb.backupBufferEntries << ';'
-            << lb.victimRegOffset;
-    }
-    return out.str();
+    if constexpr (std::is_enum_v<T>)
+        out << static_cast<int>(value);
+    else
+        out << value;
 }
 
 /**
@@ -244,13 +178,7 @@ SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
     // oracle sweeps reached from several experiment cells) are paid
     // once via the single-flight getOrComputeIf.
     MemoCache &cache = MemoCache::shared();
-    std::ostringstream key_src;
-    key_src << kCacheVersion << '#' << describeApp(app) << '#'
-            << describeScheme(scheme) << '#'
-            << describeConfig(baseCfg_, lbCfg_, options_, scheme);
-    std::ostringstream key;
-    key << app.id << ':' << scheme.name << ':' << std::hex
-        << fnv1a(key_src.str());
+    const std::string key = memoKey(app, scheme);
 
     // Abnormally-ended runs (hang, fault-degraded) must never be
     // persisted: a cached hang would be replayed as a silent zero-IPC
@@ -258,7 +186,7 @@ SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
     // report survives (the cache format carries numeric fields only).
     RunMetrics fresh;
     bool computed = false;
-    const std::string serialized = cache.getOrComputeIf(key.str(), [&] {
+    const std::string serialized = cache.getOrComputeIf(key, [&] {
         fresh = runUncached(app, scheme);
         computed = true;
         return MemoCache::ComputeResult{
@@ -278,8 +206,63 @@ SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
     // overwrite rather than propagating zeros.
     metrics = runUncached(app, scheme);
     if (metrics.outcome == RunOutcome::Ok)
-        cache.store(key.str(), serializeRunMetrics(metrics));
+        cache.store(key, serializeRunMetrics(metrics));
     return metrics;
+}
+
+std::string
+SimRunner::memoKey(const AppProfile &app, const SchemeConfig &scheme) const
+{
+    // The input visitors name every field that can change a result, so
+    // walking them keys every one (useMemoCache and the ignored
+    // smThreads fields are the deliberate exclusions). Within a section
+    // the fields are ';'-separated; each load is an ";L" entry of
+    // ','-separated fields.
+    std::ostringstream src;
+    const char *sep = "";
+    const auto put = [&src, &sep](const char *, const auto &value) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                     std::vector<LoadSpec>>) {
+            for (const LoadSpec &load : value) {
+                const char *load_sep = ";L";
+                forEachLoadSpecField(
+                    load, [&src, &load_sep](const char *, const auto &f) {
+                        src << load_sep;
+                        keyText(src, f);
+                        load_sep = ",";
+                    });
+            }
+        } else {
+            src << sep;
+            keyText(src, value);
+            sep = ";";
+        }
+    };
+    src << kCacheVersion << '#';
+    forEachAppProfileField(app, put);
+    src << '#' << scheme.name << ';' << static_cast<int>(scheme.throttle)
+        << ';' << static_cast<int>(scheme.victim) << ';'
+        << scheme.useDynamicUnusedRegs << ';' << scheme.backupRegisters
+        << ';' << scheme.cerfUnified << ';' << scheme.cacheExt << ';'
+        << scheme.staticWarpLimit << '#';
+    sep = "";
+    forEachGpuConfigField(baseCfg_, put);
+    src << ';' << options_.simSms << ';' << options_.maxCycles;
+    // A fault plan perturbs timing, so faulted points must never collide
+    // with clean ones (nor with differently-faulted ones).
+    if (!options_.faultPlan.empty())
+        src << ";F" << options_.faultPlan.description();
+    // Linebacker constants only matter to schemes that run a victim
+    // mechanism; keying them for every scheme would needlessly re-run
+    // baselines across LbConfig sweeps.
+    if (scheme.victim != VictimMode::Off ||
+        scheme.throttle == ThrottleMode::DynamicCta)
+        forEachLbConfigField(lbCfg_, put);
+
+    std::ostringstream key;
+    key << app.id << ':' << scheme.name << ':' << std::hex
+        << fnv1a(src.str());
+    return key.str();
 }
 
 RunMetrics

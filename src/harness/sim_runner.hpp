@@ -134,6 +134,16 @@ class SimRunner
      */
     RunMetrics run(const AppProfile &app, const SchemeConfig &scheme);
 
+    /**
+     * Memo-cache key under which run() stores @p app under @p scheme on
+     * this runner's configuration. It walks the input visitors
+     * (forEachGpuConfigField and its LbConfig / AppProfile / LoadSpec
+     * counterparts), so every field that can change a result is keyed;
+     * LbConfig only for schemes with a victim mechanism or DynamicCta.
+     */
+    std::string memoKey(const AppProfile &app,
+                        const SchemeConfig &scheme) const;
+
     const GpuConfig &baseConfig() const { return baseCfg_; }
     const LbConfig &lbConfig() const { return lbCfg_; }
     const RunnerOptions &options() const { return options_; }

@@ -434,6 +434,7 @@ Linebacker::notifyAccess(Addr line_addr, Pc pc, std::uint8_t hpc,
                          std::uint8_t warp_slot, bool hit, Cycle now)
 {
     (void)line_addr;
+    (void)pc;
     (void)warp_slot;
     if (phase_ == Phase::Monitoring) {
         // An injected load-monitor lie inverts the hit/miss observation,
@@ -443,7 +444,7 @@ Linebacker::notifyAccess(Addr line_addr, Pc pc, std::uint8_t hpc,
             fi && fi->loadMonitorLieActive(now)) {
             hit = !hit;
         }
-        lm_.recordAccess(pc, hpc, hit);
+        lm_.recordAccess(hpc, hit);
     }
 }
 

@@ -8,15 +8,11 @@ LoadMonitor::LoadMonitor(const LbConfig &cfg) : cfg_(cfg)
 }
 
 void
-LoadMonitor::recordAccess(Pc pc, std::uint8_t hpc, bool hit)
+LoadMonitor::recordAccess(std::uint8_t hpc, bool hit)
 {
     if (state_ != MonitorState::Monitoring)
         return;
     Entry &entry = entries_[hpc % kEntries];
-    if (!entry.seen) {
-        entry.seen = true;
-        entry.pc = pc; // First toucher stores its full PC.
-    }
     if (hit)
         ++entry.hits;
     else
@@ -33,15 +29,6 @@ LoadMonitor::endWindow()
     bool any_current = false;
     bool all_match = true;
     bool any_previous = false;
-
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        const Entry &entry = entries_[i];
-        const std::uint32_t total = entry.hits + entry.misses;
-        lastWindow_[i] = {entry.pc, entry.hits, entry.misses,
-                          total > 0 &&
-                              static_cast<double>(entry.hits) / total >=
-                                  cfg_.hitRatioThreshold};
-    }
 
     for (Entry &entry : entries_) {
         const std::uint32_t total = entry.hits + entry.misses;

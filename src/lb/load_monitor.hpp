@@ -40,7 +40,7 @@ class LoadMonitor
     explicit LoadMonitor(const LbConfig &cfg);
 
     /** Record one load outcome (L1 hit or victim-tag hit counts as hit). */
-    void recordAccess(Pc pc, std::uint8_t hpc, bool hit);
+    void recordAccess(std::uint8_t hpc, bool hit);
 
     /**
      * Close the current window, update valid-bit history and decide the
@@ -59,35 +59,17 @@ class LoadMonitor
     /** Windows consumed until selection/disable (Fig 9 annotation). */
     std::uint32_t windowsUsed() const { return windows_; }
 
-    /** Introspection snapshot of one entry's previous window. */
-    struct WindowEntry
-    {
-        Pc pc = 0;
-        std::uint32_t hits = 0;
-        std::uint32_t misses = 0;
-        bool classifiedHigh = false;
-    };
-
-    /** Per-entry stats of the most recently closed window. */
-    const std::array<WindowEntry, kEntries> &lastWindow() const
-    {
-        return lastWindow_;
-    }
-
   private:
     struct Entry
     {
-        Pc pc = 0;
         std::uint32_t hits = 0;
         std::uint32_t misses = 0;
-        bool seen = false;
         /** bit0: current-window classification, bit1: previous window. */
         std::uint8_t valid = 0;
     };
 
     LbConfig cfg_;
     std::array<Entry, kEntries> entries_{};
-    std::array<WindowEntry, kEntries> lastWindow_{};
     MonitorState state_ = MonitorState::Monitoring;
     std::uint32_t windows_ = 0;
     /** Give up after this many unstable windows (app completes anyway). */

@@ -573,7 +573,6 @@ SweepServer::executeTask(const CellTask &task)
     engine.isolateCells =
         options_.isolateCells || plan.request.deadlineSec > 0;
     engine.cellTimeoutSec = plan.request.deadlineSec;
-    engine.maxRetries = 0; // Retries are scheduled, not looped, here.
     const CellResult result = runExperimentCell(
         plan.plan.cells()[task.cellIndex], engine, task.cellIndex);
 

@@ -4,8 +4,8 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -45,53 +45,11 @@ pick(Rng &rng, const T (&options)[N])
  * run even when it can preserve nothing. Everything architectural (cycles,
  * instructions, cache/DRAM traffic, latencies) must match exactly.
  */
-bool
-lbBookkeepingField(const std::string &name)
-{
-    static const std::set<std::string> kFields = {
-        "vttProbes",         "vttProbeCycles",   "monitoringPeriods",
-        "selectedLoads",     "victimLinesStored", "victimStoreRejected",
-        "victimInvalidations", "avgVictimRegisters",
-    };
-    return kFields.count(name) != 0;
-}
-
-/** Full-precision textual form of one stat field. */
-template <typename T>
-std::string
-statText(const T &value)
-{
-    if constexpr (std::is_floating_point_v<T>) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        return buf;
-    } else {
-        return std::to_string(value);
-    }
-}
-
-/** First architectural (non-bookkeeping) stat difference, or empty. */
-std::string
-firstArchitecturalDifference(const SimStats &a, const SimStats &b)
-{
-    std::vector<std::pair<std::string, std::string>> a_fields;
-    std::vector<std::pair<std::string, std::string>> b_fields;
-    forEachStatField(a, [&a_fields](const char *name, const auto &field) {
-        a_fields.emplace_back(name, statText(field));
-    });
-    forEachStatField(b, [&b_fields](const char *name, const auto &field) {
-        b_fields.emplace_back(name, statText(field));
-    });
-    for (std::size_t i = 0; i < a_fields.size(); ++i) {
-        if (lbBookkeepingField(a_fields[i].first))
-            continue;
-        if (a_fields[i].second != b_fields[i].second) {
-            return a_fields[i].first + ": " + a_fields[i].second +
-                   " vs " + b_fields[i].second;
-        }
-    }
-    return {};
-}
+const std::set<std::string> kLbBookkeepingFields = {
+    "vttProbes",         "vttProbeCycles",   "monitoringPeriods",
+    "selectedLoads",     "victimLinesStored", "victimStoreRejected",
+    "victimInvalidations", "avgVictimRegisters",
+};
 
 /** L1 hit ratio (register-file victim hits count as hits). */
 double
@@ -143,73 +101,22 @@ fuzzRunnerOptions()
     return options;
 }
 
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-const char *
-loadClassName(LoadClass cls)
-{
-    switch (cls) {
-      case LoadClass::Reuse: return "reuse";
-      case LoadClass::Streaming: return "streaming";
-      case LoadClass::Irregular: return "irregular";
-    }
-    return "?";
-}
-
-bool
-parseLoadClass(const std::string &text, LoadClass &out)
-{
-    if (text == "reuse")
-        out = LoadClass::Reuse;
-    else if (text == "streaming")
-        out = LoadClass::Streaming;
-    else if (text == "irregular")
-        out = LoadClass::Irregular;
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 // --- Scheme registry -------------------------------------------------------
 
-const std::vector<std::string> &
-fuzzSchemeNames()
-{
-    static const std::vector<std::string> kNames = {
-        "baseline", "swl4", "ccws",  "pcal",
-        "cerf",     "lb",   "vcall", "svc",
-    };
-    return kNames;
-}
-
 SchemeConfig
 fuzzScheme(const std::string &name)
 {
-    if (name == "baseline")
-        return SchemeConfig::baseline();
-    if (name == "swl4")
-        return SchemeConfig::bestSwl(4);
-    if (name == "ccws")
-        return SchemeConfig::ccws();
-    if (name == "pcal")
-        return SchemeConfig::pcal();
-    if (name == "cerf")
-        return SchemeConfig::cerf();
-    if (name == "lb")
-        return SchemeConfig::linebacker();
-    if (name == "vcall")
-        return SchemeConfig::victimCachingAll();
-    if (name == "svc")
-        return SchemeConfig::selectiveVictimCaching();
-    throw std::runtime_error("unknown fuzz scheme: " + name);
+    // Two spellings predate the shared vocabulary; old repros carry them.
+    const bool swl4 = name == "swl4";
+    SchemeConfig scheme;
+    bool oracle_swl = false;
+    if (!schemeByName(swl4 ? "best-swl" : name == "vcall" ? "vc" : name,
+                      swl4 ? 4 : 0, scheme, oracle_swl) ||
+        oracle_swl)
+        throw std::runtime_error("unknown fuzz scheme: " + name);
+    return scheme;
 }
 
 // --- Case generation -------------------------------------------------------
@@ -440,8 +347,8 @@ runFuzzCase(const FuzzCase &fuzz_case)
         const RunMetrics base =
             base_runner.run(fuzz_case.app, SchemeConfig::baseline());
         ++result.runsExecuted;
-        const std::string diff =
-            firstArchitecturalDifference(empty.stats, base.stats);
+        const std::string diff = firstStatDifference(
+            empty.stats, base.stats, kLbBookkeepingFields);
         if (!diff.empty())
             fail("null-victim-equivalence",
                  "zero-capacity " + fuzz_case.scheme +
@@ -468,8 +375,8 @@ runFuzzCase(const FuzzCase &fuzz_case)
         // can shift the measured-window access mix slightly.
         if (big_ratio + 0.05 < small_ratio)
             fail("l1-monotone",
-                 "hit ratio fell from " + formatDouble(small_ratio) +
-                     " to " + formatDouble(big_ratio) +
+                 "hit ratio fell from " + fieldText(small_ratio) +
+                     " to " + fieldText(big_ratio) +
                      " when the L1 doubled");
     }
 
@@ -483,11 +390,83 @@ runFuzzCase(const FuzzCase &fuzz_case)
 
 namespace
 {
-// v2 added gpu.watchdogCycles and fault= lines; v1 files (no faults, no
-// watchdog) still parse so checked-in repro cases keep replaying.
-constexpr const char *kFuzzCaseMagic = "lbsim-fuzzcase-v2";
-constexpr const char *kFuzzCaseMagicV1 = "lbsim-fuzzcase-v1";
+// v3 writes every field the input visitors name; v2 added
+// gpu.watchdogCycles and fault= lines. v1 and v2 files (a subset of the
+// keys, the rest at their defaults) still parse, so checked-in repro
+// cases keep replaying.
+constexpr const char *kFuzzCaseMagic = "lbsim-fuzzcase-v3";
+
+/** Case-file names of the LoadClass enumerators, in enum order. */
+constexpr const char *kLoadClassNames[] = {"reuse", "streaming",
+                                           "irregular"};
+
+template <typename T>
+constexpr bool kIsLoads = std::is_same_v<T, std::vector<LoadSpec>>;
+
+/** Case-file text of one visited field. */
+template <typename T>
+std::string
+caseText(const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return value;
+    else if constexpr (std::is_same_v<T, LoadClass>)
+        return kLoadClassNames[static_cast<int>(value)];
+    else if constexpr (std::is_enum_v<T>)
+        return std::to_string(static_cast<int>(value));
+    else
+        return fieldText(value);
 }
+
+/**
+ * Parse case-file @p text into one visited field, refusing what the field
+ * cannot hold: whole numbers are unsigned decimals (parseUnsigned) in the
+ * field's range, bools are 0 or 1, a TileScope is 0-3 and reals must be
+ * finite.
+ */
+template <typename T>
+bool
+parseCaseField(const std::string &text, T &field)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        field = text;
+        return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        field = text == "1";
+        return text == "0" || text == "1";
+    } else if constexpr (std::is_floating_point_v<T>) {
+        // from_chars, unlike strtod, skips no spaces and takes no '+';
+        // nan and inf still parse, so finiteness is checked on top.
+        T parsed = 0;
+        const char *end = text.data() + text.size();
+        const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+        if (error != std::errc{} || stop != end || !std::isfinite(parsed))
+            return false;
+        field = parsed;
+        return true;
+    } else if constexpr (std::is_same_v<T, LoadClass>) {
+        for (std::size_t i = 0; i < std::size(kLoadClassNames); ++i) {
+            if (text == kLoadClassNames[i]) {
+                field = static_cast<LoadClass>(i);
+                return true;
+            }
+        }
+        return false;
+    } else {
+        std::uint64_t max = 0;
+        if constexpr (std::is_same_v<T, TileScope>)
+            max = static_cast<std::uint64_t>(TileScope::Global);
+        else
+            max = std::numeric_limits<T>::max();
+        std::uint64_t wide = 0;
+        if (!parseUnsigned(text, wide) || wide > max)
+            return false;
+        field = static_cast<T>(wide);
+        return true;
+    }
+}
+
+} // namespace
 
 std::string
 serializeFuzzCase(const FuzzCase &fuzz_case)
@@ -496,53 +475,29 @@ serializeFuzzCase(const FuzzCase &fuzz_case)
     out << kFuzzCaseMagic << '\n';
     out << "seed=" << fuzz_case.seed << '\n';
     out << "scheme=" << fuzz_case.scheme << '\n';
-
-    const GpuConfig &gpu = fuzz_case.gpu;
-    out << "gpu.l1SizeBytes=" << gpu.l1.sizeBytes << '\n';
-    out << "gpu.l1Ways=" << gpu.l1.ways << '\n';
-    out << "gpu.l1MshrEntries=" << gpu.l1MshrEntries << '\n';
-    out << "gpu.l1MshrMergesPerEntry=" << gpu.l1MshrMergesPerEntry
-        << '\n';
-    out << "gpu.l1HitLatency=" << gpu.l1HitLatency << '\n';
-    out << "gpu.l2SizeBytes=" << gpu.l2.sizeBytes << '\n';
-    out << "gpu.l2Latency=" << gpu.l2Latency << '\n';
-    out << "gpu.icntLatency=" << gpu.icntLatency << '\n';
-    out << "gpu.dramQueueDepth=" << gpu.dramQueueDepth << '\n';
-    out << "gpu.dramBandwidthGBs=" << formatDouble(gpu.dramBandwidthGBs)
-        << '\n';
-    out << "gpu.maxCycles=" << gpu.maxCycles << '\n';
-    out << "gpu.warmupCycles=" << gpu.warmupCycles << '\n';
-    out << "gpu.watchdogCycles=" << gpu.watchdogCycles << '\n';
-
-    const LbConfig &lb = fuzz_case.lb;
-    out << "lb.monitorPeriod=" << lb.monitorPeriod << '\n';
-    out << "lb.hitRatioThreshold=" << formatDouble(lb.hitRatioThreshold)
-        << '\n';
-    out << "lb.vttWays=" << lb.vttWays << '\n';
-    out << "lb.vttMaxPartitions=" << lb.vttMaxPartitions << '\n';
-    out << "lb.vttAccessLatency=" << lb.vttAccessLatency << '\n';
-    out << "lb.backupBufferEntries=" << lb.backupBufferEntries << '\n';
-    out << "lb.victimRegOffset=" << lb.victimRegOffset << '\n';
-
-    const AppProfile &app = fuzz_case.app;
-    out << "app.id=" << app.id << '\n';
-    out << "app.aluPerLoad=" << app.aluPerLoad << '\n';
-    out << "app.loadsBackToBack=" << (app.loadsBackToBack ? 1 : 0)
-        << '\n';
-    out << "app.hasStore=" << (app.hasStore ? 1 : 0) << '\n';
-    out << "app.storeEveryN=" << app.storeEveryN << '\n';
-    out << "app.warpsPerCta=" << app.warpsPerCta << '\n';
-    out << "app.regsPerWarp=" << app.regsPerWarp << '\n';
-    out << "app.iterations=" << app.iterations << '\n';
-    out << "app.ctasPerSmOfGrid=" << app.ctasPerSmOfGrid << '\n';
-    out << "app.seed=" << app.seed << '\n';
-    for (const LoadSpec &load : app.loads) {
-        out << "load=" << loadClassName(load.cls) << ',' << load.lines
-            << ',' << static_cast<int>(load.scope) << ',' << load.fanout
-            << ',' << load.hotLines << ','
-            << formatDouble(load.hotProbability) << ',' << load.everyN
-            << '\n';
-    }
+    // One prefix.name=value line per visited field; each load is one
+    // load= line of its fields in visitor order.
+    const auto lines = [&out](const char *prefix) {
+        return [&out, prefix](const char *name, const auto &value) {
+            if constexpr (kIsLoads<std::decay_t<decltype(value)>>) {
+                for (const LoadSpec &load : value) {
+                    char sep = '=';
+                    out << "load";
+                    forEachLoadSpecField(
+                        load, [&out, &sep](const char *, const auto &f) {
+                            out << sep << caseText(f);
+                            sep = ',';
+                        });
+                    out << '\n';
+                }
+            } else {
+                out << prefix << name << '=' << caseText(value) << '\n';
+            }
+        };
+    };
+    forEachGpuConfigField(fuzz_case.gpu, lines("gpu."));
+    forEachLbConfigField(fuzz_case.lb, lines("lb."));
+    forEachAppProfileField(fuzz_case.app, lines("app."));
     for (const FaultEvent &event : fuzz_case.faults.events)
         out << "fault=" << serializeFaultEvent(event) << '\n';
     return out.str();
@@ -555,7 +510,8 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
     std::istringstream in(text);
     std::string line;
     if (!std::getline(in, line) ||
-        (line != kFuzzCaseMagic && line != kFuzzCaseMagicV1)) {
+        (line != kFuzzCaseMagic && line != "lbsim-fuzzcase-v2" &&
+         line != "lbsim-fuzzcase-v1")) {
         error_out = "missing fuzzcase header";
         return false;
     }
@@ -564,27 +520,6 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
     parsed.app.loads.clear();
     parsed.app.cacheSensitive = true;
     parsed.app.description = "replayed fuzz case";
-
-    const auto parseU32 = [](const std::string &value,
-                             std::uint32_t &field) {
-        std::uint64_t wide = 0;
-        if (!parseUnsigned(value, wide) || wide > UINT32_MAX)
-            return false;
-        field = static_cast<std::uint32_t>(wide);
-        return true;
-    };
-    // from_chars, unlike strtod, skips no spaces and takes no '+'; nan
-    // and inf still parse, so finiteness is checked on top.
-    const auto parseF64 = [](const std::string &value, double &field) {
-        double parsed = 0.0;
-        const char *end = value.data() + value.size();
-        const auto [stop, error] =
-            std::from_chars(value.data(), end, parsed);
-        if (error != std::errc{} || stop != end || !std::isfinite(parsed))
-            return false;
-        field = parsed;
-        return true;
-    };
 
     int line_no = 1;
     while (std::getline(in, line)) {
@@ -599,93 +534,33 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
         }
         const std::string key = line.substr(0, eq);
         const std::string value = line.substr(eq + 1);
+        bool known = true;
         bool ok = true;
         if (key == "seed") {
             ok = parseUnsigned(value, parsed.seed);
         } else if (key == "scheme") {
             parsed.scheme = value;
-        } else if (key == "gpu.l1SizeBytes") {
-            ok = parseU32(value, parsed.gpu.l1.sizeBytes);
-        } else if (key == "gpu.l1Ways") {
-            ok = parseU32(value, parsed.gpu.l1.ways);
-        } else if (key == "gpu.l1MshrEntries") {
-            ok = parseU32(value, parsed.gpu.l1MshrEntries);
-        } else if (key == "gpu.l1MshrMergesPerEntry") {
-            ok = parseU32(value, parsed.gpu.l1MshrMergesPerEntry);
-        } else if (key == "gpu.l1HitLatency") {
-            ok = parseU32(value, parsed.gpu.l1HitLatency);
-        } else if (key == "gpu.l2SizeBytes") {
-            ok = parseU32(value, parsed.gpu.l2.sizeBytes);
-        } else if (key == "gpu.l2Latency") {
-            ok = parseU32(value, parsed.gpu.l2Latency);
-        } else if (key == "gpu.icntLatency") {
-            ok = parseU32(value, parsed.gpu.icntLatency);
-        } else if (key == "gpu.dramQueueDepth") {
-            ok = parseU32(value, parsed.gpu.dramQueueDepth);
-        } else if (key == "gpu.dramBandwidthGBs") {
-            ok = parseF64(value, parsed.gpu.dramBandwidthGBs);
-        } else if (key == "gpu.maxCycles") {
-            ok = parseUnsigned(value, parsed.gpu.maxCycles);
-        } else if (key == "gpu.warmupCycles") {
-            ok = parseUnsigned(value, parsed.gpu.warmupCycles);
-        } else if (key == "gpu.watchdogCycles") {
-            ok = parseUnsigned(value, parsed.gpu.watchdogCycles);
-        } else if (key == "lb.monitorPeriod") {
-            ok = parseUnsigned(value, parsed.lb.monitorPeriod);
-        } else if (key == "lb.hitRatioThreshold") {
-            ok = parseF64(value, parsed.lb.hitRatioThreshold);
-        } else if (key == "lb.vttWays") {
-            ok = parseU32(value, parsed.lb.vttWays);
-        } else if (key == "lb.vttMaxPartitions") {
-            ok = parseU32(value, parsed.lb.vttMaxPartitions);
-        } else if (key == "lb.vttAccessLatency") {
-            ok = parseU32(value, parsed.lb.vttAccessLatency);
         } else if (key == "lb.loadMonitor" "Entries") {
             // A retired knob that older repro files still carry; split
             // so that a grep for it finds only real uses.
-        } else if (key == "lb.backupBufferEntries") {
-            ok = parseU32(value, parsed.lb.backupBufferEntries);
-        } else if (key == "lb.victimRegOffset") {
-            ok = parseU32(value, parsed.lb.victimRegOffset);
-        } else if (key == "app.id") {
-            parsed.app.id = value;
-        } else if (key == "app.aluPerLoad") {
-            ok = parseU32(value, parsed.app.aluPerLoad);
-        } else if (key == "app.loadsBackToBack") {
-            parsed.app.loadsBackToBack = value == "1";
-            ok = value == "0" || value == "1";
-        } else if (key == "app.hasStore") {
-            parsed.app.hasStore = value == "1";
-            ok = value == "0" || value == "1";
-        } else if (key == "app.storeEveryN") {
-            ok = parseU32(value, parsed.app.storeEveryN);
-        } else if (key == "app.warpsPerCta") {
-            ok = parseU32(value, parsed.app.warpsPerCta);
-        } else if (key == "app.regsPerWarp") {
-            ok = parseU32(value, parsed.app.regsPerWarp);
-        } else if (key == "app.iterations") {
-            ok = parseU32(value, parsed.app.iterations);
-        } else if (key == "app.ctasPerSmOfGrid") {
-            ok = parseU32(value, parsed.app.ctasPerSmOfGrid);
-        } else if (key == "app.seed") {
-            ok = parseUnsigned(value, parsed.app.seed);
         } else if (key == "load") {
-            LoadSpec load;
-            std::istringstream fields(value);
-            std::string field;
+            // Every ','-separated part counts, so a trailing or doubled
+            // ',' leaves a part that fails to parse.
             std::vector<std::string> parts;
-            while (std::getline(fields, field, ','))
-                parts.push_back(field);
-            std::uint32_t scope_raw = 0;
-            ok = parts.size() == 7 &&
-                 parseLoadClass(parts[0], load.cls) &&
-                 parseUnsigned(parts[1], load.lines) &&
-                 parseU32(parts[2], scope_raw) && scope_raw <= 3 &&
-                 parseU32(parts[3], load.fanout) &&
-                 parseUnsigned(parts[4], load.hotLines) &&
-                 parseF64(parts[5], load.hotProbability) &&
-                 parseU32(parts[6], load.everyN);
-            load.scope = static_cast<TileScope>(scope_raw);
+            std::size_t start = 0;
+            for (std::size_t comma = value.find(',');
+                 comma != std::string::npos;
+                 start = comma + 1, comma = value.find(',', start))
+                parts.push_back(value.substr(start, comma - start));
+            parts.push_back(value.substr(start));
+            LoadSpec load;
+            std::size_t next = 0;
+            forEachLoadSpecField(load, [&](const char *, auto &field) {
+                ok = ok && next < parts.size() &&
+                     parseCaseField(parts[next], field);
+                ++next;
+            });
+            ok = ok && next == parts.size();
             if (ok)
                 parsed.app.loads.push_back(load);
         } else if (key == "fault") {
@@ -694,6 +569,22 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
             if (ok)
                 parsed.faults.events.push_back(event);
         } else {
+            known = false;
+            const auto assign = [&](const char *prefix) {
+                return [&, prefix](const char *name, auto &field) {
+                    if constexpr (!kIsLoads<std::decay_t<decltype(field)>>) {
+                        if (!known && key == std::string(prefix) + name) {
+                            known = true;
+                            ok = parseCaseField(value, field);
+                        }
+                    }
+                };
+            };
+            forEachGpuConfigField(parsed.gpu, assign("gpu."));
+            forEachLbConfigField(parsed.lb, assign("lb."));
+            forEachAppProfileField(parsed.app, assign("app."));
+        }
+        if (!known) {
             error_out = "line " + std::to_string(line_no) +
                         ": unknown key '" + key + "'";
             return false;

@@ -28,8 +28,11 @@
  * Cases serialize to a line-oriented text form so a failing case — in
  * particular one shrunk by testing/minimize.hpp — can be checked in and
  * replayed exactly (tools/lbsim_fuzz --replay). The current format is
- * lbsim-fuzzcase-v2 (adds gpu.watchdogCycles and fault= lines); v1
- * files parse unchanged.
+ * lbsim-fuzzcase-v3: one key=value line per field that the input
+ * visitors (forEachGpuConfigField, forEachLbConfigField,
+ * forEachAppProfileField) name, a load= line per LoadSpec and a fault=
+ * line per FaultEvent. v1 and v2 files, which state only some of those
+ * fields, parse unchanged; the fields they omit keep their defaults.
  */
 
 #pragma once
@@ -53,7 +56,7 @@ struct FuzzCase
     GpuConfig gpu;
     LbConfig lb;
     AppProfile app;
-    /** Scheme key; see fuzzSchemeNames() / fuzzScheme(). */
+    /** Scheme key; see fuzzScheme(). */
     std::string scheme = "baseline";
     /** Fault schedule; non-empty switches the property set (see above). */
     FaultPlan faults;
@@ -75,10 +78,11 @@ struct FuzzCaseResult
     std::uint32_t runsExecuted = 0;
 };
 
-/** Scheme keys the fuzzer draws from. */
-const std::vector<std::string> &fuzzSchemeNames();
-
-/** Resolve a scheme key to its SchemeConfig. @throws on unknown key. */
+/**
+ * Resolve a scheme key to its SchemeConfig: a schemeByName() name with a
+ * static configuration, or one of the fuzzer's older spellings "swl4"
+ * (Best-SWL at warp limit 4) and "vcall" ("vc"). @throws on unknown key.
+ */
 SchemeConfig fuzzScheme(const std::string &name);
 
 /** Deterministically derive a valid case from @p seed. */
@@ -100,8 +104,8 @@ std::string serializeFuzzCase(const FuzzCase &fuzz_case);
 
 /**
  * Parse @p text produced by serializeFuzzCase. Whole numbers are
- * unsigned decimals (parseUnsigned) in their field's range; reals must
- * be finite.
+ * unsigned decimals (parseUnsigned) in their field's range, bools are 0
+ * or 1, a load's tile scope is 0-3 and reals must be finite.
  * @param error_out Receives a description on failure.
  * @return true on success.
  */

@@ -45,12 +45,30 @@ struct LoadSpec
     std::uint32_t everyN = 1;
 };
 
+/**
+ * Apply @p fn("name", field) to every LoadSpec field in a fixed order
+ * (the order of a fuzz case's load= line and of the memo key).
+ */
+template <typename Load, typename Fn>
+void
+forEachLoadSpecField(Load &l, Fn &&fn)
+{
+    fn("cls", l.cls);
+    fn("lines", l.lines);
+    fn("scope", l.scope);
+    fn("fanout", l.fanout);
+    fn("hotLines", l.hotLines);
+    fn("hotProbability", l.hotProbability);
+    fn("everyN", l.everyN);
+}
+
 /** Behavioural profile of one benchmark application. */
 struct AppProfile
 {
     std::string id;            ///< Paper abbreviation ("S2", "KM", ...).
-    std::string description;   ///< Table 2 description.
-    bool cacheSensitive = false;
+    /** Table 2 labels: figures pick apps by them, runs never read them. */
+    std::string description;   // NOLINT(lbsim-stat-registry)
+    bool cacheSensitive = false; // NOLINT(lbsim-stat-registry)
 
     std::vector<LoadSpec> loads;
     /** ALU instructions after each load group. */
@@ -76,5 +94,29 @@ struct AppProfile
      */
     KernelInfo buildKernel(const GpuConfig &cfg) const;
 };
+
+/**
+ * Apply @p fn("name", field) to every AppProfile field that can change a
+ * result, in a fixed order: the workload counterpart of
+ * forEachGpuConfigField. The loads come last, as one std::vector field
+ * whose elements forEachLoadSpecField walks.
+ */
+template <typename App, typename Fn>
+void
+forEachAppProfileField(App &a, Fn &&fn)
+{
+    fn("id", a.id);
+    fn("aluPerLoad", a.aluPerLoad);
+    fn("loadsBackToBack", a.loadsBackToBack);
+    fn("hasStore", a.hasStore);
+    fn("storeEveryN", a.storeEveryN);
+    fn("warpsPerCta", a.warpsPerCta);
+    fn("regsPerWarp", a.regsPerWarp);
+    fn("sharedMemPerCta", a.sharedMemPerCta);
+    fn("iterations", a.iterations);
+    fn("ctasPerSmOfGrid", a.ctasPerSmOfGrid);
+    fn("seed", a.seed);
+    fn("loads", a.loads);
+}
 
 } // namespace lbsim

@@ -44,7 +44,7 @@ TEST_F(CheckFixture, FailingAssertCarriesExpressionAndMessage)
 {
     if (!checksEnabled(CheckLevel::Fast))
         GTEST_SKIP() << "LB_ASSERT compiled out at this check level";
-    const std::uint32_t index = 9;
+    [[maybe_unused]] const std::uint32_t index = 9;
     LB_ASSERT(index < 4, "index %u out of %u", index, 4u);
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_STREQ(failures[0].kind, "assert");

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -171,31 +170,6 @@ TEST(ExperimentEngine, ThrowingCellIsIsolated)
     EXPECT_TRUE(results[2].ok);
     EXPECT_NE(findMetrics(results, "GA", "Baseline"), nullptr);
     EXPECT_EQ(findMetrics(results, "GA", "Broken"), nullptr);
-}
-
-TEST(ExperimentEngine, ProgressCallbackFiresOncePerCell)
-{
-    std::atomic<int> calls{0};
-    std::set<std::pair<std::string, std::string>> seen;
-    std::set<std::size_t> done_counts;
-
-    EngineOptions opts;
-    opts.threads = 4;
-    opts.onCellDone = [&](const CellResult &result, std::size_t done,
-                          std::size_t total) {
-        ++calls;
-        seen.insert({result.app, result.scheme});
-        done_counts.insert(done);
-        EXPECT_EQ(total, 4u);
-    };
-    const ExperimentPlan plan = smallPlan();
-    ExperimentEngine(opts).run(plan);
-
-    EXPECT_EQ(calls.load(), 4);
-    EXPECT_EQ(seen.size(), 4u);
-    // Completed counts are 1..total, each seen exactly once.
-    EXPECT_EQ(done_counts,
-              (std::set<std::size_t>{1, 2, 3, 4}));
 }
 
 TEST(MemoCache, GetOrComputeSkipsRecomputation)

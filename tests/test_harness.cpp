@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "harness/memo_cache.hpp"
 #include "harness/oracle.hpp"
@@ -102,6 +105,121 @@ TEST(SimRunner, MemoCacheReproducesMetrics)
 
     unsetenv("LBSIM_CACHE_PATH");
     std::remove(path.c_str());
+}
+
+/** Change @p field to a value whose memo-key text differs. */
+template <typename T>
+void
+perturb(T &field)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        field = !field;
+    else if constexpr (std::is_same_v<T, std::string>)
+        field += "x";
+    else if constexpr (std::is_enum_v<T>)
+        field = static_cast<T>(static_cast<int>(field) == 0 ? 1 : 0);
+    else if constexpr (std::is_same_v<T, std::vector<LoadSpec>>)
+        field.push_back(LoadSpec{});
+    else
+        field += 1;
+}
+
+/**
+ * Call @p check(name, copy) once per field that @p visit names, each
+ * time with a copy of @p base in which only that field changed.
+ */
+template <typename T, typename Visit, typename Check>
+void
+forEachPerturbedCopy(const T &base, Visit visit, Check check)
+{
+    std::size_t count = 0;
+    visit(base, [&count](const char *, const auto &) { ++count; });
+    ASSERT_GT(count, 0u);
+    for (std::size_t target = 0; target < count; ++target) {
+        T copy = base;
+        std::size_t index = 0;
+        std::string name;
+        visit(copy, [&](const char *field_name, auto &field) {
+            if (index++ == target) {
+                perturb(field);
+                name = field_name;
+            }
+        });
+        check(name, copy);
+    }
+}
+
+const auto kGpuFields = [](auto &c, auto &&fn) {
+    forEachGpuConfigField(c, fn);
+};
+const auto kLbFields = [](auto &c, auto &&fn) {
+    forEachLbConfigField(c, fn);
+};
+const auto kAppFields = [](auto &a, auto &&fn) {
+    forEachAppProfileField(a, fn);
+};
+const auto kLoadFields = [](auto &l, auto &&fn) {
+    forEachLoadSpecField(l, fn);
+};
+
+TEST(MemoKey, EveryVisitedFieldIsKeyed)
+{
+    const AppProfile &app = appById("S2");
+    const SchemeConfig lb = SchemeConfig::linebacker();
+    const std::string base = SimRunner().memoKey(app, lb);
+    forEachPerturbedCopy(GpuConfig{}, kGpuFields,
+                         [&](const std::string &name, const GpuConfig &cfg) {
+                             EXPECT_NE(SimRunner(cfg).memoKey(app, lb), base)
+                                 << "gpu." << name;
+                         });
+    forEachPerturbedCopy(
+        app, kAppFields, [&](const std::string &name, const AppProfile &a) {
+            EXPECT_NE(SimRunner().memoKey(a, lb), base) << "app." << name;
+        });
+    ASSERT_FALSE(app.loads.empty());
+    forEachPerturbedCopy(
+        app.loads.front(), kLoadFields,
+        [&](const std::string &name, const LoadSpec &load) {
+            AppProfile changed = app;
+            changed.loads.front() = load;
+            EXPECT_NE(SimRunner().memoKey(changed, lb), base)
+                << "load." << name;
+        });
+}
+
+TEST(MemoKey, LbConfigIsKeyedOnlyForLinebackerMechanisms)
+{
+    const AppProfile &app = appById("S2");
+    const std::string lb_key =
+        SimRunner().memoKey(app, SchemeConfig::linebacker());
+    const std::string base_key =
+        SimRunner().memoKey(app, SchemeConfig::baseline());
+    forEachPerturbedCopy(
+        LbConfig{}, kLbFields, [&](const std::string &name, const LbConfig &c) {
+            const SimRunner runner({}, c);
+            EXPECT_NE(runner.memoKey(app, SchemeConfig::linebacker()), lb_key)
+                << "lb." << name;
+            EXPECT_EQ(runner.memoKey(app, SchemeConfig::baseline()), base_key)
+                << "lb." << name;
+        });
+}
+
+TEST(MemoKey, KeysOfEarlierCachesStillHit)
+{
+    // Keys a runner wrote before the key walked the input visitors: the
+    // field order and the operator<< text are part of the cache format.
+    RunnerOptions options;
+    options.simSms = 1;
+    options.maxCycles = 2000;
+    GpuConfig cfg;
+    cfg.l1.sizeBytes = 32 * 1024;
+    LbConfig lb;
+    lb.vttWays = 2;
+    const SimRunner runner(cfg, lb, options);
+    EXPECT_EQ(runner.memoKey(appById("S2"), SchemeConfig::linebacker()),
+              "S2:Linebacker:5d8a4cd22295be03");
+    EXPECT_EQ(runner.memoKey(appById("KM"), SchemeConfig::baseline()),
+              "KM:Baseline:cc67a3c846d376d3");
 }
 
 TEST(Oracle, PicksBestAndIncludesUnlimited)

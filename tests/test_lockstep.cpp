@@ -11,6 +11,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -403,6 +405,122 @@ TEST(FuzzCaseSerialization, RoundTripsExactly)
     }
 }
 
+/** Change @p field to another value its case-file key can state. */
+template <typename T>
+void
+perturb(T &field)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        field = !field;
+    else if constexpr (std::is_same_v<T, std::string>)
+        field += "x";
+    else if constexpr (std::is_enum_v<T>)
+        field = static_cast<T>(static_cast<int>(field) == 0 ? 1 : 0);
+    else if constexpr (std::is_same_v<T, std::vector<LoadSpec>>)
+        field.push_back(LoadSpec{});
+    else
+        field += 1;
+}
+
+/**
+ * Round-trip one copy of @p original per field that @p visit walks on
+ * @p part(case), with only that field changed: the change must show in
+ * the v3 text, and parsing the text must give the same case back.
+ */
+template <typename Part, typename Visit>
+void
+expectEveryFieldRoundTrips(const FuzzCase &original, Part part,
+                           Visit visit)
+{
+    const std::string original_text = serializeFuzzCase(original);
+    std::size_t count = 0;
+    visit(part(original), [&count](const char *, const auto &) {
+        ++count;
+    });
+    for (std::size_t target = 0; target < count; ++target) {
+        FuzzCase changed = original;
+        std::size_t index = 0;
+        std::string name;
+        visit(part(changed), [&](const char *field_name, auto &field) {
+            if (index++ == target) {
+                perturb(field);
+                name = field_name;
+            }
+        });
+        const std::string text = serializeFuzzCase(changed);
+        EXPECT_NE(text, original_text) << name << " is not written";
+        FuzzCase parsed;
+        std::string error;
+        ASSERT_TRUE(parseFuzzCase(text, parsed, error)) << name << ": "
+                                                        << error;
+        EXPECT_EQ(serializeFuzzCase(parsed), text) << name;
+    }
+}
+
+TEST(FuzzCaseSerialization, EveryVisitedFieldRoundTrips)
+{
+    const FuzzCase original = generateFaultFuzzCase(7);
+    expectEveryFieldRoundTrips(
+        original, [](auto &c) -> auto & { return c.gpu; },
+        [](auto &gpu, auto &&fn) { forEachGpuConfigField(gpu, fn); });
+    expectEveryFieldRoundTrips(
+        original, [](auto &c) -> auto & { return c.lb; },
+        [](auto &lb, auto &&fn) { forEachLbConfigField(lb, fn); });
+    expectEveryFieldRoundTrips(
+        original, [](auto &c) -> auto & { return c.app; },
+        [](auto &app, auto &&fn) { forEachAppProfileField(app, fn); });
+    expectEveryFieldRoundTrips(
+        original, [](auto &c) -> auto & { return c.app.loads.front(); },
+        [](auto &load, auto &&fn) { forEachLoadSpecField(load, fn); });
+}
+
+TEST(FuzzCaseSerialization, V2CaseParsesToTheSameCase)
+{
+    // lbsim_fuzz --dump 7 before v3: only the fields the generator draws.
+    const std::string v2_text =
+        "lbsim-fuzzcase-v2\n"
+        "seed=7\n"
+        "scheme=svc\n"
+        "gpu.l1SizeBytes=32768\n"
+        "gpu.l1Ways=8\n"
+        "gpu.l1MshrEntries=8\n"
+        "gpu.l1MshrMergesPerEntry=2\n"
+        "gpu.l1HitLatency=27\n"
+        "gpu.l2SizeBytes=524288\n"
+        "gpu.l2Latency=56\n"
+        "gpu.icntLatency=47\n"
+        "gpu.dramQueueDepth=14\n"
+        "gpu.dramBandwidthGBs=101\n"
+        "gpu.maxCycles=47711\n"
+        "gpu.warmupCycles=0\n"
+        "gpu.watchdogCycles=0\n"
+        "lb.monitorPeriod=7694\n"
+        "lb.hitRatioThreshold=0.48384139351312511\n"
+        "lb.vttWays=2\n"
+        "lb.vttMaxPartitions=8\n"
+        "lb.vttAccessLatency=5\n"
+        "lb.backupBufferEntries=6\n"
+        "lb.victimRegOffset=1024\n"
+        "app.id=fuzz-7\n"
+        "app.aluPerLoad=0\n"
+        "app.loadsBackToBack=0\n"
+        "app.hasStore=1\n"
+        "app.storeEveryN=4\n"
+        "app.warpsPerCta=6\n"
+        "app.regsPerWarp=14\n"
+        "app.iterations=332\n"
+        "app.ctasPerSmOfGrid=4\n"
+        "app.seed=2299810254011912981\n"
+        "load=streaming,15,1,1,0,0,3\n"
+        "load=irregular,394,1,3,36,0.37732027420874181,1\n"
+        "load=reuse,47,3,1,0,0,1\n";
+    FuzzCase parsed;
+    std::string error;
+    ASSERT_TRUE(parseFuzzCase(v2_text, parsed, error)) << error;
+    EXPECT_EQ(serializeFuzzCase(parsed),
+              serializeFuzzCase(generateFuzzCase(7)));
+}
+
 TEST(FuzzCaseSerialization, RejectsMalformedInput)
 {
     FuzzCase parsed;
@@ -419,6 +537,23 @@ TEST(FuzzCaseSerialization, RejectsMalformedInput)
     EXPECT_FALSE(parseFuzzCase("lbsim-fuzzcase-v1\nscheme=baseline\n",
                                parsed, error))
         << "a case without loads must not parse";
+
+    // Keys that v3 added are range-checked like the older ones.
+    for (const char *line : {
+             "gpu.numSms=4294967296",         // above UINT32_MAX
+             "gpu.maxCycles=18446744073709551616",
+             "app.sharedMemPerCta=-1",
+             "gpu.clockGhz=inf",              // non-finite reals
+             "lb.ipcVarUpper=nan",
+             "gpu.dramRrd=+5.5",
+             "app.loadsBackToBack=2",         // bools are 0 or 1
+             "load=reuse,16,4,1,0,0,1",       // TileScope above 3
+             "load=reuse,16,0,1,0,0,1,",      // a part too many
+         }) {
+        EXPECT_FALSE(parseFuzzCase(valid + line + "\n", parsed, error))
+            << line;
+        EXPECT_NE(error.find("bad value"), std::string::npos) << line;
+    }
 }
 
 // --- Minimizer --------------------------------------------------------------

@@ -6,10 +6,10 @@
  * abnormal runs, and crash-isolated sweep execution.
  *
  * Suite names matter: the TSan CI job filters on
- * Experiment*:MemoCache*:ParallelMap*, so the fork-based sweep and
- * retry tests live under IsolatedSweep* / IsolatedRetry* (fork and
- * TSan do not mix) while the cache-hygiene tests — which never fork —
- * live under MemoCachePersist* to stay inside the TSan net.
+ * Experiment*:MemoCache*:ParallelMap*, so the fork-based sweep tests
+ * live under IsolatedSweep* (fork and TSan do not mix) while the
+ * cache-hygiene tests — which never fork — live under
+ * MemoCachePersist* to stay inside the TSan net.
  */
 
 #include <gtest/gtest.h>
@@ -608,8 +608,8 @@ TEST(FuzzFaultModeTest, V1CasesStillParse)
     EXPECT_EQ(parsed.seed, 7u);
     EXPECT_TRUE(parsed.faults.empty());
     EXPECT_EQ(parsed.gpu.watchdogCycles, 0u);
-    // Re-serialization upgrades to the v2 header.
-    EXPECT_EQ(serializeFuzzCase(parsed).find("lbsim-fuzzcase-v2"), 0u);
+    // Re-serialization upgrades to the v3 header.
+    EXPECT_EQ(serializeFuzzCase(parsed).find("lbsim-fuzzcase-v3"), 0u);
 }
 
 TEST(FuzzFaultModeTest, FaultCasePropertiesHold)
@@ -721,7 +721,6 @@ TEST(IsolatedSweepTest, CrashingCellDoesNotPoisonSurvivors)
     EngineOptions opts;
     opts.threads = 2;
     opts.isolateCells = true;
-    opts.maxRetries = 0;
     const std::vector<CellResult> results =
         ExperimentEngine(opts).run(plan);
 
@@ -781,132 +780,6 @@ TEST(IsolatedSweepTest, IsolatedCellsMatchInProcessResults)
     }
 }
 
-// --- Crashed-cell retry policy ---------------------------------------------
-
-/**
- * Cross-process attempt counter: the cell body runs in a forked child,
- * so only the filesystem survives between attempts. Reading then
- * rewriting is race-free here because the engine retries one attempt
- * at a time.
- */
-int
-bumpAttemptCounter(const std::string &path)
-{
-    int attempts = 0;
-    {
-        std::ifstream in(path);
-        in >> attempts;
-    }
-    std::ofstream out(path, std::ios::trunc);
-    out << attempts + 1;
-    return attempts;
-}
-
-/**
- * A cell that crashes its first @p crashes attempts and then succeeds,
- * memoizing its result only on the successful attempt — the same
- * store-after-success discipline SimRunner uses.
- */
-ExperimentCell
-flakyCell(const std::string &counter_path, const std::string &cache_path,
-          int crashes)
-{
-    ExperimentPlan plan(GpuConfig{}, LbConfig{}, sweepOptions());
-    plan.addCustom(
-        "GA", "Flaky", {},
-        [counter_path, cache_path, crashes](SimRunner &) -> RunMetrics {
-            if (bumpAttemptCounter(counter_path) < crashes)
-                std::abort();
-            RunMetrics m;
-            m.outcome = RunOutcome::Ok;
-            m.ipc = 1.25;
-            m.stats.cycles = 1000;
-            m.stats.instructionsIssued = 1250;
-            MemoCache(cache_path).store("flaky-cell",
-                                        serializeRunMetrics(m));
-            return m;
-        });
-    return plan.cells()[0];
-}
-
-TEST(IsolatedRetryTest, BackoffScheduleIsExponentialAndRecovers)
-{
-    const std::string counter = testing::TempDir() + "lbsim_retry_n.txt";
-    const std::string cache =
-        testing::TempDir() + "lbsim_retry_cache.journal";
-    std::remove(counter.c_str());
-    std::remove(cache.c_str());
-
-    EngineOptions opts;
-    opts.isolateCells = true;
-    opts.maxRetries = 3;
-    opts.retryBackoffMs = 50;
-    std::vector<std::uint64_t> delays;
-    opts.retrySleep = [&delays](unsigned attempt,
-                                std::uint64_t delay_ms) {
-        EXPECT_EQ(attempt + 1, delays.size() + 1);
-        delays.push_back(delay_ms);
-    };
-
-    // Two forced crashes, then success on the third attempt.
-    const CellResult result =
-        runExperimentCell(flakyCell(counter, cache, 2), opts);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.outcome, RunOutcome::Ok);
-    EXPECT_EQ(result.metrics.ipc, 1.25);
-
-    // The backoff doubled per attempt: 50ms, then 100ms.
-    ASSERT_EQ(delays.size(), 2u);
-    EXPECT_EQ(delays[0], 50u);
-    EXPECT_EQ(delays[1], 100u);
-    EXPECT_EQ(bumpAttemptCounter(counter), 3);  // 2 crashes + 1 success
-
-    // Exactly the successful attempt reached the memo journal.
-    MemoCache reloaded(cache);
-    EXPECT_EQ(reloaded.size(), 1u);
-    EXPECT_EQ(reloaded.lookup("flaky-cell").value_or(""),
-              serializeRunMetrics(result.metrics));
-    std::remove(counter.c_str());
-    std::remove(cache.c_str());
-}
-
-TEST(IsolatedRetryTest, RetryCapGivesUpAndPersistsNothing)
-{
-    const std::string counter =
-        testing::TempDir() + "lbsim_retry_cap_n.txt";
-    const std::string cache =
-        testing::TempDir() + "lbsim_retry_cap_cache.journal";
-    std::remove(counter.c_str());
-    std::remove(cache.c_str());
-
-    EngineOptions opts;
-    opts.isolateCells = true;
-    opts.maxRetries = 2;
-    opts.retryBackoffMs = 50;
-    std::vector<std::uint64_t> delays;
-    opts.retrySleep = [&delays](unsigned, std::uint64_t delay_ms) {
-        delays.push_back(delay_ms);
-    };
-
-    // Crashes forever: the cap must stop the retries.
-    const CellResult result =
-        runExperimentCell(flakyCell(counter, cache, 1000), opts);
-    EXPECT_FALSE(result.ok);
-    EXPECT_EQ(result.outcome, RunOutcome::Crashed);
-    EXPECT_FALSE(result.error.empty());
-
-    // 1 initial + 2 retries = 3 attempts, with backoffs 50ms and 100ms.
-    EXPECT_EQ(bumpAttemptCounter(counter), 3);
-    ASSERT_EQ(delays.size(), 2u);
-    EXPECT_EQ(delays[0], 50u);
-    EXPECT_EQ(delays[1], 100u);
-
-    // No failed attempt ever reached the memo journal.
-    EXPECT_EQ(MemoCache(cache).size(), 0u);
-    std::remove(counter.c_str());
-    std::remove(cache.c_str());
-}
-
 TEST(IsolatedSweepTest, TimedOutCellReportsHang)
 {
     ExperimentPlan plan(GpuConfig{}, LbConfig{}, sweepOptions());
@@ -919,7 +792,6 @@ TEST(IsolatedSweepTest, TimedOutCellReportsHang)
     opts.threads = 1;
     opts.isolateCells = true;
     opts.cellTimeoutSec = 1;
-    opts.maxRetries = 0;
     const std::vector<CellResult> results =
         ExperimentEngine(opts).run(plan);
     ASSERT_EQ(results.size(), 1u);

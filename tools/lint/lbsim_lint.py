@@ -26,6 +26,11 @@ lbsim-stat-registry (everywhere):
   * fields of *Stats structs missing from the forEachStatField
     visitor in the same file (the single enumeration that the memo
     cache, serializeStats and firstStatDifference all walk)
+  * fields of a struct T missing from the forEachTField visitor
+    defined beside it (forEachGpuConfigField, forEachLbConfigField,
+    forEachAppProfileField, forEachLoadSpecField: the run inputs that
+    the memo-cache key and the fuzz case format walk)
+  Fields of a nested struct are checked one by one (`l1.sizeBytes`).
 lbsim-cross-domain (model dirs only, see --model-dirs):
   * raw concurrency primitives (std::thread, std::mutex, std::atomic,
     std::condition_variable, std::async, ...) declared or used in
@@ -385,51 +390,62 @@ def check_uninit(path, clean, raw_lines, findings):
                          "fuzz replay" % (mname, sname), raw_lines)
 
 
+# A visitor definition, `void forEach<Subject>Field(`: forEachStatField
+# covers every *Stats struct of its file, forEach<T>Field the struct T.
+VISITOR_DEF_RE = re.compile(r"\bvoid\s+(forEach(\w+)Field)\s*\(")
+ANY_STRUCT_RE = re.compile(
+    r"\b(enum\s+)?(?:struct|class)\s+(\w+)\s*(?:final\s*)?(?::[^{;]*)?\{")
+# `s.l1.hits` -> "l1.hits": the member path a visitor body reads.
+MEMBER_PATH_RE = re.compile(r"\b\w+\s*\.\s*(\w+(?:\s*\.\s*\w+)*)")
+
+
 def check_registry(path, clean, raw_lines, findings):
-    visitor = re.search(r"\bforEachStatField\s*\(", clean)
-    if not visitor:
-        return
-    # Visitor body: first brace after the matched signature.
-    open_pos = clean.find("{", visitor.end())
-    if open_pos == -1:
-        return
-    close = find_matching_brace(clean, open_pos)
-    visited = set(re.findall(r"\.\s*(\w+)", clean[open_pos:close]))
+    structs = {}
+    for m in ANY_STRUCT_RE.finditer(clean):
+        if m.group(1):
+            continue  # an enum's enumerators are not fields
+        open_b = m.end() - 1
+        structs.setdefault(m.group(2), (
+            clean[open_b + 1:find_matching_brace(clean, open_b)],
+            open_b + 1))
 
-    structs = {name: (body, pos) for name, body, pos in
-               struct_blocks(clean)}
-    # Non-suffixed structs (e.g. AccessBreakdown) referenced as fields.
-    plain = {}
-    for m in re.finditer(r"\b(?:struct|class)\s+(\w+)\s*\{", clean):
-        name = m.group(1)
-        if name in structs:
+    for vm in VISITOR_DEF_RE.finditer(clean):
+        visitor, subject = vm.group(1), vm.group(2)
+        open_pos = clean.find("{", vm.end())
+        if open_pos == -1:
             continue
-        open_b = clean.index("{", m.start())
-        plain[name] = (clean[open_b + 1:find_matching_brace(clean, open_b)],
-                       open_b + 1)
-
-    for sname, (body, body_pos) in structs.items():
-        if not sname.endswith("Stats"):
-            continue
-        for off, mtype, mname, _ in top_level_members(body):
-            flat_type = re.sub(r"\s+", " ", mtype)
-            nested = plain.get(flat_type) or structs.get(flat_type)
-            if nested is not None:
-                for _, _, leaf, _ in top_level_members(nested[0]):
-                    if leaf not in visited:
+        body = clean[open_pos:find_matching_brace(clean, open_pos)]
+        visited = {re.sub(r"\s+", "", m.group(1))
+                   for m in MEMBER_PATH_RE.finditer(body)}
+        if subject == "Stat":
+            # A *Stats struct nested in another is checked through it.
+            stats = [n for n in structs if n.endswith("Stats")]
+            nested_types = {re.sub(r"\s+", " ", t) for n in stats
+                            for _, t, _, _ in top_level_members(
+                                structs[n][0])}
+            targets = [n for n in stats if n not in nested_types]
+            consequence = ("the memo cache, serialization and golden "
+                           "diffs will silently ignore it")
+        else:
+            targets = [subject] if subject in structs else []
+            consequence = ("the memo-cache key and the fuzz case format "
+                           "will silently ignore it")
+        for sname in targets:
+            sbody, body_pos = structs[sname]
+            for off, mtype, mname, _ in top_level_members(sbody):
+                if mname in visited:
+                    continue
+                nested = structs.get(re.sub(r"\s+", " ", mtype))
+                leaves = [mname] if nested is None else [
+                    mname + "." + leaf
+                    for _, _, leaf, _ in top_level_members(nested[0])]
+                for field in leaves:
+                    if field not in visited:
                         findings.add(
                             path, line_of(clean, body_pos + off), REGISTRY,
-                            "field '%s.%s' of %s is not visited by "
-                            "forEachStatField; the memo cache, "
-                            "serialization and golden diffs will silently "
-                            "ignore it" % (mname, leaf, sname), raw_lines)
-                continue
-            if mname not in visited:
-                findings.add(path, line_of(clean, body_pos + off), REGISTRY,
-                             "field '%s' of %s is not visited by "
-                             "forEachStatField; the memo cache, "
-                             "serialization and golden diffs will silently "
-                             "ignore it" % (mname, sname), raw_lines)
+                            "field '%s' of %s is not visited by %s; %s"
+                            % (field, sname, visitor, consequence),
+                            raw_lines)
 
 
 def main(argv):
