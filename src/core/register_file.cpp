@@ -77,37 +77,6 @@ RegisterFile::beginCycle(Cycle now)
 }
 
 std::uint32_t
-RegisterFile::chargeBank(std::uint32_t bank)
-{
-    LB_ASSERT(bank < numBanks_, "bank %u out of %u", bank, numBanks_);
-    ++stats_->rfAccesses;
-    const std::uint8_t prior = bankUse_[bank];
-    if (bankUse_[bank] < 255)
-        ++bankUse_[bank];
-    if (prior > 0) {
-        ++stats_->rfBankConflicts;
-        return prior;
-    }
-    return 0;
-}
-
-std::uint32_t
-RegisterFile::accessOperands(RegNum base_reg, std::uint32_t count,
-                             Cycle now)
-{
-    (void)now;
-    // Consecutive registers sit in consecutive banks.
-    std::uint32_t bank = bankOf(base_reg);
-    std::uint32_t delay = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        delay += chargeBank(bank);
-        if (++bank == numBanks_)
-            bank = 0;
-    }
-    return delay;
-}
-
-std::uint32_t
 RegisterFile::accessRegister(RegNum reg, bool is_write, Cycle now)
 {
     (void)is_write;

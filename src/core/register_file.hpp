@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -59,12 +60,28 @@ class RegisterFile : public BankArbiterIf
     void beginCycle(Cycle now);
 
     /**
-     * Account @p count operand accesses for a warp whose registers start
-     * at @p base_reg.
+     * Account @p count operand accesses to consecutive registers whose
+     * first one sits in bank (@p warp_bank + @p offset_bank) mod banks:
+     * the bank of the warp's first register plus the bank of the
+     * operand's offset into it, both tabulated before issue. Each is
+     * below the bank count, so one subtraction reduces their sum.
      * @return Extra delay cycles from bank conflicts.
      */
-    std::uint32_t accessOperands(RegNum base_reg, std::uint32_t count,
-                                 Cycle now);
+    std::uint32_t
+    accessOperands(std::uint32_t warp_bank, std::uint32_t offset_bank,
+                   std::uint32_t count)
+    {
+        std::uint32_t bank = warp_bank + offset_bank;
+        if (bank >= numBanks_)
+            bank -= numBanks_;
+        std::uint32_t delay = 0;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            delay += chargeBank(bank);
+            if (++bank == numBanks_)
+                bank = 0;
+        }
+        return delay;
+    }
 
     /**
      * Account one full-line access to register @p reg (victim cache
@@ -100,7 +117,20 @@ class RegisterFile : public BankArbiterIf
 
   private:
     /** Charge one access to @p bank; returns conflict delay. */
-    std::uint32_t chargeBank(std::uint32_t bank);
+    std::uint32_t
+    chargeBank(std::uint32_t bank)
+    {
+        LB_ASSERT(bank < numBanks_, "bank %u out of %u", bank, numBanks_);
+        ++stats_->rfAccesses;
+        const std::uint8_t prior = bankUse_[bank];
+        if (bankUse_[bank] < 255)
+            ++bankUse_[bank];
+        if (prior > 0) {
+            ++stats_->rfBankConflicts;
+            return prior;
+        }
+        return 0;
+    }
 
     SimStats *stats_;
     std::uint32_t totalRegs_;

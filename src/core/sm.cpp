@@ -39,6 +39,13 @@ void
 Sm::setKernel(const KernelInfo *kernel)
 {
     kernel_ = kernel;
+    // An ALU/SFU instruction's operands start pc % span registers into
+    // its warp's; the kernel fixes that offset per pc, so its bank is
+    // found here once instead of at every issue.
+    aluOffsetBank_.clear();
+    const std::uint32_t span = std::max(1u, kernel->regsPerWarp - 2);
+    for (std::uint32_t pc = 0; pc < kernel->body.size(); ++pc)
+        aluOffsetBank_.push_back(rf_.bankOf(pc % span));
 }
 
 bool
@@ -99,6 +106,9 @@ Sm::launchCta(std::uint32_t global_cta_id, Cycle now)
         warp.warpInCta = assigned;
         warp.globalCtaId = global_cta_id;
         warp.launchOrder = launchCounter_++;
+        warp.firstReg =
+            slot->firstRegNum + assigned * kernel_->regsPerWarp;
+        warp.regBank = rf_.bankOf(warp.firstReg);
         warp.pcIndex = 0;
         warp.iteration = 0;
         warp.waitsOnLoads = kernel_->body[0].dependsOnLoads;
@@ -202,6 +212,14 @@ Sm::flipEligibleBitForTest(std::uint32_t slot)
 }
 
 void
+Sm::shiftWarpRegistersForTest(std::uint32_t slot, std::uint32_t reg_delta,
+                              std::uint32_t bank_delta)
+{
+    warps_[slot].firstReg += reg_delta;
+    warps_[slot].regBank += bank_delta;
+}
+
+void
 Sm::issueWarp(Warp &warp, Cycle now)
 {
     const StaticInst &inst = kernel_->body[warp.pcIndex];
@@ -213,11 +231,8 @@ Sm::issueWarp(Warp &warp, Cycle now)
       case Opcode::Alu:
       case Opcode::Sfu: {
         // Two source operands and one destination cross the banks.
-        const Cta &cta = ctas_[warp.ctaHwId];
-        const RegNum base =
-            cta.firstRegNum + warp.warpInCta * kernel_->regsPerWarp +
-            (warp.pcIndex % std::max(1u, kernel_->regsPerWarp - 2));
-        delay = rf_.accessOperands(base, 3, now);
+        delay = rf_.accessOperands(warp.regBank,
+                                   aluOffsetBank_[warp.pcIndex], 3);
         warp.readyAt = now + inst.stallCycles + delay;
         break;
       }
@@ -233,10 +248,7 @@ Sm::issueWarp(Warp &warp, Cycle now)
         const bool bypass = controller_ &&
             controller_->warpBypassesL1(*this, warp);
         ldst_.issue(warp, inst, lineScratch_, bypass, now);
-        const Cta &cta = ctas_[warp.ctaHwId];
-        const RegNum base =
-            cta.firstRegNum + warp.warpInCta * kernel_->regsPerWarp;
-        delay = rf_.accessOperands(base, 2, now);
+        delay = rf_.accessOperands(warp.regBank, 0, 2);
         warp.readyAt = now + inst.stallCycles + delay;
         break;
       }
@@ -363,19 +375,19 @@ Sm::onResponse(const MemResponse &response, Cycle now)
 double
 Sm::avgActiveRegs(Cycle cycles) const
 {
-    return cycles ? activeRegAccum_ / cycles : 0.0;
+    return cycles ? static_cast<double>(activeRegAccum_) / cycles : 0.0;
 }
 
 double
 Sm::avgDurRegs(Cycle cycles) const
 {
-    return cycles ? durRegAccum_ / cycles : 0.0;
+    return cycles ? static_cast<double>(durRegAccum_) / cycles : 0.0;
 }
 
 double
 Sm::avgSurRegs(Cycle cycles) const
 {
-    return cycles ? surRegAccum_ / cycles : 0.0;
+    return cycles ? static_cast<double>(surRegAccum_) / cycles : 0.0;
 }
 
 void
@@ -451,6 +463,18 @@ Sm::audit(Cycle now) const
                      ctas_[warp.ctaHwId].valid,
                  "valid warp slot %u belongs to invalid CTA %u",
                  warp.smWarpId, warp.ctaHwId);
+        if (kernel_ && warp.ctaHwId < ctas_.size() &&
+            ctas_[warp.ctaHwId].valid) {
+            // Issue charges operand banks from these, not the CTA table.
+            const RegNum first = ctas_[warp.ctaHwId].firstRegNum +
+                warp.warpInCta * kernel_->regsPerWarp;
+            LB_AUDIT(warp.firstReg == first &&
+                         warp.regBank == rf_.bankOf(first),
+                     "warp slot %u register mirror (first=%u bank=%u) "
+                     "disagrees with its CTA's placement (%u, bank %u)",
+                     warp.smWarpId, warp.firstReg, warp.regBank, first,
+                     rf_.bankOf(first));
+        }
         if (kernel_) {
             // The decode cache must mirror the body at pcIndex — the
             // issue scans trust it instead of re-reading the kernel.

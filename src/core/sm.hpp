@@ -162,7 +162,10 @@ class Sm : public ResponseSinkIf
        SimStats *stats, std::uint32_t l1_extra_ways = 0,
        bool cerf_unified = false, FaultInjector *fi = nullptr);
 
-    /** Bind the kernel to execute. */
+    /**
+     * Bind the kernel to execute, and tabulate the register-file bank of
+     * each pc's ALU/SFU operand offset.
+     */
     void setKernel(const KernelInfo *kernel);
 
     /** Attach the policy controller (may be null). */
@@ -250,6 +253,15 @@ class Sm : public ResponseSinkIf
      */
     void flipEligibleBitForTest(std::uint32_t slot);
 
+    /**
+     * Shift warp slot @p slot's cached first register by @p reg_delta
+     * and its cached bank by @p bank_delta so tests can prove the
+     * auditor trips. Never call from simulator code.
+     */
+    void shiftWarpRegistersForTest(std::uint32_t slot,
+                                   std::uint32_t reg_delta,
+                                   std::uint32_t bank_delta);
+
   private:
     void issueWarp(Warp &warp, Cycle now);
     void retireFinishedCtas(Cycle now);
@@ -269,6 +281,8 @@ class Sm : public ResponseSinkIf
     std::vector<Warp> warps_;
     std::vector<Cta> ctas_;
     const KernelInfo *kernel_ = nullptr;
+    /** Bank of each pc's ALU/SFU operand offset (setKernel). */
+    std::vector<std::uint32_t> aluOffsetBank_;
     SmControllerIf *controller_ = nullptr;
     FaultInjector *fi_ = nullptr;
     ResponseSinkIf *restoreSink_ = nullptr;
@@ -299,10 +313,11 @@ class Sm : public ResponseSinkIf
     std::uint32_t occActiveRegs_ = 0;
     std::uint32_t occDurRegs_ = 0;
 
-    // Time-integrated register occupancy accumulators.
-    double activeRegAccum_ = 0;
-    double durRegAccum_ = 0;
-    double surRegAccum_ = 0;
+    // Time-integrated register occupancy accumulators, summed in
+    // integers and converted once by the avg*Regs readers.
+    std::uint64_t activeRegAccum_ = 0;
+    std::uint64_t durRegAccum_ = 0;
+    std::uint64_t surRegAccum_ = 0;
 };
 
 } // namespace lbsim

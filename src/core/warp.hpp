@@ -26,6 +26,13 @@ struct Warp
     std::uint32_t globalCtaId = 0;
     /** Monotonic launch order; GTO "oldest" tiebreak. */
     std::uint64_t launchOrder = 0;
+    /**
+     * This warp's first register (its CTA's firstRegNum + warpInCta x
+     * regsPerWarp) and that register's bank, fixed at CTA launch so
+     * issue finds operand banks without dividing.
+     */
+    RegNum firstReg = 0;
+    std::uint32_t regBank = 0;
 
     // --- Execution progress ---------------------------------------------
     std::uint32_t pcIndex = 0;

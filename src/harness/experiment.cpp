@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "harness/memo_cache.hpp"
 #include "harness/oracle.hpp"
 #include "resilience/isolation.hpp"
 
@@ -159,12 +160,13 @@ namespace
 
 /** Execute @p cell on this thread, folding the run outcome in. */
 void
-executeCellInProcess(const ExperimentCell &cell, CellResult &result)
+executeCellInProcess(const ExperimentCell &cell, CellResult &result,
+                     MemoCache *plan_memo)
 {
     try {
         // Worker-private runner: cells never share mutable simulator
-        // state, only the thread-safe memo cache.
-        SimRunner runner(cell.gpu, cell.lb, cell.options);
+        // state, only the thread-safe memo caches.
+        SimRunner runner(cell.gpu, cell.lb, cell.options, plan_memo);
         result.metrics = cell.body(runner);
         result.outcome = result.metrics.outcome;
         result.hangReport = result.metrics.hangReport;
@@ -257,7 +259,7 @@ executeCellIsolated(const ExperimentCell &cell, CellResult &result,
 
 CellResult
 runExperimentCell(const ExperimentCell &cell, const EngineOptions &options,
-                  std::size_t index)
+                  std::size_t index, MemoCache *plan_memo)
 {
     CellResult result;
     result.index = index;
@@ -267,7 +269,7 @@ runExperimentCell(const ExperimentCell &cell, const EngineOptions &options,
     if (options.isolateCells)
         executeCellIsolated(cell, result, options);
     else
-        executeCellInProcess(cell, result);
+        executeCellInProcess(cell, result, plan_memo);
     return result;
 }
 
@@ -291,9 +293,13 @@ ExperimentEngine::run(const ExperimentPlan &plan) const
     // completions in print order.
     Mutex report_mutex;
     std::size_t completed = 0;
+    // Memo-off cells (--no-cache) still simulate each distinct run once
+    // per plan, e.g. Best-SWL's no-op limits and the baseline.
+    MemoCache plan_memo;
 
     return parallelMap(total, options_.threads, [&](std::size_t i) {
-        CellResult result = runExperimentCell(plan.cells()[i], options_, i);
+        CellResult result =
+            runExperimentCell(plan.cells()[i], options_, i, &plan_memo);
         MutexLock lock(report_mutex);
         const std::size_t done = ++completed;
         if (options_.printProgress) {

@@ -19,7 +19,9 @@
  *    from the cell's configs — SimRunner is a value type with no
  *    mutable shared state, and all cross-thread coordination lives in
  *    the thread-safe MemoCache (single-flight, so a shared oracle
- *    sweep is paid once).
+ *    sweep is paid once). Memo-off cells share an in-memory MemoCache
+ *    that lives for one run() call, so identical runs within a plan
+ *    are still simulated once.
  *
  * Results land in plan order regardless of completion order, so N-thread
  * and 1-thread runs render identical tables and JSON. A throwing cell is
@@ -183,11 +185,13 @@ struct EngineOptions
  * and return its result. This is the single-cell core of
  * ExperimentEngine::run, exposed so the sweep service can schedule
  * cells one at a time with its own queueing and retries; @p index is
- * echoed into CellResult::index.
+ * echoed into CellResult::index. @p plan_memo answers the cell's
+ * memo-off runs when it runs in process (see SimRunner).
  */
 CellResult runExperimentCell(const ExperimentCell &cell,
                              const EngineOptions &options,
-                             std::size_t index = 0);
+                             std::size_t index = 0,
+                             MemoCache *plan_memo = nullptr);
 
 /** Executes experiment plans on a worker-thread pool. */
 class ExperimentEngine
@@ -195,7 +199,11 @@ class ExperimentEngine
   public:
     explicit ExperimentEngine(EngineOptions options = {});
 
-    /** Run every cell on parallelMap's pool; results are in plan order. */
+    /**
+     * Run every cell on parallelMap's pool; results are in plan order.
+     * The in-process memo-off cells share one in-memory store for this
+     * call only, so a re-run plan simulates again.
+     */
     std::vector<CellResult> run(const ExperimentPlan &plan) const;
 
     static unsigned hardwareThreads();

@@ -37,7 +37,8 @@ MemoCache::schemaHeader()
 MemoCache::MemoCache(std::string path)
     : path_(std::move(path)), journal_(path_)
 {
-    load();
+    if (!path_.empty())
+        load();
 }
 
 std::string
@@ -122,6 +123,8 @@ MemoCache::lookup(const std::string &key) const
 void
 MemoCache::checkpointLocked()
 {
+    if (path_.empty())
+        return;
     std::vector<std::string> records;
     records.reserve(entries_.size() + 1);
     records.push_back(schemaHeader());
@@ -146,6 +149,8 @@ MemoCache::checkpointLocked()
 void
 MemoCache::append(const std::string &key, const std::string &value)
 {
+    if (path_.empty())
+        return;
     if (rewriteOnStore_) {
         // Foreign or stale-schema file: replace it wholesale with the
         // live map (which already contains this key).

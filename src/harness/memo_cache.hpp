@@ -26,7 +26,9 @@
  * and the losers block on the winner's result.
  *
  * Callers that must not touch the store (--no-cache) bypass it through
- * RunnerOptions::useMemoCache.
+ * RunnerOptions::useMemoCache. An instance built without a path is the
+ * same single-flight store kept in memory only: ExperimentEngine::run
+ * shares one among a plan's memo-off cells.
  */
 
 #pragma once
@@ -48,8 +50,11 @@ namespace lbsim
 class MemoCache
 {
   public:
-    /** @param path Cache file location (created lazily). */
-    explicit MemoCache(std::string path);
+    /**
+     * @param path Cache file location (created lazily); empty keeps the
+     *     store in memory, with nothing loaded or persisted.
+     */
+    explicit MemoCache(std::string path = {});
 
     /** Look up @p key; returns the stored value if present. */
     std::optional<std::string> lookup(const std::string &key) const;

@@ -1,5 +1,6 @@
 #include "harness/sim_runner.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -23,16 +24,27 @@ namespace
 /** Bump when simulator/workload semantics change to invalidate caches. */
 constexpr const char *kCacheVersion = "lbsim-v11";
 
+/** Runs that reached the cycle model (SimRunner::simulationsRun). */
+std::atomic<std::uint64_t> simulations{0};
+
+/**
+ * Warp slots an SM can ever fill with @p kernel: Sm::launchCta puts each
+ * CTA in the lowest free slots and admits at most maxResidentCtas CTAs,
+ * so no warp sits at or above this bound.
+ */
+std::uint32_t
+residentWarpBound(const GpuConfig &cfg, const KernelInfo &kernel)
+{
+    return maxResidentCtas(cfg, kernel) * kernel.warpsPerCta;
+}
+
 /** DUR bytes implied by a static warp limit (Best-SWL+CacheExt sizing). */
 std::uint32_t
 durBytesForWarpLimit(const GpuConfig &cfg, const KernelInfo &kernel,
                      std::uint32_t warp_limit)
 {
-    if (warp_limit == 0)
-        return 0;
-    const std::uint32_t resident_warps =
-        maxResidentCtas(cfg, kernel) * kernel.warpsPerCta;
-    if (warp_limit >= resident_warps)
+    const std::uint32_t resident_warps = residentWarpBound(cfg, kernel);
+    if (warp_limit == 0 || warp_limit >= resident_warps)
         return 0;
     return (resident_warps - warp_limit) * kernel.regsPerWarp *
         kLineBytes;
@@ -160,24 +172,34 @@ geomean(const std::vector<double> &values)
 }
 
 SimRunner::SimRunner(GpuConfig base_cfg, LbConfig lb_cfg,
-                     RunnerOptions options)
-    : baseCfg_(base_cfg), lbCfg_(lb_cfg), options_(options)
+                     RunnerOptions options, MemoCache *plan_memo)
+    : baseCfg_(base_cfg), lbCfg_(lb_cfg), options_(options),
+      planMemo_(plan_memo)
 {
+}
+
+std::uint64_t
+SimRunner::simulationsRun()
+{
+    return simulations.load();
 }
 
 RunMetrics
 SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
 {
     // Lockstep runs carry run-local checker counters that must never be
-    // served from (or stored into) the cross-run cache.
-    if (!options_.useMemoCache || options_.lockstep)
+    // served from (or stored into) any memo.
+    if (options_.lockstep)
         return runUncached(app, scheme);
 
-    // One shared, thread-safe store per process: the file is parsed
-    // once, lookups are in-memory, and concurrent identical runs (e.g.
-    // oracle sweeps reached from several experiment cells) are paid
-    // once via the single-flight getOrComputeIf.
-    MemoCache &cache = MemoCache::shared();
+    // The persistent store is one thread-safe instance per process, its
+    // file parsed once. Either store pays concurrent identical runs
+    // (e.g. oracle sweeps reached from several experiment cells) once
+    // via the single-flight getOrComputeIf.
+    MemoCache *cache =
+        options_.useMemoCache ? &MemoCache::shared() : planMemo_;
+    if (!cache)
+        return runUncached(app, scheme);
     const std::string key = memoKey(app, scheme);
 
     // Abnormally-ended runs (hang, fault-degraded) must never be
@@ -186,7 +208,7 @@ SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
     // report survives (the cache format carries numeric fields only).
     RunMetrics fresh;
     bool computed = false;
-    const std::string serialized = cache.getOrComputeIf(key, [&] {
+    const std::string serialized = cache->getOrComputeIf(key, [&] {
         fresh = runUncached(app, scheme);
         computed = true;
         return MemoCache::ComputeResult{
@@ -206,13 +228,50 @@ SimRunner::run(const AppProfile &app, const SchemeConfig &scheme)
     // overwrite rather than propagating zeros.
     metrics = runUncached(app, scheme);
     if (metrics.outcome == RunOutcome::Ok)
-        cache.store(key, serializeRunMetrics(metrics));
+        cache->store(key, serializeRunMetrics(metrics));
     return metrics;
 }
 
-std::string
-SimRunner::memoKey(const AppProfile &app, const SchemeConfig &scheme) const
+GpuConfig
+SimRunner::runConfig() const
 {
+    GpuConfig cfg = options_.simSms
+        ? baseCfg_.scaleTo(options_.simSms)
+        : baseCfg_;
+    if (options_.maxCycles)
+        cfg.maxCycles = options_.maxCycles;
+    return cfg;
+}
+
+SchemeConfig
+SimRunner::noThrottleTwin(const AppProfile &app,
+                          const SchemeConfig &scheme) const
+{
+    if (scheme.throttle != ThrottleMode::StaticWarp)
+        return scheme;
+    SchemeConfig twin = scheme.cacheExt ? SchemeConfig::cacheExtension()
+                                        : SchemeConfig::baseline();
+    if (scheme.victim != twin.victim ||
+        scheme.useDynamicUnusedRegs != twin.useDynamicUnusedRegs ||
+        scheme.backupRegisters != twin.backupRegisters ||
+        scheme.cerfUnified != twin.cerfUnified)
+        return scheme;
+    // lowSlotMask(limit) passes every slot below the bound, and no warp
+    // is ever resident above it; the CacheExt sizing adds no DUR either.
+    if (scheme.staticWarpLimit != 0) {
+        const GpuConfig cfg = runConfig();
+        const KernelInfo kernel = app.buildKernel(cfg);
+        if (scheme.staticWarpLimit < residentWarpBound(cfg, kernel))
+            return scheme;
+    }
+    return twin;
+}
+
+std::string
+SimRunner::memoKey(const AppProfile &app,
+                   const SchemeConfig &requested) const
+{
+    const SchemeConfig scheme = noThrottleTwin(app, requested);
     // The input visitors name every field that can change a result, so
     // walking them keys every one (useMemoCache and the ignored
     // smThreads fields are the deliberate exclusions). Within a section
@@ -268,12 +327,8 @@ SimRunner::memoKey(const AppProfile &app, const SchemeConfig &scheme) const
 RunMetrics
 SimRunner::runUncached(const AppProfile &app, const SchemeConfig &scheme)
 {
-    GpuConfig cfg = options_.simSms
-        ? baseCfg_.scaleTo(options_.simSms)
-        : baseCfg_;
-    if (options_.maxCycles)
-        cfg.maxCycles = options_.maxCycles;
-
+    ++simulations;
+    const GpuConfig cfg = runConfig();
     const KernelInfo kernel = app.buildKernel(cfg);
 
     GpuBuildOptions build;

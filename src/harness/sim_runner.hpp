@@ -25,6 +25,8 @@
 namespace lbsim
 {
 
+class MemoCache;
+
 /** How one simulation run ended. */
 enum class RunOutcome : std::uint8_t
 {
@@ -101,7 +103,10 @@ struct RunnerOptions
      * which set it keep compiling; never part of the memo-cache key.
      */
     std::uint32_t smThreads = 0;
-    /** Memoize results in buildDir/simcache.csv. */
+    /**
+     * Memoize results in the persistent store (MemoCache::shared()).
+     * When false, only the runner's plan store, if any, answers.
+     */
     bool useMemoCache = true;
     /**
      * Run the differential reference model in lockstep with the timing
@@ -123,8 +128,14 @@ struct RunnerOptions
 class SimRunner
 {
   public:
+    /**
+     * @param plan_memo Store that answers this runner's memo-off
+     *     (useMemoCache false) runs; null simulates each of them.
+     *     ExperimentEngine::run passes one store per plan.
+     */
     explicit SimRunner(GpuConfig base_cfg = {}, LbConfig lb_cfg = {},
-                       RunnerOptions options = {});
+                       RunnerOptions options = {},
+                       MemoCache *plan_memo = nullptr);
 
     /**
      * Execute @p app under @p scheme.
@@ -140,9 +151,17 @@ class SimRunner
      * (forEachGpuConfigField and its LbConfig / AppProfile / LoadSpec
      * counterparts), so every field that can change a result is keyed;
      * LbConfig only for schemes with a victim mechanism or DynamicCta.
+     * A static warp limit that refuses no resident warp is keyed as its
+     * unthrottled twin (see noThrottleTwin), so the two share one run.
      */
     std::string memoKey(const AppProfile &app,
                         const SchemeConfig &scheme) const;
+
+    /**
+     * Runs that reached the cycle model, over every runner in this
+     * process: memo answers do not count. Tests read its change.
+     */
+    static std::uint64_t simulationsRun();
 
     const GpuConfig &baseConfig() const { return baseCfg_; }
     const LbConfig &lbConfig() const { return lbCfg_; }
@@ -153,12 +172,22 @@ class SimRunner
     LbConfig &lbConfig() { return lbCfg_; }
 
   private:
+    /** The scaled configuration every run of this runner simulates. */
+    GpuConfig runConfig() const;
+    /**
+     * The scheme whose run @p scheme repeats exactly: @p scheme itself,
+     * unless its only throttle is a static warp limit that refuses no
+     * resident warp; then baseline, or CacheExt when it extends the L1.
+     */
+    SchemeConfig noThrottleTwin(const AppProfile &app,
+                                const SchemeConfig &scheme) const;
     RunMetrics runUncached(const AppProfile &app,
                            const SchemeConfig &scheme);
 
     GpuConfig baseCfg_;
     LbConfig lbCfg_;
     RunnerOptions options_;
+    MemoCache *planMemo_;
 };
 
 /** Geometric mean of @p values (ignores non-positive entries). */

@@ -30,6 +30,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 
 FAILURES = []
 
@@ -313,17 +314,27 @@ def main():
     with tempfile.TemporaryDirectory(prefix="lbsim_cli_test_") as tmp:
         # Keep every artifact (and the memo cache) inside the sandbox.
         os.environ["LBSIM_CACHE_PATH"] = os.path.join(tmp, "cache.journal")
-        test_cli_ok_exit_code(cli, tmp)
-        test_cli_hang_exit_code(cli, tmp)
-        test_cli_rejects_unknown_options(cli)
-        test_lbtrace_names_the_rule(cli, tmp)
-        test_bad_numeric_values(cli, submit)
-        test_submit_usage_and_connect_errors(submit, tmp)
-        test_front_ends_refuse_unlisted_options(daemon, submit, figures,
-                                                tmp)
-        test_figures_exit_codes(figures, tmp)
-        test_submit_shed_exit_code(daemon, submit, tmp)
-        test_submit_refuses_bad_frame_counts(submit, tmp)
+        checks = [
+            (test_cli_ok_exit_code, (cli, tmp)),
+            (test_cli_hang_exit_code, (cli, tmp)),
+            (test_cli_rejects_unknown_options, (cli,)),
+            (test_lbtrace_names_the_rule, (cli, tmp)),
+            (test_bad_numeric_values, (cli, submit)),
+            (test_submit_usage_and_connect_errors, (submit, tmp)),
+            (test_front_ends_refuse_unlisted_options,
+             (daemon, submit, figures, tmp)),
+            (test_figures_exit_codes, (figures, tmp)),
+            (test_submit_shed_exit_code, (daemon, submit, tmp)),
+            (test_submit_refuses_bad_frame_counts, (submit, tmp)),
+        ]
+        for test, args in checks:
+            # An uncaught exception fails only its own check, by name and
+            # with its traceback; the remaining checks still run.
+            try:
+                test(*args)
+            except Exception:
+                check(test.__name__, False, "raised\n" +
+                      traceback.format_exc())
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1

@@ -644,6 +644,43 @@ TEST_F(AuditFixture, IssueMaskRefusingAnAllowedWarpTrips)
     sm.setController(nullptr);
 }
 
+/** A 1-SM chip with KM's first CTA launched and its audit clean. */
+struct LaunchedCtaFixture : AuditFixture
+{
+    LaunchedCtaFixture()
+        : gpu(GpuConfig{}.scaleTo(1)),
+          kernel(appById("KM").buildKernel(gpu.config()))
+    {
+        gpu.sm(0).setKernel(&kernel);
+        EXPECT_TRUE(gpu.sm(0).launchCta(0, 0));
+        gpu.sm(0).audit(0);
+        EXPECT_TRUE(failures.empty());
+    }
+
+    Gpu gpu;
+    KernelInfo kernel;
+};
+
+TEST_F(LaunchedCtaFixture, WarpRegisterBaseMirrorTrips)
+{
+    ASSERT_TRUE(gpu.sm(0).warps()[1].valid);
+    // Same bank, wrong register: only the base disagrees.
+    gpu.sm(0).shiftWarpRegistersForTest(1, gpu.config().registerFileBanks,
+                                        0);
+    gpu.sm(0).audit(0);
+    EXPECT_TRUE(fired("warp slot 1 register mirror"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
+TEST_F(LaunchedCtaFixture, WarpRegisterBankMirrorTrips)
+{
+    ASSERT_TRUE(gpu.sm(0).warps()[1].valid);
+    gpu.sm(0).shiftWarpRegistersForTest(1, 0, 1);
+    gpu.sm(0).audit(0);
+    EXPECT_TRUE(fired("warp slot 1 register mirror"));
+    EXPECT_EQ(failures.size(), 1u);
+}
+
 TEST_F(AuditFixture, SmRejectsMoreThan64WarpSlots)
 {
     GpuConfig cfg = GpuConfig{}.scaleTo(1);

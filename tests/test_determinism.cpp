@@ -8,8 +8,10 @@
  * bit-for-bit, and the seed must actually matter for stochastic
  * workloads. serializeStats() is the byte-exact witness for both.
  * The inert-plan suite applies the same witness to the crossbar's
- * parking, which an armed fault injector turns off, and the gate-seam
- * test to a controller that gates per warp instead of by issue mask.
+ * parking, which an armed fault injector turns off, the gate-seam
+ * test to a controller that gates per warp instead of by issue mask,
+ * and the no-op-limit test to the static warp limits the memo key
+ * shares with baseline.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "baselines/cerf.hpp"
 #include "baselines/pcal.hpp"
 #include "baselines/static_warp_limiter.hpp"
 #include "common/stats.hpp"
@@ -333,6 +336,35 @@ TEST(Determinism, PerWarpGateDecoratorMatchesIssueMask)
             // warps for the last 70k cycles.
             EXPECT_LT(masked.pcalLimit, GpuConfig{}.maxWarpsPerSm);
             EXPECT_EQ(decorated.pcalLimit, masked.pcalLimit);
+        }
+    }
+}
+
+TEST(Determinism, NoOpStaticLimitMatchesNoController)
+{
+    // The premise of the memo key's no-throttle twin: a limit of 0, or
+    // one at the resident-warp bound, refuses no warp, so the run is
+    // the baseline's. Lockstep runs bypass every memo, so each of these
+    // drives its StaticWarpLimiter.
+    GpuConfig gpu;
+    gpu.warmupCycles = 20000;
+    RunnerOptions options = fastOptions();
+    options.simSms = 2;
+    options.maxCycles = 40000;
+    options.lockstep = true;
+    SimRunner runner(gpu, {}, options);
+    const GpuConfig scaled = gpu.scaleTo(options.simSms);
+    for (const AppProfile &app : benchmarkSuite()) {
+        const KernelInfo kernel = app.buildKernel(scaled);
+        const std::uint32_t bound =
+            maxResidentCtas(scaled, kernel) * kernel.warpsPerCta;
+        const std::string none = serializeRunMetrics(
+            runner.run(app, SchemeConfig::baseline()));
+        for (const std::uint32_t limit : {0u, bound}) {
+            EXPECT_EQ(serializeRunMetrics(
+                          runner.run(app, SchemeConfig::bestSwl(limit))),
+                      none)
+                << app.id << " limit " << limit;
         }
     }
 }

@@ -149,6 +149,45 @@ TEST(ExperimentEngine, ThreadCountDoesNotChangeResults)
     }
 }
 
+TEST(ExperimentEngine, MemoOffPlanSimulatesEachDistinctRunOnce)
+{
+    // Best-SWL's limit 0 repeats the baseline run, and so does LI's
+    // limit 48: LI never holds more than 48 warps.
+    const std::vector<AppProfile> apps = {appById("S2"), appById("LI")};
+    const auto plan = [&apps](bool lockstep) {
+        RunnerOptions options = fastOptions();
+        options.lockstep = lockstep;
+        ExperimentPlan built(fastGpu(), LbConfig{}, options);
+        built.withBaseline(apps, SchemeConfig::baseline()).withBestSwl(apps);
+        return built;
+    };
+    const auto simulate = [](const ExperimentPlan &p, unsigned threads,
+                             std::uint64_t &runs) {
+        EngineOptions options;
+        options.threads = threads;
+        const std::uint64_t before = SimRunner::simulationsRun();
+        std::vector<CellResult> results = ExperimentEngine(options).run(p);
+        runs = SimRunner::simulationsRun() - before;
+        return results;
+    };
+
+    std::uint64_t runs = 0;
+    const std::vector<CellResult> serial = simulate(plan(false), 1, runs);
+    EXPECT_EQ(runs, 11u) << "S2 6 of 7 and LI 5 of 7 requests";
+    const std::vector<CellResult> pooled = simulate(plan(false), 4, runs);
+    EXPECT_EQ(runs, 11u);
+    ASSERT_EQ(serial.size(), pooled.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_TRUE(serial[i].ok && pooled[i].ok);
+        EXPECT_EQ(serializeRunMetrics(serial[i].metrics),
+                  serializeRunMetrics(pooled[i].metrics));
+    }
+
+    // Lockstep runs bypass every memo, the per-plan store included.
+    simulate(plan(true), 4, runs);
+    EXPECT_EQ(runs, 14u);
+}
+
 TEST(ExperimentEngine, ThrowingCellIsIsolated)
 {
     ExperimentPlan plan(fastGpu(), LbConfig{}, fastOptions());

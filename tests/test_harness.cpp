@@ -12,6 +12,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "baselines/cerf.hpp"
+#include "core/scheduler.hpp"
 #include "harness/memo_cache.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
@@ -220,6 +222,34 @@ TEST(MemoKey, KeysOfEarlierCachesStillHit)
               "S2:Linebacker:5d8a4cd22295be03");
     EXPECT_EQ(runner.memoKey(appById("KM"), SchemeConfig::baseline()),
               "KM:Baseline:cc67a3c846d376d3");
+}
+
+TEST(MemoKey, NoThrottlingHasOneKey)
+{
+    // A static limit no resident warp reaches runs exactly as its
+    // unthrottled twin, so it reads the twin's memo entry.
+    const SimRunner runner;
+    const GpuConfig cfg = GpuConfig{}.scaleTo(runner.options().simSms);
+    for (const AppProfile &app : benchmarkSuite()) {
+        const KernelInfo kernel = app.buildKernel(cfg);
+        const std::uint32_t bound =
+            maxResidentCtas(cfg, kernel) * kernel.warpsPerCta;
+        ASSERT_GT(bound, 1u) << app.id;
+        const std::string base =
+            runner.memoKey(app, SchemeConfig::baseline());
+        EXPECT_EQ(runner.memoKey(app, SchemeConfig::bestSwl(0)), base)
+            << app.id;
+        for (std::uint32_t limit = bound; limit <= kMaxWarpSlots; ++limit)
+            EXPECT_EQ(runner.memoKey(app, SchemeConfig::bestSwl(limit)),
+                      base)
+                << app.id << " limit " << limit;
+        EXPECT_NE(runner.memoKey(app, SchemeConfig::bestSwl(bound - 1)),
+                  base)
+            << app.id;
+        EXPECT_EQ(runner.memoKey(app, SchemeConfig::bestSwlCacheExt(0)),
+                  runner.memoKey(app, SchemeConfig::cacheExtension()))
+            << app.id;
+    }
 }
 
 TEST(Oracle, PicksBestAndIncludesUnlimited)

@@ -121,8 +121,42 @@ TEST(RegisterFile, OperandBurstCountsEachAccess)
     SimStats stats;
     RegisterFile rf(cfg(), &stats);
     rf.beginCycle(0);
-    rf.accessOperands(0, 3, 0);
+    rf.accessOperands(0, 0, 3);
     EXPECT_EQ(stats.rfAccesses, 3u);
+}
+
+TEST(RegisterFile, OperandWalkStartsAtTheSumOfTwoBanks)
+{
+    // Issue hands over the bank of the warp's first register and the
+    // bank of the operand's offset into it; the walk must charge the
+    // banks of base, base + 1, ... exactly as dividing base would.
+    for (const std::uint32_t banks : {16u, 12u}) {
+        GpuConfig config = cfg();
+        config.registerFileBanks = banks;
+        SimStats stats;
+        RegisterFile rf(config, &stats);
+        for (RegNum base = 0; base < rf.totalRegs(); ++base) {
+            for (const RegNum offset : {0u, base % 30}) {
+                for (std::uint32_t count = 1; count <= 3; ++count) {
+                    rf.beginCycle(0);
+                    rf.accessOperands(rf.bankOf(base - offset),
+                                      rf.bankOf(offset), count);
+                    // A bank the walk charged conflicts with one more
+                    // access this cycle; every other bank is still free.
+                    for (std::uint32_t bank = 0; bank < banks; ++bank) {
+                        bool walked = false;
+                        for (std::uint32_t i = 0; i < count; ++i)
+                            walked |= (base + i) % banks == bank;
+                        ASSERT_EQ(rf.accessRegister(bank, false, 0) > 0,
+                                  walked)
+                            << "banks=" << banks << " base=" << base
+                            << " offset=" << offset << " count=" << count
+                            << " bank=" << bank;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(RegisterFile, ArbitrateLineSharesBanksWithOperands)
@@ -131,7 +165,7 @@ TEST(RegisterFile, ArbitrateLineSharesBanksWithOperands)
     SimStats stats;
     RegisterFile rf(cfg(), &stats);
     rf.beginCycle(0);
-    rf.accessOperands(0, 1, 0); // Bank 0.
+    rf.accessOperands(0, 0, 1); // Bank 0.
     const Addr line_in_bank0 = 16 * kLineBytes; // lineIndex 16 % 16 = 0.
     EXPECT_GT(rf.arbitrateLine(line_in_bank0, false, 0), 0u);
     EXPECT_EQ(stats.rfBankConflicts, 1u);
