@@ -22,6 +22,12 @@ maxResidentCtas(const GpuConfig &cfg, const KernelInfo &kernel)
 }
 
 std::uint32_t
+residentWarpBound(const GpuConfig &cfg, const KernelInfo &kernel)
+{
+    return maxResidentCtas(cfg, kernel) * kernel.warpsPerCta;
+}
+
+std::uint32_t
 staticallyUnusedRegBytes(const GpuConfig &cfg, const KernelInfo &kernel)
 {
     const std::uint32_t used =
@@ -29,6 +35,17 @@ staticallyUnusedRegBytes(const GpuConfig &cfg, const KernelInfo &kernel)
     return cfg.registerFileBytesPerSm > used
         ? cfg.registerFileBytesPerSm - used
         : 0;
+}
+
+std::uint32_t
+dynamicallyUnusedRegBytes(const GpuConfig &cfg, const KernelInfo &kernel,
+                          std::uint32_t warp_limit)
+{
+    const std::uint32_t resident_warps = residentWarpBound(cfg, kernel);
+    if (warp_limit == 0 || warp_limit >= resident_warps)
+        return 0;
+    return (resident_warps - warp_limit) * kernel.regsPerWarp *
+        kLineBytes;
 }
 
 std::uint32_t

@@ -46,9 +46,26 @@ std::uint32_t cerfExtraWays(const GpuConfig &cfg, const KernelInfo &kernel);
 std::uint32_t maxResidentCtas(const GpuConfig &cfg,
                               const KernelInfo &kernel);
 
+/**
+ * Warp slots an SM can ever fill with @p kernel: Sm::launchCta puts each
+ * CTA in the lowest free slots and admits at most maxResidentCtas CTAs,
+ * so no warp sits at or above this bound.
+ */
+std::uint32_t residentWarpBound(const GpuConfig &cfg,
+                                const KernelInfo &kernel);
+
 /** Statically unused register bytes per SM at full occupancy. */
 std::uint32_t staticallyUnusedRegBytes(const GpuConfig &cfg,
                                        const KernelInfo &kernel);
+
+/**
+ * Dynamically unused register bytes per SM under static warp limit
+ * @p warp_limit (0: none): the registers of resident warps the limit
+ * never lets issue (Fig 4's DUR, Best-SWL+CacheExt sizing).
+ */
+std::uint32_t dynamicallyUnusedRegBytes(const GpuConfig &cfg,
+                                        const KernelInfo &kernel,
+                                        std::uint32_t warp_limit);
 
 /**
  * Extra L1 ways for the ideal CacheExt configuration (Fig 5): idle

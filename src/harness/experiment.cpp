@@ -286,7 +286,7 @@ ExperimentEngine::hardwareThreads()
 }
 
 std::vector<CellResult>
-ExperimentEngine::run(const ExperimentPlan &plan) const
+ExperimentEngine::run(const ExperimentPlan &plan, MemoCache *plan_memo) const
 {
     const std::size_t total = plan.size();
     // Serializes progress lines across the worker pool, and counts
@@ -295,11 +295,12 @@ ExperimentEngine::run(const ExperimentPlan &plan) const
     std::size_t completed = 0;
     // Memo-off cells (--no-cache) still simulate each distinct run once
     // per plan, e.g. Best-SWL's no-op limits and the baseline.
-    MemoCache plan_memo;
+    MemoCache call_memo;
+    MemoCache *memo = plan_memo ? plan_memo : &call_memo;
 
     return parallelMap(total, options_.threads, [&](std::size_t i) {
         CellResult result =
-            runExperimentCell(plan.cells()[i], options_, i, &plan_memo);
+            runExperimentCell(plan.cells()[i], options_, i, memo);
         MutexLock lock(report_mutex);
         const std::size_t done = ++completed;
         if (options_.printProgress) {

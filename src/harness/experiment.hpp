@@ -20,8 +20,8 @@
  *    mutable shared state, and all cross-thread coordination lives in
  *    the thread-safe MemoCache (single-flight, so a shared oracle
  *    sweep is paid once). Memo-off cells share an in-memory MemoCache
- *    that lives for one run() call, so identical runs within a plan
- *    are still simulated once.
+ *    that lives for one run() call, or one the caller passes in, so
+ *    identical runs within a plan are still simulated once.
  *
  * Results land in plan order regardless of completion order, so N-thread
  * and 1-thread runs render identical tables and JSON. A throwing cell is
@@ -201,10 +201,12 @@ class ExperimentEngine
 
     /**
      * Run every cell on parallelMap's pool; results are in plan order.
-     * The in-process memo-off cells share one in-memory store for this
-     * call only, so a re-run plan simulates again.
+     * The in-process memo-off cells share @p plan_memo, or when it is
+     * null one in-memory store for this call only, so a re-run plan
+     * simulates again.
      */
-    std::vector<CellResult> run(const ExperimentPlan &plan) const;
+    std::vector<CellResult> run(const ExperimentPlan &plan,
+                                MemoCache *plan_memo = nullptr) const;
 
     static unsigned hardwareThreads();
 

@@ -8,6 +8,7 @@
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "harness/characterize.hpp"
+#include "harness/memo_cache.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
 #include "lb/load_monitor.hpp"
@@ -442,10 +443,11 @@ figureRegistry()
          },
          [](const FigureRun &run) {
              // The sweep paid for every oracle point, so re-deriving the
-             // winner is memo-cache lookups; the DUR column needs the
-             // oracle's warp limit, not just its metrics.
+             // winner is lookups in the memo cache or, without it, in
+             // the plan's store; the DUR column needs the oracle's warp
+             // limit, not just its metrics.
              SimRunner runner(run.regime.gpuConfig(), LbConfig{},
-                              run.regime.runnerOptions());
+                              run.regime.runnerOptions(), run.planMemo);
              TextTable table;
              table.setHeader({"app", "SUR", "DUR", "SWL limit"});
              double sur_sum = 0;
@@ -457,16 +459,9 @@ figureRegistry()
                  const std::uint32_t limit = oracle.bestLimit;
                  const double sur_bytes = kLineBytes *
                      oracle.bestMetrics.stats.avgStaticallyUnusedRegisters;
-                 // DUR under a static warp limit: registers of resident
-                 // warps that are never allowed to issue.
                  const GpuConfig cfg;
-                 const KernelInfo kernel = app.buildKernel(cfg);
-                 const std::uint32_t resident =
-                     maxResidentCtas(cfg, kernel) * kernel.warpsPerCta;
-                 const std::uint32_t gated =
-                     limit && limit < resident ? resident - limit : 0;
-                 const double dur_bytes = static_cast<double>(gated) *
-                     kernel.regsPerWarp * kLineBytes;
+                 const double dur_bytes = dynamicallyUnusedRegBytes(
+                     cfg, app.buildKernel(cfg), limit);
                  sur_sum += sur_bytes;
                  dur_sum += dur_bytes;
                  dur_apps += dur_bytes > 0 ? 1 : 0;
@@ -892,8 +887,13 @@ runFigure(const Figure &figure, const Regime &regime, unsigned threads)
     EngineOptions engine;
     engine.threads = threads;
     engine.printProgress = true; // Failed cells show there too.
-    std::vector<CellResult> results = ExperimentEngine(engine).run(plan);
-    FigureOutput output = figure.render({regime, threads, plan, results});
+    // A renderer that re-derives a run (Fig 4's oracle) finds it here
+    // when the memo cache is off.
+    MemoCache plan_memo;
+    std::vector<CellResult> results =
+        ExperimentEngine(engine).run(plan, &plan_memo);
+    FigureOutput output =
+        figure.render({regime, threads, plan, results, &plan_memo});
     output.results = std::move(results);
     return output;
 }

@@ -55,6 +55,8 @@ struct FigureRun
     unsigned threads; ///< Figs 2 and 3 characterize apps in parallel.
     const ExperimentPlan &plan;
     const std::vector<CellResult> &results;
+    /** The store that answered the plan's memo-off runs. */
+    MemoCache *planMemo = nullptr;
 };
 
 /** A rendered figure; a renderer's text converts to one. */

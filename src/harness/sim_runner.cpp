@@ -27,29 +27,6 @@ constexpr const char *kCacheVersion = "lbsim-v11";
 /** Runs that reached the cycle model (SimRunner::simulationsRun). */
 std::atomic<std::uint64_t> simulations{0};
 
-/**
- * Warp slots an SM can ever fill with @p kernel: Sm::launchCta puts each
- * CTA in the lowest free slots and admits at most maxResidentCtas CTAs,
- * so no warp sits at or above this bound.
- */
-std::uint32_t
-residentWarpBound(const GpuConfig &cfg, const KernelInfo &kernel)
-{
-    return maxResidentCtas(cfg, kernel) * kernel.warpsPerCta;
-}
-
-/** DUR bytes implied by a static warp limit (Best-SWL+CacheExt sizing). */
-std::uint32_t
-durBytesForWarpLimit(const GpuConfig &cfg, const KernelInfo &kernel,
-                     std::uint32_t warp_limit)
-{
-    const std::uint32_t resident_warps = residentWarpBound(cfg, kernel);
-    if (warp_limit == 0 || warp_limit >= resident_warps)
-        return 0;
-    return (resident_warps - warp_limit) * kernel.regsPerWarp *
-        kLineBytes;
-}
-
 /** Key text of one visited field: operator<< formatting, enums as ints. */
 template <typename T>
 void
@@ -340,8 +317,8 @@ SimRunner::runUncached(const AppProfile &app, const SchemeConfig &scheme)
     if (scheme.cacheExt) {
         std::uint32_t idle_bytes = staticallyUnusedRegBytes(cfg, kernel);
         if (scheme.throttle == ThrottleMode::StaticWarp) {
-            idle_bytes += durBytesForWarpLimit(cfg, kernel,
-                                               scheme.staticWarpLimit);
+            idle_bytes += dynamicallyUnusedRegBytes(cfg, kernel,
+                                                    scheme.staticWarpLimit);
         }
         // With Linebacker on top (LB+CacheExt), the dynamically unused
         // space stays with the victim cache, so only SUR extends L1.

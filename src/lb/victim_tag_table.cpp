@@ -1,27 +1,18 @@
 #include "lb/victim_tag_table.hpp"
 
-#include <cstdio>
+#include <algorithm>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace lbsim
 {
 
 VictimTagTable::VictimTagTable(const GpuConfig &gpu, const LbConfig &lb,
                                SimStats *stats)
-    : lb_(lb), stats_(stats), sets_(gpu.l1.sets()),
-      tags_(static_cast<std::size_t>(lb.vttMaxPartitions) * sets_ *
-                lb.vttWays,
-            kNoAddr),
-      lastUse_(tags_.size(), 0)
+    : lb_(lb), stats_(stats),
+      tags_(gpu.l1.sets(), lb.vttMaxPartitions * lb.vttWays)
 {
-}
-
-std::uint32_t
-VictimTagTable::setIndex(Addr line_addr) const
-{
-    return static_cast<std::uint32_t>(lineIndex(line_addr) % sets_);
+    tags_.setActiveWays(0);
 }
 
 void
@@ -30,49 +21,25 @@ VictimTagTable::setTagOnlyMode(bool tag_only)
     if (tagOnly_ == tag_only)
         return;
     tagOnly_ = tag_only;
-    invalidateAll();
-    if (tag_only) {
-        // The tag SRAM physically exists regardless of register space, so
-        // monitoring uses every partition.
-        activeParts_ = lb_.vttMaxPartitions;
-    } else {
-        activeParts_ = 0;
-    }
+    tags_.invalidateAll();
+    // The tag SRAM physically exists regardless of register space, so
+    // monitoring uses every partition.
+    setActivePartitions(tag_only ? lb_.vttMaxPartitions : 0);
 }
 
 void
 VictimTagTable::setActivePartitions(std::uint32_t count)
 {
-    if (count > lb_.vttMaxPartitions)
-        count = lb_.vttMaxPartitions;
-    if (count < activeParts_) {
-        // Deactivated partitions lose their entries (the backing
-        // registers are being returned to a reactivated CTA).
-        for (std::uint32_t p = count; p < activeParts_; ++p) {
-            for (std::uint32_t s = 0; s < sets_; ++s) {
-                for (std::uint32_t w = 0; w < lb_.vttWays; ++w) {
-                    tags_[slot(p, s, w)] = kNoAddr;
-                    lastUse_[slot(p, s, w)] = 0;
-                }
-            }
-        }
-    }
-    activeParts_ = count;
+    // Deactivated partitions lose their entries (the backing registers
+    // are being returned to a reactivated CTA).
+    activeParts_ = std::min(count, lb_.vttMaxPartitions);
+    tags_.setActiveWays(activeParts_ * lb_.vttWays);
 }
 
 std::uint32_t
 VictimTagTable::capacityLines() const
 {
-    return activeParts_ * sets_ * lb_.vttWays;
-}
-
-std::uint32_t
-VictimTagTable::validLines() const
-{
-    std::uint32_t count = 0;
-    for (const Addr tag : tags_)
-        count += tag != kNoAddr ? 1 : 0;
-    return count;
+    return activeParts_ * tags_.sets() * lb_.vttWays;
 }
 
 RegNum
@@ -80,7 +47,7 @@ VictimTagTable::regNumFor(std::uint32_t partition, std::uint32_t set,
                           std::uint32_t way) const
 {
     // Eq. 2: RN = Offset + N_VP * #VP_entries + X * #ways + Y.
-    return lb_.victimRegOffset + partition * (sets_ * lb_.vttWays) +
+    return lb_.victimRegOffset + partition * (tags_.sets() * lb_.vttWays) +
         set * lb_.vttWays + way;
 }
 
@@ -89,26 +56,16 @@ VictimTagTable::probe(Addr line_addr, Cycle now)
 {
     VttProbe result;
     ++stats_->vttProbes;
-    const std::uint32_t set = setIndex(line_addr);
-    // One pass over the set's contiguous tag block: active partitions
-    // sit side by side, ways innermost, so the whole search is a linear
-    // scan of activeParts_ x ways raw addresses. Invalid slots hold
-    // kNoAddr and never match a real line address.
-    const Addr *base = &tags_[slot(0, set, 0)];
-    const std::uint32_t span = activeParts_ * lb_.vttWays;
-    for (std::uint32_t i = 0; i < span; ++i) {
-        if (base[i] == line_addr) {
-            const std::uint32_t p = i / lb_.vttWays;
-            const std::uint32_t w = i % lb_.vttWays;
-            lastUse_[slot(p, set, w)] = now;
-            result.hit = true;
-            result.latency = (p + 1) * lb_.vttAccessLatency;
-            result.regNum = regNumFor(p, set, w);
-            stats_->vttProbeCycles += result.latency;
-            return result;
-        }
+    // Partitions are searched in order, so a hit in way w answered
+    // after w / ways + 1 partition steps; a miss searched them all.
+    const std::uint32_t way = tags_.accessWay(line_addr, 0, now);
+    if (way == TagArray::kNoWay) {
+        result.latency = activeParts_ * lb_.vttAccessLatency;
+    } else {
+        result.hit = true;
+        result.latency = (way / lb_.vttWays + 1) * lb_.vttAccessLatency;
+        result.regNum = regNumForWay(tags_.setIndex(line_addr), way);
     }
-    result.latency = activeParts_ * lb_.vttAccessLatency;
     stats_->vttProbeCycles += result.latency;
     return result;
 }
@@ -118,64 +75,9 @@ VictimTagTable::insert(Addr line_addr, Cycle now, RegNum &reg_out)
 {
     if (activeParts_ == 0)
         return false;
-    LB_INVARIANT(line_addr != kNoAddr,
-                 "inserting the sentinel address into the VTT");
-
-    const std::uint32_t set = setIndex(line_addr);
-    Addr *base = &tags_[slot(0, set, 0)];
-    const std::uint32_t span = activeParts_ * lb_.vttWays;
-
-    // One scan of the set's tag block decides everything: a resident
-    // line is refreshed in place, otherwise the first invalid slot (in
-    // partition order — store-invalidated lines are reused first) or,
-    // failing that, the LRU entry across active partitions is replaced.
-    std::uint32_t victim = span;
-    std::uint32_t oldestIdx = 0;
-    Cycle oldest = kNoCycle;
-    for (std::uint32_t i = 0; i < span; ++i) {
-        if (base[i] == line_addr) {
-            lastUse_[slot(0, set, 0) + i] = now;
-            reg_out = regNumFor(i / lb_.vttWays, set, i % lb_.vttWays);
-            return true;
-        }
-        if (victim == span) {
-            if (base[i] == kNoAddr) {
-                victim = i;
-            } else if (lastUse_[slot(0, set, 0) + i] < oldest) {
-                oldest = lastUse_[slot(0, set, 0) + i];
-                oldestIdx = i;
-            }
-        }
-    }
-    if (victim == span)
-        victim = oldestIdx;
-
-    base[victim] = line_addr;
-    lastUse_[slot(0, set, 0) + victim] = now;
-    reg_out = regNumFor(victim / lb_.vttWays, set, victim % lb_.vttWays);
+    const std::uint32_t way = tags_.insertWay(line_addr, 0, now);
+    reg_out = regNumForWay(tags_.setIndex(line_addr), way);
     return true;
-}
-
-bool
-VictimTagTable::invalidate(Addr line_addr)
-{
-    const std::uint32_t set = setIndex(line_addr);
-    Addr *base = &tags_[slot(0, set, 0)];
-    const std::uint32_t span = activeParts_ * lb_.vttWays;
-    for (std::uint32_t i = 0; i < span; ++i) {
-        if (base[i] == line_addr) {
-            base[i] = kNoAddr;
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-VictimTagTable::invalidateAll()
-{
-    tags_.assign(tags_.size(), kNoAddr);
-    lastUse_.assign(lastUse_.size(), 0);
 }
 
 void
@@ -184,82 +86,7 @@ VictimTagTable::audit(Cycle now) const
     LB_AUDIT(activeParts_ <= lb_.vttMaxPartitions,
              "%u active VTT partitions exceed the maximum of %u",
              activeParts_, lb_.vttMaxPartitions);
-    LB_AUDIT(tags_.size() ==
-                 static_cast<std::size_t>(lb_.vttMaxPartitions) * sets_ *
-                     lb_.vttWays,
-             "VTT tag plane holds %zu entries, geometry needs %zu",
-             tags_.size(),
-             static_cast<std::size_t>(lb_.vttMaxPartitions) * sets_ *
-                 lb_.vttWays);
-    LB_AUDIT(lastUse_.size() == tags_.size(),
-             "VTT LRU plane holds %zu entries, tag plane holds %zu",
-             lastUse_.size(), tags_.size());
-
-    for (std::uint32_t set = 0; set < sets_; ++set) {
-        StateDumpScope dump([this, set] { return debugSetString(set); });
-        for (std::uint32_t p = 0; p < lb_.vttMaxPartitions; ++p) {
-            for (std::uint32_t w = 0; w < lb_.vttWays; ++w) {
-                const Addr tag = tags_[slot(p, set, w)];
-                if (tag == kNoAddr) {
-                    continue;
-                }
-                LB_AUDIT(p < activeParts_,
-                         "valid entry %llx in deactivated partition %u "
-                         "(only %u active)",
-                         static_cast<unsigned long long>(tag), p,
-                         activeParts_);
-                LB_AUDIT(setIndex(tag) == set,
-                         "line %llx stored in set %u but maps to set %u",
-                         static_cast<unsigned long long>(tag), set,
-                         setIndex(tag));
-                LB_AUDIT(lastUse_[slot(p, set, w)] <= now,
-                         "line %llx has future LRU timestamp %llu "
-                         "(now %llu)",
-                         static_cast<unsigned long long>(tag),
-                         static_cast<unsigned long long>(
-                             lastUse_[slot(p, set, w)]),
-                         static_cast<unsigned long long>(now));
-                // A line must be tracked by at most one partition/way.
-                for (std::uint32_t p2 = p; p2 < lb_.vttMaxPartitions;
-                     ++p2) {
-                    for (std::uint32_t w2 = p2 == p ? w + 1 : 0;
-                         w2 < lb_.vttWays; ++w2) {
-                        LB_AUDIT(tags_[slot(p2, set, w2)] != tag,
-                                 "line %llx tracked twice: partition %u "
-                                 "way %u and partition %u way %u",
-                                 static_cast<unsigned long long>(tag), p,
-                                 w, p2, w2);
-                    }
-                }
-            }
-        }
-    }
-}
-
-std::string
-VictimTagTable::debugSetString(std::uint32_t set) const
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "VTT set %u (%u/%u partitions active, %u ways, "
-                  "tagOnly=%d)\n",
-                  set, activeParts_, lb_.vttMaxPartitions, lb_.vttWays,
-                  tagOnly_ ? 1 : 0);
-    std::string out = buf;
-    for (std::uint32_t p = 0; p < lb_.vttMaxPartitions; ++p) {
-        for (std::uint32_t w = 0; w < lb_.vttWays; ++w) {
-            const Addr tag = tags_[slot(p, set, w)];
-            if (tag == kNoAddr)
-                continue;
-            std::snprintf(buf, sizeof(buf),
-                          "part=%u way=%u addr=%llx lastUse=%llu\n", p, w,
-                          static_cast<unsigned long long>(tag),
-                          static_cast<unsigned long long>(
-                              lastUse_[slot(p, set, w)]));
-            out += buf;
-        }
-    }
-    return out;
+    tags_.audit(now);
 }
 
 void
@@ -267,8 +94,9 @@ VictimTagTable::setEntryForTest(std::uint32_t partition, std::uint32_t set,
                                 std::uint32_t way, Addr line_addr,
                                 bool valid, Cycle last_use)
 {
-    tags_[slot(partition, set, way)] = valid ? line_addr : kNoAddr;
-    lastUse_[slot(partition, set, way)] = last_use;
+    // No HPC or owner; filled and last used at last_use.
+    tags_.setLineForTest(set, partition * lb_.vttWays + way,
+                         TagLine{valid, line_addr, 0, 0, last_use, last_use});
 }
 
 } // namespace lbsim

@@ -10,6 +10,10 @@
  * Eq. 2 maps (partition, set, way) to the warp-register number holding
  * the line.
  *
+ * Each VTT set is one (maxPartitions x ways)-way LRU set of a TagArray:
+ * partition p's way w is the array's way p x ways + w, and the active
+ * partitions are the ways below its active-way bound.
+ *
  * During Linebacker's monitoring phase the same structure runs in
  * tag-only mode: every evicted line's tag is recorded (no data), letting
  * the Load Monitor observe would-be victim hits.
@@ -18,12 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "mem/tag_array.hpp"
 
 namespace lbsim
 {
@@ -63,7 +66,7 @@ class VictimTagTable
     std::uint32_t capacityLines() const;
 
     /** Currently valid victim entries. */
-    std::uint32_t validLines() const;
+    std::uint32_t validLines() const { return tags_.validLines(); }
 
     /**
      * Search for @p line_addr across active partitions in order.
@@ -73,9 +76,10 @@ class VictimTagTable
     VttProbe probe(Addr line_addr, Cycle now);
 
     /**
-     * Insert the tag of an evicted line; LRU way of the set in the last
-     * searched partition is replaced. Prefers invalidated entries
-     * (Section 4 store-handling).
+     * Insert the tag of an evicted line: a resident line is refreshed,
+     * else the first invalid entry in partition order (store-invalidated
+     * lines, Section 4) or else the LRU entry across active partitions
+     * is replaced.
      *
      * @param reg_out Receives the backing register number (data mode).
      * @return false if no partition is active.
@@ -83,32 +87,24 @@ class VictimTagTable
     bool insert(Addr line_addr, Cycle now, RegNum &reg_out);
 
     /** Drop @p line_addr if present (store hit). @return true if dropped. */
-    bool invalidate(Addr line_addr);
-
-    /** Drop everything (mode changes, kernel boundaries). */
-    void invalidateAll();
+    bool invalidate(Addr line_addr) { return tags_.invalidate(line_addr); }
 
     /** Eq. 2: register number for (partition, set, way). */
     RegNum regNumFor(std::uint32_t partition, std::uint32_t set,
                      std::uint32_t way) const;
 
-    std::uint32_t sets() const { return sets_; }
+    std::uint32_t sets() const { return tags_.sets(); }
     std::uint32_t ways() const { return lb_.vttWays; }
     std::uint32_t maxPartitions() const { return lb_.vttMaxPartitions; }
 
     /**
      * Partition auditor: the active-partition count respects the
-     * configured maximum, the backing store has the configured
-     * sets x ways x maxPartitions shape, deactivated partitions hold no
-     * valid entries, every valid entry sits in the set its address maps
-     * to, no line is tracked by more than one (partition, way), and no
-     * LRU timestamp lies in the future. (A valid entry with a sentinel
-     * address is unrepresentable: the sentinel IS the invalid marker.)
+     * configured maximum, and the tag store passes TagArray::audit
+     * (deactivated partitions hold no valid entries, every entry sits
+     * in the set its address maps to, no line is tracked twice, no LRU
+     * timestamp lies in the future).
      */
     void audit(Cycle now) const;
-
-    /** Per-set entry dump for failure reports. */
-    std::string debugSetString(std::uint32_t set) const;
 
     /**
      * Overwrite one entry so tests can fabricate corrupted states (e.g.
@@ -120,36 +116,19 @@ class VictimTagTable
                          Cycle last_use);
 
   private:
-    /**
-     * Structure-of-arrays index for (partition, set, way).
-     *
-     * Set-major layout: a probe searches every active partition's ways
-     * of ONE set, so keeping a set's (partition x way) tags contiguous
-     * turns the probe into a linear scan of one small block — the whole
-     * 8-partition x 4-way tag run for a set is 256 bytes — instead of a
-     * strided walk with a cache miss per partition.
-     */
-    std::size_t
-    slot(std::uint32_t partition, std::uint32_t set,
-         std::uint32_t way) const
+    /** Eq. 2 for the tag store's flattened @p way of @p set. */
+    RegNum
+    regNumForWay(std::uint32_t set, std::uint32_t way) const
     {
-        return (static_cast<std::size_t>(set) * lb_.vttMaxPartitions +
-                partition) *
-                   lb_.vttWays +
-               way;
+        return regNumFor(way / lb_.vttWays, set, way % lb_.vttWays);
     }
-
-    std::uint32_t setIndex(Addr line_addr) const;
 
     LbConfig lb_;
     SimStats *stats_;
-    std::uint32_t sets_;
     std::uint32_t activeParts_ = 0;
     bool tagOnly_ = false;
-    /** Tag plane, sets x maxPartitions x ways; kNoAddr = invalid. */
-    std::vector<Addr> tags_;
-    /** LRU plane, parallel to the tag plane. */
-    std::vector<Cycle> lastUse_;
+    /** sets x (maxPartitions x ways), bounded to the active partitions. */
+    TagArray tags_;
 };
 
 } // namespace lbsim

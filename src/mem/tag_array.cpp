@@ -1,5 +1,6 @@
 #include "mem/tag_array.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -9,7 +10,7 @@ namespace lbsim
 {
 
 TagArray::TagArray(std::uint32_t sets, std::uint32_t ways)
-    : sets_(sets), ways_(ways),
+    : sets_(sets), ways_(ways), activeWays_(ways),
       tags_(static_cast<std::size_t>(sets) * ways, kNoAddr),
       meta_(static_cast<std::size_t>(sets) * ways)
 {
@@ -25,47 +26,61 @@ TagArray::findWay(std::uint32_t set, Addr line_addr) const
     // Invalid ways hold kNoAddr and real line addresses never equal it,
     // so no validity test is needed per way.
     const Addr *base = &tags_[slot(set, 0)];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
+    for (std::uint32_t w = 0; w < activeWays_; ++w) {
         if (base[w] == line_addr)
             return w;
     }
-    return ways_;
+    return kNoWay;
 }
 
 bool
 TagArray::access(Addr line_addr, std::uint8_t hpc, Cycle now,
                  std::uint8_t owner)
 {
+    return accessWay(line_addr, hpc, now, owner) != kNoWay;
+}
+
+std::uint32_t
+TagArray::accessWay(Addr line_addr, std::uint8_t hpc, Cycle now,
+                    std::uint8_t owner)
+{
     const std::uint32_t set = setIndex(line_addr);
     const std::uint32_t way = findWay(set, line_addr);
-    if (way == ways_)
-        return false;
+    if (way == kNoWay)
+        return kNoWay;
     WayMeta &m = meta_[slot(set, way)];
     m.lastUse = now;
     m.hpc = hpc;
     m.owner = owner;
-    return true;
+    return way;
 }
 
 bool
 TagArray::probe(Addr line_addr) const
 {
-    return findWay(setIndex(line_addr), line_addr) != ways_;
-}
-
-std::optional<std::uint8_t>
-TagArray::lineHpc(Addr line_addr) const
-{
-    const std::uint32_t set = setIndex(line_addr);
-    const std::uint32_t way = findWay(set, line_addr);
-    if (way == ways_)
-        return std::nullopt;
-    return meta_[slot(set, way)].hpc;
+    return findWay(setIndex(line_addr), line_addr) != kNoWay;
 }
 
 std::optional<Eviction>
 TagArray::insert(Addr line_addr, std::uint8_t hpc, Cycle now,
                  std::uint8_t owner)
+{
+    std::optional<Eviction> evicted;
+    fill(line_addr, hpc, now, owner, evicted);
+    return evicted;
+}
+
+std::uint32_t
+TagArray::insertWay(Addr line_addr, std::uint8_t hpc, Cycle now,
+                    std::uint8_t owner)
+{
+    std::optional<Eviction> evicted;
+    return fill(line_addr, hpc, now, owner, evicted);
+}
+
+std::uint32_t
+TagArray::fill(Addr line_addr, std::uint8_t hpc, Cycle now,
+               std::uint8_t owner, std::optional<Eviction> &evicted)
 {
     LB_INVARIANT(line_addr != kNoAddr,
                  "inserting the sentinel address into a tag array");
@@ -74,25 +89,24 @@ TagArray::insert(Addr line_addr, std::uint8_t hpc, Cycle now,
 
     // Refill of a resident line just refreshes it; otherwise remember
     // the first invalid way from the same scan.
-    std::uint32_t way = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
+    std::uint32_t way = kNoWay;
+    for (std::uint32_t w = 0; w < activeWays_; ++w) {
         if (base[w] == line_addr) {
             WayMeta &m = meta_[slot(set, w)];
             m.lastUse = now;
             m.fillTime = now;
             m.hpc = hpc;
             m.owner = owner;
-            return std::nullopt;
+            return w;
         }
-        if (way == ways_ && base[w] == kNoAddr)
+        if (way == kNoWay && base[w] == kNoAddr)
             way = w;
     }
 
-    std::optional<Eviction> evicted;
-    if (way == ways_) {
+    if (way == kNoWay) {
         way = 0;
         const WayMeta *metaBase = &meta_[slot(set, 0)];
-        for (std::uint32_t w = 1; w < ways_; ++w) {
+        for (std::uint32_t w = 1; w < activeWays_; ++w) {
             if (metaBase[w].lastUse < metaBase[way].lastUse)
                 way = w;
         }
@@ -106,7 +120,7 @@ TagArray::insert(Addr line_addr, std::uint8_t hpc, Cycle now,
     m.owner = owner;
     m.lastUse = now;
     m.fillTime = now;
-    return evicted;
+    return way;
 }
 
 bool
@@ -114,7 +128,7 @@ TagArray::invalidate(Addr line_addr)
 {
     const std::uint32_t set = setIndex(line_addr);
     const std::uint32_t way = findWay(set, line_addr);
-    if (way == ways_)
+    if (way == kNoWay)
         return false;
     tags_[slot(set, way)] = kNoAddr;
     return true;
@@ -124,6 +138,21 @@ void
 TagArray::invalidateAll()
 {
     tags_.assign(tags_.size(), kNoAddr);
+}
+
+void
+TagArray::setActiveWays(std::uint32_t count)
+{
+    if (count > ways_)
+        panic("TagArray bound of %u ways exceeds its %u ways", count,
+              ways_);
+    if (count < activeWays_) {
+        for (std::uint32_t set = 0; set < sets_; ++set) {
+            const auto base = tags_.begin() + slot(set, 0);
+            std::fill(base + count, base + activeWays_, kNoAddr);
+        }
+    }
+    activeWays_ = count;
 }
 
 std::uint32_t
@@ -145,6 +174,11 @@ TagArray::audit(Cycle now) const
             if (base[w] == kNoAddr)
                 continue;
             const WayMeta &m = meta_[slot(set, w)];
+            LB_AUDIT(w < activeWays_,
+                     "line %llx in set %u way %u lies in a deactivated "
+                     "partition (only %u of %u ways active)",
+                     static_cast<unsigned long long>(base[w]), set, w,
+                     activeWays_, ways_);
             LB_AUDIT(setIndex(base[w]) == set,
                      "line %llx stored in set %u but maps to set %u",
                      static_cast<unsigned long long>(base[w]), set,
@@ -158,7 +192,8 @@ TagArray::audit(Cycle now) const
                      static_cast<unsigned long long>(now));
             for (std::uint32_t w2 = w + 1; w2 < ways_; ++w2) {
                 LB_AUDIT(base[w2] != base[w],
-                         "duplicate tag %llx in set %u (ways %u and %u)",
+                         "line %llx tracked twice in set %u (ways %u and "
+                         "%u)",
                          static_cast<unsigned long long>(base[w]), set, w,
                          w2);
             }
@@ -170,7 +205,8 @@ std::string
 TagArray::debugSetString(std::uint32_t set) const
 {
     std::string out = "TagArray set " + std::to_string(set) + " (" +
-        std::to_string(ways_) + " ways)\n";
+        std::to_string(activeWays_) + "/" + std::to_string(ways_) +
+        " ways active)\n";
     char buf[160];
     for (std::uint32_t w = 0; w < ways_; ++w) {
         const Addr tag = tags_[slot(set, w)];

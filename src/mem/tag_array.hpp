@@ -2,11 +2,11 @@
  * @file
  * Set-associative tag array with LRU replacement.
  *
- * Used by the L1 data cache, the L2 slices, and (with a different
- * geometry) the Victim Tag Table partitions. Each line carries the 5-bit
- * hashed PC of the load that last touched it, which Linebacker uses to
- * decide whether an evicted line belongs to a selected high-locality load
- * (Fig 7 "HPC" field).
+ * Used by the L1 data cache, the L2 slices, and the Victim Tag Table,
+ * whose active partitions are the ways below an active-way bound. Each
+ * line carries the 5-bit hashed PC of the load that last touched it,
+ * which Linebacker uses to decide whether an evicted line belongs to a
+ * selected high-locality load (Fig 7 "HPC" field).
  *
  * Storage is structure-of-arrays: the tag plane is a dense sets x ways
  * array of raw line addresses (the kNoAddr sentinel marks an invalid
@@ -54,12 +54,17 @@ struct Eviction
 /**
  * A set-associative, LRU tag array.
  *
- * The array supports a dynamic way count per set (CERF/CacheExt extend the
- * baseline L1 by whole ways) chosen at construction.
+ * The way count per set is chosen at construction (CERF/CacheExt extend
+ * the baseline L1 by whole ways). An active-way bound, every way by
+ * default, limits lookups, fills and the LRU choice to the ways below
+ * it; the ways at or past it are deactivated and hold no line.
  */
 class TagArray
 {
   public:
+    /** What accessWay() reports when no active way holds the line. */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+
     /**
      * @param sets Number of sets (power of two not required).
      * @param ways Associativity.
@@ -85,19 +90,27 @@ class TagArray
     bool access(Addr line_addr, std::uint8_t hpc, Cycle now,
                 std::uint8_t owner = 0);
 
+    /**
+     * access() that reports the way it hit, or kNoWay on a miss, for a
+     * caller that maps ways to storage (the VTT's Eq. 2).
+     */
+    std::uint32_t accessWay(Addr line_addr, std::uint8_t hpc, Cycle now,
+                            std::uint8_t owner = 0);
+
     /** Look up without changing any state. */
     bool probe(Addr line_addr) const;
 
-    /** HPC field of a resident line (probe-only). */
-    std::optional<std::uint8_t> lineHpc(Addr line_addr) const;
-
     /**
      * Insert @p line_addr, evicting the set's LRU line if the set is
-     * full.
+     * full. Needs at least one active way.
      * @return The displaced valid line, if any.
      */
     std::optional<Eviction> insert(Addr line_addr, std::uint8_t hpc,
                                    Cycle now, std::uint8_t owner = 0);
+
+    /** insert() that reports the way it filled or refreshed instead. */
+    std::uint32_t insertWay(Addr line_addr, std::uint8_t hpc, Cycle now,
+                            std::uint8_t owner = 0);
 
     /**
      * Invalidate @p line_addr if resident.
@@ -108,6 +121,14 @@ class TagArray
     /** Invalidate every line. */
     void invalidateAll();
 
+    /**
+     * Bound lookups, fills and the LRU choice to the ways below
+     * @p count (at most ways()). Shrinking invalidates every way at or
+     * past the new bound, in every set; the rest keep their lines and
+     * LRU order. Growing exposes empty ways.
+     */
+    void setActiveWays(std::uint32_t count);
+
     std::uint32_t sets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }
 
@@ -115,11 +136,11 @@ class TagArray
     std::uint32_t validLines() const;
 
     /**
-     * Consistency auditor: every valid line maps to its set, no tag is
-     * duplicated within a set, and no LRU/fill timestamp lies in the
-     * future of @p now. (A valid line with a sentinel address is
-     * unrepresentable in the split layout: the sentinel IS the invalid
-     * marker.)
+     * Consistency auditor: every valid line maps to its set and lies
+     * below the active-way bound, no tag is duplicated within a set,
+     * and no LRU/fill timestamp lies in the future of @p now. (A valid
+     * line with a sentinel address is unrepresentable in the split
+     * layout: the sentinel IS the invalid marker.)
      */
     void audit(Cycle now) const;
 
@@ -148,8 +169,16 @@ class TagArray
         Cycle fillTime = 0;
     };
 
-    /** Way holding @p line_addr in @p set, or ways_ when absent. */
+    /** Active way holding @p line_addr in @p set, or kNoWay. */
     std::uint32_t findWay(std::uint32_t set, Addr line_addr) const;
+
+    /**
+     * Fill or refresh @p line_addr; the one body of insert() and
+     * insertWay().
+     * @return The way written.
+     */
+    std::uint32_t fill(Addr line_addr, std::uint8_t hpc, Cycle now,
+                       std::uint8_t owner, std::optional<Eviction> &evicted);
 
     std::size_t
     slot(std::uint32_t set, std::uint32_t way) const
@@ -159,6 +188,7 @@ class TagArray
 
     std::uint32_t sets_;
     std::uint32_t ways_;
+    std::uint32_t activeWays_;   ///< Ways in use; ways_ unless bounded.
     std::vector<Addr> tags_;     ///< sets_ x ways_ tag plane; kNoAddr = invalid.
     std::vector<WayMeta> meta_;  ///< Payload plane, same indexing.
 };

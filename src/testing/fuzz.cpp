@@ -583,6 +583,9 @@ parseFuzzCase(const std::string &text, FuzzCase &out,
             forEachGpuConfigField(parsed.gpu, assign("gpu."));
             forEachLbConfigField(parsed.lb, assign("lb."));
             forEachAppProfileField(parsed.app, assign("app."));
+            // A VTT with no ways or no partitions has no tag store.
+            ok = ok && parsed.lb.vttWays != 0 &&
+                 parsed.lb.vttMaxPartitions != 0;
         }
         if (!known) {
             error_out = "line " + std::to_string(line_no) +

@@ -105,7 +105,8 @@ std::string serializeFuzzCase(const FuzzCase &fuzz_case);
 /**
  * Parse @p text produced by serializeFuzzCase. Whole numbers are
  * unsigned decimals (parseUnsigned) in their field's range, bools are 0
- * or 1, a load's tile scope is 0-3 and reals must be finite.
+ * or 1, a load's tile scope is 0-3, reals must be finite, and the VTT's
+ * ways and partitions are nonzero.
  * @param error_out Receives a description on failure.
  * @return true on success.
  */

@@ -130,6 +130,21 @@ TEST_F(AuditFixture, TagArrayWrongSetTrips)
     EXPECT_FALSE(failures.empty());
 }
 
+TEST_F(AuditFixture, TagArrayLinePastActiveBoundTrips)
+{
+    TagArray tags(48, 8);
+    tags.setActiveWays(4);
+    tags.insert(0x0, 0, 1);
+    tags.audit(10);
+    EXPECT_TRUE(failures.empty());
+    TagLine line;
+    line.valid = true;
+    line.lineAddr = 48 * kLineBytes; // Maps to set 0.
+    tags.setLineForTest(0, 4, line);
+    tags.audit(10);
+    EXPECT_TRUE(fired("deactivated"));
+}
+
 // --- Request-lifetime ledger ------------------------------------------------
 
 TEST_F(AuditFixture, LedgerExactlyOnceLifecyclePasses)

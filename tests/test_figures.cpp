@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -75,6 +76,28 @@ TEST(FigureRegistry, EveryEntryRendersAndWritesItsArtifact)
         EXPECT_TRUE(artifact.boolOr("smoke", false));
         std::remove(path.c_str());
     }
+}
+
+TEST(FigureRegistry, MemoOffFig4RendersFromThePlansRuns)
+{
+    // Fig 4's renderer re-derives each app's oracle limit for its DUR
+    // column. The plan's store answers it, so only the plan's 35
+    // distinct runs reach the model: six sweep points for each smoke
+    // app, less LI's limit 48, which is its unthrottled run.
+    const Regime regime{.smoke = true,
+                        .sms = 1,
+                        .cycles = 2000,
+                        .warmup = 1000,
+                        .memoCache = false};
+    const auto &registry = figureRegistry();
+    const auto fig4 = std::find_if(
+        registry.begin(), registry.end(),
+        [](const Figure &figure) { return figure.id == "fig04_unused_rf"; });
+    ASSERT_NE(fig4, registry.end());
+    const std::uint64_t before = SimRunner::simulationsRun();
+    const FigureOutput output = runFigure(*fig4, regime, 0);
+    EXPECT_EQ(SimRunner::simulationsRun() - before, 35u);
+    EXPECT_NE(output.text.find("SWL limit"), std::string::npos);
 }
 
 } // namespace

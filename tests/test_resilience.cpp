@@ -140,8 +140,8 @@ TEST_P(FuzzCaseLineRefused, ParseFuzzCaseRefusesIt)
     EXPECT_NE(error.find("bad value"), std::string::npos) << error;
 }
 
-// Signs, spaces and empty numbers, reals that are not finite, and a
-// fault window whose end wraps.
+// Signs, spaces and empty numbers, reals that are not finite, a fault
+// window whose end wraps, and a VTT with no geometry.
 INSTANTIATE_TEST_SUITE_P(
     BadNumbers, FuzzCaseLineRefused,
     ::testing::Values("gpu.maxCycles=-1", "gpu.maxCycles=+7",
@@ -149,7 +149,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "gpu.dramBandwidthGBs=nan",
                       "gpu.dramBandwidthGBs=inf",
                       "gpu.dramBandwidthGBs= 1.5",
-                      "fault=icnt-delay,100,18446744073709551615,5"));
+                      "fault=icnt-delay,100,18446744073709551615,5",
+                      "lb.vttWays=0", "lb.vttMaxPartitions=0"));
 
 TEST(FaultPlanTest, DescriptionIsCompactAndStable)
 {

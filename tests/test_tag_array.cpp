@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "mem/tag_array.hpp"
 
@@ -37,11 +39,11 @@ TEST(TagArray, HitAfterInsert)
 TEST(TagArray, HpcFieldTracksLastToucher)
 {
     TagArray tags(48, 8);
-    tags.insert(lineAddr(5), 3, 1);
-    ASSERT_TRUE(tags.lineHpc(lineAddr(5)).has_value());
-    EXPECT_EQ(*tags.lineHpc(lineAddr(5)), 3);
+    tags.insert(lineAddr(5), 3, 1); // Set 5, first free way.
+    ASSERT_TRUE(tags.lineForTest(5, 0).valid);
+    EXPECT_EQ(tags.lineForTest(5, 0).hpc, 3);
     tags.access(lineAddr(5), 9, 2);
-    EXPECT_EQ(*tags.lineHpc(lineAddr(5)), 9);
+    EXPECT_EQ(tags.lineForTest(5, 0).hpc, 9);
 }
 
 TEST(TagArray, EvictsLruWithinSet)
@@ -167,6 +169,100 @@ TEST(TagArray, GeometryFromCacheConfig)
     TagArray tags(geom);
     EXPECT_EQ(tags.sets(), 48u);
     EXPECT_EQ(tags.ways(), 8u);
+}
+
+// --- Active-way bound ------------------------------------------------------
+
+TEST(TagArray, ActiveBoundCoversEveryWayByDefault)
+{
+    TagArray tags(4, 8);
+    for (std::uint64_t k = 0; k < 8; ++k)
+        EXPECT_FALSE(tags.insert(lineAddr(4 * k), 0, k + 1).has_value());
+    EXPECT_EQ(tags.validLines(), 8u);
+    EXPECT_EQ(tags.insertWay(lineAddr(4 * 7), 0, 9), 7u);
+}
+
+TEST(TagArray, LookupsAndFillsStayBelowTheActiveBound)
+{
+    TagArray tags(4, 4);
+    tags.setActiveWays(2);
+    // A line planted past the bound is invisible to every lookup.
+    TagLine planted;
+    planted.valid = true;
+    planted.lineAddr = lineAddr(12);
+    tags.setLineForTest(0, 3, planted);
+    EXPECT_FALSE(tags.probe(lineAddr(12)));
+    EXPECT_EQ(tags.accessWay(lineAddr(12), 0, 1), TagArray::kNoWay);
+    EXPECT_FALSE(tags.invalidate(lineAddr(12)));
+    EXPECT_LT(tags.insertWay(lineAddr(12), 0, 2), 2u);
+    tags.setLineForTest(0, 3, TagLine{});
+
+    Rng rng(5);
+    for (Cycle now = 3; now < 3000; ++now) {
+        const Addr addr = lineAddr(rng.below(64));
+        if (tags.accessWay(addr, 0, now) == TagArray::kNoWay) {
+            ASSERT_LT(tags.insertWay(addr, 0, now), 2u);
+        }
+        if (rng.below(8) == 0)
+            tags.invalidate(addr);
+    }
+    for (std::uint32_t set = 0; set < 4; ++set) {
+        EXPECT_FALSE(tags.lineForTest(set, 2).valid);
+        EXPECT_FALSE(tags.lineForTest(set, 3).valid);
+    }
+}
+
+TEST(TagArray, ShrinkDropsExactlyTheWaysPastTheBound)
+{
+    TagArray tags(4, 4);
+    Cycle now = 1;
+    for (std::uint64_t line = 0; line < 16; ++line)
+        tags.insert(lineAddr(line), 0, now++);
+    // Reverse set 0's LRU order among its two lowest ways.
+    tags.access(lineAddr(0), 0, now++);
+    std::vector<TagLine> kept;
+    for (std::uint32_t set = 0; set < 4; ++set) {
+        for (std::uint32_t way = 0; way < 2; ++way)
+            kept.push_back(tags.lineForTest(set, way));
+    }
+
+    tags.setActiveWays(2);
+    EXPECT_EQ(tags.validLines(), 8u);
+    for (std::uint32_t set = 0; set < 4; ++set) {
+        for (std::uint32_t way = 0; way < 4; ++way) {
+            const TagLine line = tags.lineForTest(set, way);
+            if (way >= 2) {
+                EXPECT_FALSE(line.valid) << set << "/" << way;
+                continue;
+            }
+            const TagLine &before = kept[set * 2 + way];
+            EXPECT_EQ(line.lineAddr, before.lineAddr);
+            EXPECT_EQ(line.lastUse, before.lastUse);
+        }
+    }
+    // The kept ways keep their LRU order: line 4 in way 1 is set 0's LRU.
+    const auto evicted = tags.insert(lineAddr(16), 0, now++);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->lineAddr, lineAddr(4));
+}
+
+TEST(TagArray, GrowExposesEmptyWaysThatFillBeforeEviction)
+{
+    TagArray tags(2, 4); // set = line % 2
+    for (std::uint64_t k = 0; k < 4; ++k)
+        EXPECT_EQ(tags.insertWay(lineAddr(2 * k), 0, k + 1), k);
+    tags.setActiveWays(2);
+    tags.setActiveWays(4);
+    EXPECT_FALSE(tags.probe(lineAddr(4)));
+    EXPECT_EQ(tags.validLines(), 2u);
+
+    // Lines 0 and 2 are older, yet the regrown ways fill first.
+    EXPECT_FALSE(tags.insert(lineAddr(8), 0, 10).has_value());
+    EXPECT_EQ(tags.insertWay(lineAddr(10), 0, 11), 3u);
+    const auto evicted = tags.insert(lineAddr(12), 0, 12);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->lineAddr, lineAddr(0));
+    EXPECT_EQ(tags.validLines(), 4u);
 }
 
 /** Property: occupancy never exceeds sets x ways under random traffic. */

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "lb/victim_tag_table.hpp"
 
 namespace lbsim
@@ -131,6 +134,66 @@ TEST_F(VttFixture, ReplacementOrderGolden)
     EXPECT_EQ(reg, vtt.regNumFor(1, set, 2));
 
     vtt.audit(70);
+}
+
+TEST_F(VttFixture, ResizeOrderGolden)
+{
+    // The placement sequence across a shrink and a regrow, each slot
+    // pinned by its Eq. 2 register (512 + 192 x partition + 4 x set +
+    // way; set 7 starts at 540): a shrink keeps the surviving
+    // partition's lines and LRU order, and a regrown partition is empty,
+    // so it fills before any LRU eviction.
+    vtt.setActivePartitions(3);
+    const std::uint32_t set = 7;
+    const RegNum expected_fills[12] = {540, 541, 542, 543, 732, 733,
+                                       734, 735, 924, 925, 926, 927};
+    RegNum reg = 0;
+    for (std::uint32_t k = 0; k < 12; ++k) {
+        ASSERT_TRUE(vtt.insert(lineInSet(set, k), 10 + k, reg));
+        EXPECT_EQ(reg, expected_fills[k]) << "fill " << k;
+    }
+    const VttProbe deep = vtt.probe(lineInSet(set, 9), 30);
+    EXPECT_TRUE(deep.hit);
+    EXPECT_EQ(deep.regNum, 925u);
+    EXPECT_EQ(deep.latency, 3 * lb.vttAccessLatency);
+    EXPECT_TRUE(vtt.probe(lineInSet(set, 1), 31).hit);
+
+    // Shrink to one partition: only lines 0-3 survive, and a miss now
+    // searches one partition.
+    vtt.setActivePartitions(1);
+    EXPECT_EQ(vtt.validLines(), 4u);
+    for (std::uint32_t k = 4; k < 12; ++k) {
+        const VttProbe gone = vtt.probe(lineInSet(set, k), 40);
+        EXPECT_FALSE(gone.hit) << "line " << k;
+        EXPECT_EQ(gone.latency, lb.vttAccessLatency);
+    }
+    const VttProbe kept = vtt.probe(lineInSet(set, 0), 41);
+    EXPECT_TRUE(kept.hit);
+    EXPECT_EQ(kept.regNum, 540u);
+
+    // Regrow to two: partition 1 comes back empty and fills in way
+    // order while partition 0 keeps its older lines.
+    vtt.setActivePartitions(2);
+    EXPECT_EQ(vtt.validLines(), 4u);
+    EXPECT_EQ(vtt.probe(lineInSet(set, 4), 42).latency,
+              2 * lb.vttAccessLatency);
+    for (std::uint32_t k = 12; k < 16; ++k) {
+        ASSERT_TRUE(vtt.insert(lineInSet(set, k), 50 + k, reg));
+        EXPECT_EQ(reg, 732u + (k - 12)) << "refill " << k;
+    }
+
+    // Full again: LRU across both partitions takes line 2 (used at 12),
+    // line 3 (13), line 1 (31), then line 0 (41). A line the shrink
+    // dropped returns as a fresh fill.
+    const std::pair<std::uint32_t, RegNum> evictions[] = {
+        {16, 542}, {17, 543}, {18, 541}, {5, 540}};
+    Cycle now = 70;
+    for (const auto &[k, expected] : evictions) {
+        ASSERT_TRUE(vtt.insert(lineInSet(set, k), now++, reg));
+        EXPECT_EQ(reg, expected) << "line " << k;
+    }
+    EXPECT_EQ(vtt.validLines(), 8u);
+    vtt.audit(now);
 }
 
 TEST_F(VttFixture, LruReplacementWithinSet)
